@@ -165,6 +165,14 @@ def _print_eval(tag: str, result: evalkit.EvalResult) -> None:
 
 
 def cmd_evaluate(args) -> int:
+    try:
+        protocol = evalkit.EvalProtocol(
+            mode="multi_query" if args.multi_query else "single_query",
+            exclude_same_camera_same_id=not args.no_camera_filter,
+            cmc_ranks=tuple(int(v) for v in args.cmc_ranks.split(",")))
+    except evalkit.ProtocolError as exc:     # a bad flag, not bad data
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     params, _ = numcore.load_checkpoint(args.checkpoint)
     queries = sampling.read_dataset_csv(args.queries)
     gallery = sampling.read_dataset_csv(args.gallery)
@@ -173,10 +181,6 @@ def cmd_evaluate(args) -> int:
         print("error: dataset feature width does not match checkpoint",
               file=sys.stderr)
         return EXIT_DATA
-    protocol = evalkit.EvalProtocol(
-        mode="multi_query" if args.multi_query else "single_query",
-        exclude_same_camera_same_id=not args.no_camera_filter,
-        cmc_ranks=tuple(int(v) for v in args.cmc_ranks.split(",")))
     q_emb = training.embed_dataset(params, queries)
     g_emb = training.embed_dataset(params, gallery)
     result = evalkit.evaluate(q_emb, g_emb, protocol)
@@ -275,12 +279,13 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_evaluate(args)
         if args.command == "bench-losses":
             return cmd_bench_losses(args)
+    # data errors first: SamplingError and ProtocolError are ValueErrors
+    except (OSError, sampling.SamplingError, evalkit.ProtocolError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except (training.ConfigError, optim.ScheduleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, sampling.SamplingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     return EXIT_USAGE
 
 

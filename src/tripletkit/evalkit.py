@@ -78,52 +78,137 @@ def average_precision(relevance: np.ndarray, num_relevant_total: int) -> float:
     return float(np.sum(rel * cum / ranks) / num_relevant_total)
 
 
+# Cap on the elements of each (query block x gallery) temporary, about 2 MB
+# of float64: memory stays bounded at any gallery size.
+_BLOCK_ELEMENTS = 1 << 18
+
+
 def _pool_queries(queries: LabeledDataset) -> LabeledDataset:
     """Mean-pool query embeddings per (identity, camera) group."""
-    keys = sorted({(int(p), int(c)) for p, c in zip(queries.pids, queries.cams)})
-    feats, pids, cams = [], [], []
-    for pid, cam in keys:
-        mask = (queries.pids == pid) & (queries.cams == cam)
-        feats.append(queries.features[mask].mean(axis=0))
-        pids.append(pid)
-        cams.append(cam)
-    return LabeledDataset(np.asarray(feats), pids, cams,
-                          np.arange(len(keys)))
+    keys, group = np.unique(np.stack([queries.pids, queries.cams], axis=1),
+                            axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    sums = np.zeros((len(keys), queries.feature_dim))
+    np.add.at(sums, group, queries.features)
+    feats = sums / np.bincount(group, minlength=len(keys))[:, None]
+    return LabeledDataset(feats, keys[:, 0], keys[:, 1], np.arange(len(keys)))
+
+
+def _within_groups(sizes: np.ndarray) -> np.ndarray:
+    """0, 1, ..., n-1 for each group size n, concatenated."""
+    return np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+
+
+def _identity_pairs(query_pids: np.ndarray,
+                    gallery_pids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(query row, gallery row) pairs of equal identity, ordered by query
+    row, then gallery row."""
+    order = np.argsort(gallery_pids, kind="stable")
+    sorted_pids = gallery_pids[order]
+    lo = np.searchsorted(sorted_pids, query_pids, side="left")
+    sizes = np.searchsorted(sorted_pids, query_pids, side="right") - lo
+    pair_q = np.repeat(np.arange(len(query_pids)), sizes)
+    return pair_q, order[np.repeat(lo, sizes) + _within_groups(sizes)]
+
+
+def _block_ranks(q: np.ndarray, gallery: np.ndarray, gallery_sq: np.ndarray,
+                 relevant: tuple[np.ndarray, np.ndarray],
+                 excluded: tuple[np.ndarray, np.ndarray],
+                 num_rel: np.ndarray, metric: str) -> np.ndarray:
+    """Ranks of the relevant gallery rows for a block of queries.
+
+    `relevant` and `excluded` are (query row, gallery row) pairs within the
+    block, ordered by query row then gallery row. Row b of the result holds
+    query b's num_rel[b] relevant ranks in ascending order, then padding.
+    """
+    dist = (-2.0 * q) @ gallery.T
+    dist += np.einsum("ij,ij->i", q, q)[:, None]
+    dist += gallery_sq
+    np.maximum(dist, 0.0, out=dist)
+    if metric == "euclidean":
+        np.sqrt(dist, out=dist)
+    # NaN compares false with everything, so no count below sees these rows
+    dist[excluded] = np.nan
+
+    width = int(num_rel.max(initial=0))
+    slot = _within_groups(num_rel)
+    thresh = np.full((len(q), width), np.nan)
+    thresh[relevant[0], slot] = dist[relevant]
+    column = np.zeros((len(q), width), dtype=np.int64)
+    column[relevant[0], slot] = relevant[1]
+
+    # rank = 1 + kept rows closer + equally close kept rows of lower index
+    ranks = np.ones((len(q), width), dtype=np.int64)
+    hit = np.empty(dist.shape, dtype=bool)
+    for r in range(width):
+        t = thresh[:, r:r + 1]
+        np.less(dist, t, out=hit)
+        ranks[:, r] += hit.sum(axis=1, dtype=np.int32)
+        np.equal(dist, t, out=hit)
+        # each relevant row equals itself; any further equal row is a tie
+        if np.count_nonzero(hit) > np.count_nonzero(num_rel > r):
+            for b in np.flatnonzero(np.count_nonzero(hit, axis=1) > 1):
+                ranks[b, r] += np.count_nonzero(hit[b, :column[b, r]])
+    ranks[np.arange(width) >= num_rel[:, None]] = np.iinfo(np.int64).max
+    ranks.sort(axis=1)
+    return ranks
 
 
 def evaluate(queries: LabeledDataset, gallery: LabeledDataset,
              protocol: EvalProtocol = EvalProtocol(),
              metric: str = "euclidean") -> EvalResult:
-    """mAP and CMC over all queries; unanswerable queries are skipped."""
+    """mAP and CMC over all queries; unanswerable queries are skipped.
+
+    Queries are taken in blocks: one matrix product gives a block's
+    distances to the whole gallery, and each relevant row's rank is counted
+    from that block with the tie rule of `rank_gallery` (lower gallery index
+    first). No gallery is sorted; the cost per query is about two comparison
+    passes over the gallery per relevant row.
+    """
     if queries.feature_dim != gallery.feature_dim:
         raise ProtocolError("query/gallery embedding widths differ")
+    # a NaN distance would rank first under every comparison below
+    if not (np.isfinite(queries.features).all()
+            and np.isfinite(gallery.features).all()):
+        raise ProtocolError("embeddings are not finite")
     if protocol.mode == "multi_query":
         queries = _pool_queries(queries)
 
-    aps = []
-    first_correct = []
-    skipped = 0
-    for qi in range(len(queries)):
-        qpid, qcam = queries.pids[qi], queries.cams[qi]
-        keep = np.ones(len(gallery), dtype=bool)
-        if protocol.exclude_same_camera_same_id:
-            keep &= ~((gallery.pids == qpid) & (gallery.cams == qcam))
-        kept = np.flatnonzero(keep)
-        rel_mask = gallery.pids[kept] == qpid
-        num_rel = int(rel_mask.sum())
-        if num_rel == 0:
-            skipped += 1
-            continue
-        order = rank_gallery(queries.features[qi], gallery.features[kept], metric)
-        relevance = rel_mask[order].astype(np.float64)
-        aps.append(average_precision(relevance, num_rel))
-        first_correct.append(int(np.flatnonzero(relevance)[0]) + 1)
+    pair_q, pair_g = _identity_pairs(queries.pids, gallery.pids)
+    excluded = np.zeros(len(pair_q), dtype=bool)
+    if protocol.exclude_same_camera_same_id:
+        excluded = queries.cams[pair_q] == gallery.cams[pair_g]
+    num_rel = np.bincount(pair_q[~excluded], minlength=len(queries))
+
+    # Distances do not change under a shift. Moving the gallery's rounded
+    # mean to the origin keeps the cancellation in |q|^2 + |g|^2 - 2 q.g
+    # small for embeddings far from the origin, and is exact on integer data.
+    shift = np.round(gallery.features.mean(axis=0)) if len(gallery) else 0.0
+    q = queries.features - shift
+    g = gallery.features - shift
+    gallery_sq = np.einsum("ij,ij->i", g, g)
+    block = max(1, _BLOCK_ELEMENTS // max(len(gallery), 1))
+    aps, first_correct = [], []
+    for start in range(0, len(queries), block):
+        stop = min(start + block, len(queries))
+        lo, hi = np.searchsorted(pair_q, [start, stop])
+        bq, bg, bx = pair_q[lo:hi] - start, pair_g[lo:hi], excluded[lo:hi]
+        n = num_rel[start:stop]
+        ranks = _block_ranks(q[start:stop], g, gallery_sq,
+                             (bq[~bx], bg[~bx]), (bq[bx], bg[bx]), n, metric)
+        answered = n > 0
+        ranks, n = ranks[answered], n[answered]
+        k = np.arange(1, ranks.shape[1] + 1)
+        precision = np.where(k <= n[:, None], k / ranks, 0.0)
+        aps.extend((precision.sum(axis=1) / n).tolist())
+        first_correct.extend(ranks[:, :1].ravel().tolist())
 
     if not aps:
         raise ProtocolError("every query was skipped; nothing to evaluate")
     first_correct = np.asarray(first_correct)
     cmc = {k: float(np.mean(first_correct <= k)) for k in protocol.cmc_ranks}
-    return EvalResult(float(np.mean(aps)), cmc, aps, len(aps), skipped)
+    return EvalResult(float(np.mean(aps)), cmc, aps, len(aps),
+                      len(queries) - len(aps))
 
 
 def combine_embeddings_mean(embeddings: list[np.ndarray]) -> np.ndarray:

@@ -198,18 +198,29 @@ def write_dataset_csv(path, dataset: LabeledDataset) -> None:
 
 
 def read_dataset_csv(path, prefix: str = "f") -> LabeledDataset:
+    """Read a dataset CSV; a file with only the header gives zero rows of
+    the header's feature width. Malformed rows raise SamplingError naming
+    the file and line."""
     with open(path, encoding="utf-8") as f:
         r = csv.reader(f)
-        header = next(r)
+        header = next(r, [])
         if header[:3] != ["item_id", "pid", "cam"]:
-            raise ValueError(f"unexpected CSV header in {path}")
+            raise SamplingError(f"unexpected CSV header in {path}")
         exp_cols = [f"{prefix}{i}" for i in range(len(header) - 3)]
         if header[3:] != exp_cols:
-            raise ValueError(f"unexpected feature columns in {path}")
+            raise SamplingError(f"unexpected feature columns in {path}")
         item_ids, pids, cams, feats = [], [], [], []
         for row in r:
-            item_ids.append(int(row[0]))
-            pids.append(int(row[1]))
-            cams.append(int(row[2]))
-            feats.append([float(v) for v in row[3:]])
-    return LabeledDataset(np.asarray(feats), pids, cams, item_ids)
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields, header has "
+                                     f"{len(header)}")
+                item_ids.append(int(row[0]))
+                pids.append(int(row[1]))
+                cams.append(int(row[2]))
+                feats.append([float(v) for v in row[3:]])
+            except ValueError as exc:
+                raise SamplingError(f"{path}:{r.line_num}: {exc}") from None
+    features = np.asarray(feats, dtype=np.float64).reshape(
+        len(feats), len(exp_cols))
+    return LabeledDataset(features, pids, cams, item_ids)

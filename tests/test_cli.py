@@ -146,6 +146,59 @@ class TestEvaluate:
         report = json.load(open(os.path.join(out, "eval_report.json")))
         assert report["with_distractors"]["map"] <= report["map"] + 1e-12
 
+    @pytest.mark.parametrize("empty", ["queries", "gallery"])
+    def test_empty_csv_exits_3(self, tmp_path, capsys, empty):
+        data = make_data(tmp_path)
+        rc, out = quick_train(tmp_path, data)
+        header_only = tmp_path / "empty.csv"
+        header_only.write_text(open(data).readline())
+        assert read_dataset_csv(str(header_only)).features.shape == (0, 5)
+        paths = {"queries": data, "gallery": data, empty: str(header_only)}
+        capsys.readouterr()
+        rc = cli.main(["evaluate",
+                       "--checkpoint", os.path.join(out, "checkpoint.json"),
+                       "--queries", paths["queries"],
+                       "--gallery", paths["gallery"], "-o", out])
+        assert rc == cli.EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_malformed_value_exits_3(self, tmp_path, capsys):
+        data = make_data(tmp_path)
+        rc, out = quick_train(tmp_path, data)
+        lines = open(data).read().splitlines()
+        fields = lines[2].split(",")
+        fields[3] = "abc"
+        lines[2] = ",".join(fields)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = cli.main(["evaluate",
+                       "--checkpoint", os.path.join(out, "checkpoint.json"),
+                       "--queries", str(bad), "--gallery", data, "-o", out])
+        assert rc == cli.EXIT_DATA
+        assert f"{bad}:3:" in capsys.readouterr().err
+
+    def test_zero_byte_csv_exits_3(self, tmp_path, capsys):
+        data = make_data(tmp_path)
+        rc, out = quick_train(tmp_path, data)
+        blank = tmp_path / "blank.csv"
+        blank.write_text("")
+        capsys.readouterr()
+        rc = cli.main(["evaluate",
+                       "--checkpoint", os.path.join(out, "checkpoint.json"),
+                       "--queries", str(blank), "--gallery", data, "-o", out])
+        assert rc == cli.EXIT_DATA
+        assert "unexpected CSV header" in capsys.readouterr().err
+
+    def test_bad_cmc_ranks_exits_2(self, tmp_path):
+        data = make_data(tmp_path)
+        rc, out = quick_train(tmp_path, data)
+        rc = cli.main(["evaluate",
+                       "--checkpoint", os.path.join(out, "checkpoint.json"),
+                       "--queries", data, "--gallery", data,
+                       "--cmc-ranks", "5,1", "-o", out])
+        assert rc == cli.EXIT_USAGE
+
 
 class TestBenchLosses:
     def test_grid_csv(self, tmp_path):
