@@ -94,64 +94,48 @@ def _pool_queries(queries: LabeledDataset) -> LabeledDataset:
     return LabeledDataset(feats, keys[:, 0], keys[:, 1], np.arange(len(keys)))
 
 
-def _within_groups(sizes: np.ndarray) -> np.ndarray:
-    """0, 1, ..., n-1 for each group size n, concatenated."""
-    return np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+def _count_below(ordered: np.ndarray, rows: np.ndarray,
+                 values: np.ndarray) -> np.ndarray:
+    """For each value, the number of entries of row `rows[i]` of `ordered`
+    (rows in ascending order) that are smaller: a branchless binary search
+    run for all values at once."""
+    n = ordered.shape[1]
+    flat = ordered.ravel()
+    first = rows * n
+    pos = first
+    while n > 1:
+        half = n // 2
+        pos = pos + half * (flat[pos + half] < values)
+        n -= half
+    return pos + (flat[pos] < values) - first
 
 
-def _identity_pairs(query_pids: np.ndarray,
-                    gallery_pids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(query row, gallery row) pairs of equal identity, ordered by query
-    row, then gallery row."""
-    order = np.argsort(gallery_pids, kind="stable")
-    sorted_pids = gallery_pids[order]
-    lo = np.searchsorted(sorted_pids, query_pids, side="left")
-    sizes = np.searchsorted(sorted_pids, query_pids, side="right") - lo
-    pair_q = np.repeat(np.arange(len(query_pids)), sizes)
-    return pair_q, order[np.repeat(lo, sizes) + _within_groups(sizes)]
+def _relevant_ranks(dist: np.ndarray,
+                    relevant: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks of the relevant entries of a block of query rows.
 
-
-def _block_ranks(q: np.ndarray, gallery: np.ndarray, gallery_sq: np.ndarray,
-                 relevant: tuple[np.ndarray, np.ndarray],
-                 excluded: tuple[np.ndarray, np.ndarray],
-                 num_rel: np.ndarray, metric: str) -> np.ndarray:
-    """Ranks of the relevant gallery rows for a block of queries.
-
-    `relevant` and `excluded` are (query row, gallery row) pairs within the
-    block, ordered by query row then gallery row. Row b of the result holds
-    query b's num_rel[b] relevant ranks in ascending order, then padding.
+    A relevant entry's rank is 1 + the entries of its row that are closer
+    + the equally close entries of lower gallery index (the tie rule of
+    `rank_gallery`); entries set to +inf rank behind every finite one.
+    Returns (query row, rank) pairs ordered by query row, then rank.
     """
-    dist = (-2.0 * q) @ gallery.T
-    dist += np.einsum("ij,ij->i", q, q)[:, None]
-    dist += gallery_sq
-    np.maximum(dist, 0.0, out=dist)
-    if metric == "euclidean":
-        np.sqrt(dist, out=dist)
-    # NaN compares false with everything, so no count below sees these rows
-    dist[excluded] = np.nan
-
-    width = int(num_rel.max(initial=0))
-    slot = _within_groups(num_rel)
-    thresh = np.full((len(q), width), np.nan)
-    thresh[relevant[0], slot] = dist[relevant]
-    column = np.zeros((len(q), width), dtype=np.int64)
-    column[relevant[0], slot] = relevant[1]
-
-    # rank = 1 + kept rows closer + equally close kept rows of lower index
-    ranks = np.ones((len(q), width), dtype=np.int64)
-    hit = np.empty(dist.shape, dtype=bool)
-    for r in range(width):
-        t = thresh[:, r:r + 1]
-        np.less(dist, t, out=hit)
-        ranks[:, r] += hit.sum(axis=1, dtype=np.int32)
-        np.equal(dist, t, out=hit)
-        # each relevant row equals itself; any further equal row is a tie
-        if np.count_nonzero(hit) > np.count_nonzero(num_rel > r):
-            for b in np.flatnonzero(np.count_nonzero(hit, axis=1) > 1):
-                ranks[b, r] += np.count_nonzero(hit[b, :column[b, r]])
-    ranks[np.arange(width) >= num_rel[:, None]] = np.iinfo(np.int64).max
-    ranks.sort(axis=1)
-    return ranks
+    # flatnonzero and divmod: much faster than a 2-D nonzero
+    rows, cols = divmod(np.flatnonzero(relevant), dist.shape[1])
+    values = dist[rows, cols]
+    ordered = np.sort(dist, axis=1)
+    ranks = _count_below(ordered, rows, values) + 1
+    # ranks[i] indexes the entry after the relevant one; if it is as close,
+    # the two are tied and the gallery order must decide
+    after = np.minimum(ranks, dist.shape[1] - 1)
+    tied = (ranks < dist.shape[1]) & (ordered[rows, after] == values)
+    for row in np.unique(rows[tied]):
+        order = np.argsort(dist[row], kind="stable")
+        place = np.empty_like(order)
+        place[order] = np.arange(1, len(order) + 1)
+        lo, hi = np.searchsorted(rows, [row, row + 1])
+        ranks[lo:hi] = place[cols[lo:hi]]
+    order = np.lexsort((ranks, rows))
+    return rows, ranks[order]
 
 
 def evaluate(queries: LabeledDataset, gallery: LabeledDataset,
@@ -160,25 +144,21 @@ def evaluate(queries: LabeledDataset, gallery: LabeledDataset,
     """mAP and CMC over all queries; unanswerable queries are skipped.
 
     Queries are taken in blocks: one matrix product gives a block's
-    distances to the whole gallery, and each relevant row's rank is counted
-    from that block with the tie rule of `rank_gallery` (lower gallery index
-    first). No gallery is sorted; the cost per query is about two comparison
-    passes over the gallery per relevant row.
+    distances to the whole gallery, each query's distances are sorted
+    (values only), and each relevant row's rank is found by binary search
+    in them. For G gallery rows and R relevant ones a query costs
+    O((G + R) log G), however large R is. Only a query whose relevant row
+    is exactly as close as another row falls back to a stable argsort of
+    its distances, the tie rule of `rank_gallery`.
     """
     if queries.feature_dim != gallery.feature_dim:
         raise ProtocolError("query/gallery embedding widths differ")
-    # a NaN distance would rank first under every comparison below
+    # a NaN distance would break every comparison below
     if not (np.isfinite(queries.features).all()
             and np.isfinite(gallery.features).all()):
         raise ProtocolError("embeddings are not finite")
     if protocol.mode == "multi_query":
         queries = _pool_queries(queries)
-
-    pair_q, pair_g = _identity_pairs(queries.pids, gallery.pids)
-    excluded = np.zeros(len(pair_q), dtype=bool)
-    if protocol.exclude_same_camera_same_id:
-        excluded = queries.cams[pair_q] == gallery.cams[pair_g]
-    num_rel = np.bincount(pair_q[~excluded], minlength=len(queries))
 
     # Distances do not change under a shift. Moving the gallery's rounded
     # mean to the origin keeps the cancellation in |q|^2 + |g|^2 - 2 q.g
@@ -186,22 +166,37 @@ def evaluate(queries: LabeledDataset, gallery: LabeledDataset,
     shift = np.round(gallery.features.mean(axis=0)) if len(gallery) else 0.0
     q = queries.features - shift
     g = gallery.features - shift
+    query_sq = np.einsum("ij,ij->i", q, q)
     gallery_sq = np.einsum("ij,ij->i", g, g)
+    # past a quarter of the float range |q|^2 + |g|^2 - 2 q.g can reach
+    # inf - inf = NaN
+    if max(query_sq.max(initial=0.0), gallery_sq.max(initial=0.0)) > \
+            np.finfo(np.float64).max / 4:
+        raise ProtocolError("embeddings too large: distances overflow")
     block = max(1, _BLOCK_ELEMENTS // max(len(gallery), 1))
     aps, first_correct = [], []
     for start in range(0, len(queries), block):
-        stop = min(start + block, len(queries))
-        lo, hi = np.searchsorted(pair_q, [start, stop])
-        bq, bg, bx = pair_q[lo:hi] - start, pair_g[lo:hi], excluded[lo:hi]
-        n = num_rel[start:stop]
-        ranks = _block_ranks(q[start:stop], g, gallery_sq,
-                             (bq[~bx], bg[~bx]), (bq[bx], bg[bx]), n, metric)
-        answered = n > 0
-        ranks, n = ranks[answered], n[answered]
-        k = np.arange(1, ranks.shape[1] + 1)
-        precision = np.where(k <= n[:, None], k / ranks, 0.0)
-        aps.extend((precision.sum(axis=1) / n).tolist())
-        first_correct.extend(ranks[:, :1].ravel().tolist())
+        rows = slice(start, start + block)
+        dist = (-2.0 * q[rows]) @ g.T
+        dist += query_sq[rows, None]
+        dist += gallery_sq
+        np.maximum(dist, 0.0, out=dist)
+        if metric == "euclidean":
+            np.sqrt(dist, out=dist)
+        relevant = queries.pids[rows, None] == gallery.pids
+        if protocol.exclude_same_camera_same_id:
+            excluded = relevant & (queries.cams[rows, None] == gallery.cams)
+            dist[excluded] = np.inf
+            relevant &= ~excluded
+        query, ranks = _relevant_ranks(dist, relevant)
+        num_rel = np.bincount(query, minlength=len(dist))
+        # k-th closest relevant row at rank r: precision k / r
+        k = np.arange(1, len(ranks) + 1) - np.repeat(
+            np.cumsum(num_rel) - num_rel, num_rel)
+        answered = num_rel > 0
+        precision = np.bincount(query, weights=k / ranks, minlength=len(dist))
+        aps.extend((precision[answered] / num_rel[answered]).tolist())
+        first_correct.extend(ranks[k == 1].tolist())
 
     if not aps:
         raise ProtocolError("every query was skipped; nothing to evaluate")

@@ -47,6 +47,9 @@ class RunConfig:
         if self.loss in ("triplet", "triplet_ohm"):
             if self.B < 1:
                 raise ConfigError("triplet losses need B >= 1")
+            if self.loss == "triplet_ohm" and \
+                    not 0.0 < self.ohm_sample_fraction <= 1.0:
+                raise ConfigError("ohm_sample_fraction must be in (0, 1]")
         else:
             if self.P < 2 or self.K < 2:
                 raise ConfigError("PK losses need P >= 2 and K >= 2")

@@ -69,6 +69,13 @@ class TestTrain:
         rc, _ = quick_train(tmp_path, data, extra=("--margin", "-1"))
         assert rc == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("fraction", ["0", "2"])
+    def test_bad_ohm_sample_fraction_exits_2(self, tmp_path, fraction):
+        data = make_data(tmp_path)
+        rc, _ = quick_train(tmp_path, data, extra=(
+            "--loss", "triplet_ohm", "--ohm-sample-fraction", fraction))
+        assert rc == cli.EXIT_USAGE
+
     def test_missing_data_file_exits_3(self, tmp_path):
         rc = cli.main(["train", "--data", str(tmp_path / "nope.csv"),
                        "-o", str(tmp_path)])

@@ -3,18 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from tripletkit import evalkit
 from tripletkit.evalkit import (EvalProtocol, EvalResult, ProtocolError,
                                 average_precision, combine_embeddings_max,
                                 combine_embeddings_mean, evaluate,
                                 inject_distractors, rank_gallery)
 from tripletkit.sampling import LabeledDataset
 
-from oracles import (naive_dist, oracle_average_precision,
-                     oracle_first_correct_rank)
+from oracles import oracle_average_precision, oracle_first_correct_rank
 
 
 def embset(feats, pids, cams=None):
@@ -155,121 +151,24 @@ class TestEvaluate:
             with pytest.raises(ProtocolError):
                 evaluate(embset([[0.0]], [0]), embset([[bad], [1.0]], [0, 1]))
 
-
-def _oracle_evaluate(queries, gallery, protocol, metric):
-    """Per-query AP and first-hit rank by brute force, or None when every
-    query is skipped; multi-query pools by (pid, cam) in sorted key order."""
-    rows = [(list(map(float, f)), int(p), int(c))
-            for f, p, c in zip(queries.features, queries.pids, queries.cams)]
-    if protocol.mode == "multi_query":
-        groups = {}
-        for feats, pid, cam in rows:
-            groups.setdefault((pid, cam), []).append(feats)
-        rows = [([sum(col) / len(members) for col in zip(*members)], pid, cam)
-                for (pid, cam), members in sorted(groups.items())]
-    gal = [list(map(float, f)) for f in gallery.features]
-    aps, firsts, skipped = [], [], 0
-    for feats, pid, cam in rows:
-        ranked = []
-        for j, (gpid, gcam) in enumerate(zip(gallery.pids, gallery.cams)):
-            if protocol.exclude_same_camera_same_id and gpid == pid \
-                    and gcam == cam:
-                continue
-            ranked.append((naive_dist([feats, gal[j]], 0, 1, metric), j,
-                           gpid == pid))
-        rel = [r for _, _, r in sorted(ranked)]
-        if not any(rel):
-            skipped += 1
-            continue
-        aps.append(oracle_average_precision(rel, sum(rel)))
-        firsts.append(oracle_first_correct_rank(rel))
-    return (aps, firsts, skipped) if aps else None
+    def test_overflowing_embeddings_rejected(self):
+        # squared distances past the float range would turn into NaN
+        g = embset([[-1e200], [3.0]], [0, 1], cams=[1, 1])
+        with pytest.raises(ProtocolError):
+            evaluate(embset([[1e200]], [0]), g)
 
 
-@st.composite
-def retrieval_cases(draw):
-    """Small galleries with many exact ties: integer features (exact in
-    every distance formula, so ties are ties), or Gaussian features with
-    duplicated rows for single-query runs. Multi-query groups have 1, 2
-    or 4 members so that mean pooling stays exact."""
-    dim = draw(st.integers(1, 3))
-    mode = draw(st.sampled_from(["single_query", "multi_query"]))
-    gaussian = mode == "single_query" and draw(st.booleans())
-    n_gal = draw(st.integers(0, 30))
-    labels = st.tuples(st.integers(0, 3), st.integers(0, 2))
-    if mode == "multi_query":
-        keys = draw(st.lists(labels, min_size=1, max_size=6, unique=True))
-        sizes = st.sampled_from([1, 2, 4])
-        q_labels = [k for k in keys for _ in range(draw(sizes))]
-    else:
-        q_labels = draw(st.lists(labels, min_size=1, max_size=12))
-    g_labels = draw(st.lists(labels, min_size=n_gal, max_size=n_gal))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if gaussian:
-        pool = rng.standard_normal((4, dim))
-        g_feats = pool[rng.integers(0, 4, n_gal)]
-        q_feats = np.concatenate(
-            [pool, rng.standard_normal((len(q_labels), dim))])
-        q_feats = q_feats[rng.integers(0, len(q_feats), len(q_labels))]
-    else:
-        g_feats = rng.integers(-2, 3, (n_gal, dim)).astype(np.float64)
-        q_feats = rng.integers(-2, 3, (len(q_labels), dim)).astype(np.float64)
-    order = rng.permutation(len(q_labels))
-    queries = embset(q_feats.reshape(-1, dim)[order],
-                     [q_labels[i][0] for i in order],
-                     [q_labels[i][1] for i in order])
-    gallery = embset(g_feats.reshape(-1, dim), [p for p, _ in g_labels],
-                     [c for _, c in g_labels])
-    protocol = EvalProtocol(mode=mode,
-                            exclude_same_camera_same_id=draw(st.booleans()),
-                            cmc_ranks=(1, 2, 3, 5, 10))
-    metric = draw(st.sampled_from(["euclidean", "squared_euclidean"]))
-    block = draw(st.sampled_from([1, 2, 5, 17, evalkit._BLOCK_ELEMENTS]))
-    return queries, gallery, protocol, metric, block
-
-
-class TestEvaluateMatchesOracle:
-    @settings(max_examples=300, deadline=None)
-    @given(retrieval_cases())
-    def test_random_galleries(self, case):
-        queries, gallery, protocol, metric, block = case
-        want = _oracle_evaluate(queries, gallery, protocol, metric)
-        # tiny blocks split the query set into many blocks
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(evalkit, "_BLOCK_ELEMENTS", block)
-            if want is None:
-                with pytest.raises(ProtocolError):
-                    evaluate(queries, gallery, protocol, metric)
-                return
-            got = evaluate(queries, gallery, protocol, metric)
-        aps, firsts, skipped = want
-        assert got.num_queries == len(aps)
-        assert got.num_skipped == skipped
-        assert np.max(np.abs(np.subtract(got.per_query_ap, aps))) <= 1e-12
-        firsts = np.asarray(firsts)
-        assert got.cmc == {k: float(np.mean(firsts <= k))
-                           for k in protocol.cmc_ranks}
-
-    def test_far_from_origin(self):
-        # a common offset large against the spread must not cost precision
-        rng = np.random.default_rng(4)
-        q = embset(rng.standard_normal((40, 4)) + 1e6, np.arange(40) % 10,
-                   cams=np.arange(40) % 4)
-        g = embset(rng.standard_normal((300, 4)) + 1e6, np.arange(300) % 10,
-                   cams=(np.arange(300) // 10) % 4)
-        protocol = EvalProtocol(cmc_ranks=(1, 5))
-        aps, firsts, _ = _oracle_evaluate(q, g, protocol, "euclidean")
-        got = evaluate(q, g, protocol)
-        assert np.max(np.abs(np.subtract(got.per_query_ap, aps))) <= 1e-12
-        assert got.cmc[1] == np.mean(np.asarray(firsts) <= 1)
-
-    def test_memory_stays_blocked(self):
+class TestEvaluateMemory:
+    # many identities with few rows each, and few with many rows each
+    @pytest.mark.parametrize("identities", [2000, 10])
+    def test_memory_stays_blocked(self, identities):
         # a full 2000 x 20000 float64 distance matrix would take 320 MB
         rng = np.random.default_rng(3)
-        q = embset(rng.standard_normal((2000, 8)), np.arange(2000),
+        q = embset(rng.standard_normal((2000, 8)), np.arange(2000) % identities,
                    cams=np.arange(2000) % 4)
-        g = embset(rng.standard_normal((20000, 8)), np.arange(20000) % 2000,
-                   cams=(np.arange(20000) // 2000) % 4)
+        g = embset(rng.standard_normal((20000, 8)),
+                   np.arange(20000) % identities,
+                   cams=(np.arange(20000) // identities) % 4)
         tracemalloc.start()
         try:
             res = evaluate(q, g, EvalProtocol(cmc_ranks=(1,)))
