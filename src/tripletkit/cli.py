@@ -94,16 +94,25 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> None:
-    """Config file values fill in anywhere the flag kept its default."""
+def _merge_config(args: argparse.Namespace, given: set[str]) -> None:
+    """Config file values fill in every flag not given on the command line."""
     if not getattr(args, "config", None):
         return
     with open(args.config, encoding="utf-8") as f:
         doc = json.load(f)
     for key, value in doc.items():
         attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) == parser_defaults.get(attr):
+        if hasattr(args, attr) and attr not in given:
             setattr(args, attr, value)
+
+
+def _given_flags(argv: list[str]) -> set[str]:
+    """Destinations of the flags present in argv, whatever their values."""
+    parser = build_parser()
+    for sp in parser._subparsers._group_actions[0].choices.values():
+        for action in sp._actions:
+            action.default = argparse.SUPPRESS
+    return set(vars(parser.parse_args(argv)))
 
 
 def _parse_widths(text) -> list[int]:
@@ -145,12 +154,12 @@ def cmd_train(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "train_log.csv")
     ckpt_path = os.path.join(args.out, "checkpoint.json")
-    writer = diagnostics.TrainLogWriter(log_path)
-    try:
-        result = training.train(cfg, dataset, writer)
-    except training.CollapseError as exc:
-        print(f"aborted: {exc}", file=sys.stderr)
-        return EXIT_COLLAPSE
+    with diagnostics.TrainLogWriter(log_path) as writer:
+        try:
+            result = training.train(cfg, dataset, writer)
+        except training.CollapseError as exc:
+            print(f"aborted: {exc}", file=sys.stderr)
+            return EXIT_COLLAPSE
     numcore.save_checkpoint(ckpt_path, result.params,
                             result.state.to_dict())
     print(f"wrote {ckpt_path} and {log_path}")
@@ -264,13 +273,11 @@ def cmd_bench_losses(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    defaults = {a.dest: a.default
-                for sp in parser._subparsers._group_actions[0].choices.values()
-                for a in sp._actions}
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser().parse_args(argv)
     try:
-        _merge_config(args, defaults)
+        _merge_config(args, _given_flags(argv))
         if args.command == "datagen":
             return cmd_datagen(args)
         if args.command == "train":

@@ -44,14 +44,15 @@ def batch_stats(embeddings: np.ndarray, report: LossReport,
                 iteration: int, lr: float) -> TrainLogRecord:
     """Loss, activity, and percentile panels for one training batch.
 
-    Percentiles use linear interpolation between closest ranks.
+    Pair distances are those the loss saw: the square roots of the upper
+    triangle of its clamped squared distance matrix. Percentiles use linear
+    interpolation between closest ranks.
     """
     x = np.asarray(embeddings, dtype=np.float64)
     norms = np.linalg.norm(x, axis=1)
-    n = len(x)
-    iu = np.triu_indices(n, k=1)
-    diff = x[iu[0]] - x[iu[1]]
-    dists = np.linalg.norm(diff, axis=1) if len(iu[0]) else np.zeros(1)
+    iu = np.triu_indices(len(x), k=1)
+    dists = np.sqrt(report.distances.squared[iu]) if len(iu[0]) \
+        else np.zeros(1)
     return TrainLogRecord(
         iteration=iteration,
         loss_mean=float(report.loss),
@@ -80,17 +81,34 @@ def collapse_alarm(history: list[TrainLogRecord],
 
 
 class TrainLogWriter:
-    """Append-only CSV writer with the fixed diagnostics header."""
+    """Append-only CSV writer with the fixed diagnostics header.
+
+    The file stays open until `close()` (or the end of a `with` block);
+    every row is flushed, so readers see it as soon as `append` returns.
+    """
 
     def __init__(self, path):
         self.path = path
         self._last_iter = -1
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            csv.writer(f, lineterminator="\n").writerow(LOG_HEADER)
+        self._file = open(path, "w", encoding="utf-8", newline="\n")
+        self._csv = csv.writer(self._file, lineterminator="\n")
+        self._write(LOG_HEADER)
+
+    def _write(self, row: list) -> None:
+        self._csv.writerow(row)
+        self._file.flush()
 
     def append(self, record: TrainLogRecord) -> None:
         if record.iteration <= self._last_iter:
             raise ValueError("records must be strictly increasing in iteration")
         self._last_iter = record.iteration
-        with open(self.path, "a", encoding="utf-8", newline="\n") as f:
-            csv.writer(f, lineterminator="\n").writerow(record.to_row())
+        self._write(record.to_row())
+
+    def close(self) -> None:
+        self._file.close()
+
+    def __enter__(self) -> "TrainLogWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()

@@ -1,7 +1,8 @@
 """Pairwise distances, margin modes, and the triplet-loss design space.
 
 Every loss returns a LossReport carrying the scalar loss, the analytic
-gradient with respect to the embedding batch, and per-term bookkeeping.
+gradient with respect to the embedding batch, per-term bookkeeping, and the
+distance matrix it was computed from.
 Gradients are assembled by accumulating d(loss)/d(D[a,b]) coefficients into
 an N x N matrix and chaining through the distance metric once at the end.
 """
@@ -66,6 +67,7 @@ def margin_apply_grad(x, mode: MarginMode):
 class DistanceMatrix:
     values: np.ndarray
     metric: Metric
+    squared: np.ndarray     # clamped squared euclidean distances
 
 
 def pairwise_distances(embeddings: np.ndarray, metric: Metric = "euclidean") -> DistanceMatrix:
@@ -77,11 +79,11 @@ def pairwise_distances(embeddings: np.ndarray, metric: Metric = "euclidean") -> 
     np.fill_diagonal(d2, 0.0)
     d2 = 0.5 * (d2 + d2.T)
     if metric == "squared_euclidean":
-        return DistanceMatrix(d2, metric)
+        return DistanceMatrix(d2, metric, d2)
     if metric == "euclidean":
         d = np.sqrt(np.maximum(d2, EUCLID_SQ_FLOOR))
         np.fill_diagonal(d, 0.0)
-        return DistanceMatrix(d, metric)
+        return DistanceMatrix(d, metric, d2)
     raise ValueError(f"unknown metric {metric!r}")
 
 
@@ -138,6 +140,7 @@ class LossReport:
     num_terms: int
     num_active: int
     per_term: np.ndarray
+    distances: DistanceMatrix   # the matrix the loss was computed from
 
     @property
     def active_fraction(self) -> float:
@@ -156,7 +159,7 @@ def _finish(loss: float, per_term: np.ndarray, coeff: np.ndarray,
     grad = _chain_through_metric(embeddings, dist, coeff)
     num_active = int(np.sum(np.asarray(per_term) > ACTIVE_THRESHOLD))
     return LossReport(float(loss), grad, len(per_term), num_active,
-                      np.asarray(per_term, dtype=np.float64))
+                      np.asarray(per_term, dtype=np.float64), dist)
 
 
 def batch_hard_loss(embeddings: np.ndarray, labels: BatchLabels,

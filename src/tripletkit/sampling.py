@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,20 +16,62 @@ class SamplingError(ValueError):
     """Dataset cannot support the requested sampling."""
 
 
+class IdentityIndex(Mapping):
+    """Read-only map from identity to its row indices, in stable row order.
+
+    Built from one stable argsort of the labels. `usable` lists, in
+    ascending order, the identities with at least 2 rows (the ones that
+    have a positive), and `anchor_rows` holds their rows, identity by
+    identity.
+    """
+
+    def __init__(self, pids: np.ndarray):
+        order = np.argsort(pids, kind="stable")
+        order.flags.writeable = False
+        keys, starts, counts = np.unique(pids[order], return_index=True,
+                                         return_counts=True)
+        self._rows = dict(zip(keys.tolist(), np.split(order, starts[1:])))
+        self.usable = tuple(keys[counts >= 2].tolist())
+        self.anchor_rows = order[np.repeat(counts >= 2, counts)]
+        self.anchor_rows.flags.writeable = False
+
+    def __getitem__(self, pid: int) -> np.ndarray:
+        return self._rows[pid]
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+
+_LABEL_COLUMNS = ("pids", "cams", "item_ids")
+
+
 @dataclass
 class LabeledDataset:
-    """Feature rows with identity and camera labels."""
+    """Feature rows with identity and camera labels.
+
+    The label columns are private read-only int64 copies, so the cached
+    identity index cannot go stale: writing into them raises, and
+    assigning a new `pids` drops the cache.
+    """
 
     features: np.ndarray        # (N, F)
     pids: np.ndarray            # identity per row
     cams: np.ndarray            # camera per row
     item_ids: np.ndarray        # unique per row
 
+    def __setattr__(self, name, value):
+        if name in _LABEL_COLUMNS:
+            value = np.array(value, dtype=np.int64)
+            value.flags.writeable = False
+            if name == "pids":
+                object.__setattr__(self, "_index", None)
+        object.__setattr__(self, name, value)
+
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.pids = np.asarray(self.pids, dtype=np.int64)
-        self.cams = np.asarray(self.cams, dtype=np.int64)
-        self.item_ids = np.asarray(self.item_ids, dtype=np.int64)
         n = len(self.features)
         if not (len(self.pids) == len(self.cams) == len(self.item_ids) == n):
             raise ValueError("column lengths disagree")
@@ -42,12 +85,12 @@ class LabeledDataset:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    def identity_index(self) -> dict[int, np.ndarray]:
-        """Row indices per identity, in stable row order."""
-        order = {}
-        for pid in np.unique(self.pids):
-            order[int(pid)] = np.flatnonzero(self.pids == pid)
-        return order
+    def identity_index(self) -> IdentityIndex:
+        """Row indices per identity, in stable row order; built on first
+        use and kept until `pids` is assigned again."""
+        if self._index is None:
+            self._index = IdentityIndex(self.pids)
+        return self._index
 
     def subset(self, rows: np.ndarray) -> "LabeledDataset":
         return LabeledDataset(self.features[rows], self.pids[rows],
@@ -83,12 +126,11 @@ def sample_pk_batch(dataset: LabeledDataset, P: int, K: int,
     """
     if P < 2 or K < 2:
         raise SamplingError("need P >= 2 and K >= 2")
-    index = {pid: rows for pid, rows in dataset.identity_index().items()
-             if len(rows) >= 2}
-    if len(index) < P:
+    index = dataset.identity_index()
+    pids = index.usable
+    if len(pids) < P:
         raise SamplingError(
-            f"dataset has {len(index)} usable identities, need {P}")
-    pids = sorted(index)
+            f"dataset has {len(pids)} usable identities, need {P}")
     chosen = rng.choice(len(pids), size=P, replace=False)
     all_rows = []
     for c in chosen:
@@ -106,9 +148,7 @@ def sample_random_triplets(dataset: LabeledDataset, B: int,
                            rng: np.random.Generator) -> TripletSet:
     """B uniform triplets; anchors come only from identities with >= 2 items."""
     index = dataset.identity_index()
-    anchor_pool = np.concatenate(
-        [rows for rows in index.values() if len(rows) >= 2]) \
-        if any(len(r) >= 2 for r in index.values()) else np.array([], dtype=np.int64)
+    anchor_pool = index.anchor_rows
     if len(index) < 2 or len(anchor_pool) == 0:
         raise SamplingError("need >= 2 identities and one with >= 2 items")
     triplets = []
@@ -199,8 +239,8 @@ def write_dataset_csv(path, dataset: LabeledDataset) -> None:
 
 def read_dataset_csv(path, prefix: str = "f") -> LabeledDataset:
     """Read a dataset CSV; a file with only the header gives zero rows of
-    the header's feature width. Malformed rows raise SamplingError naming
-    the file and line."""
+    the header's feature width. Malformed rows and non-finite feature
+    values raise SamplingError naming the file and line."""
     with open(path, encoding="utf-8") as f:
         r = csv.reader(f)
         header = next(r, [])
@@ -209,7 +249,7 @@ def read_dataset_csv(path, prefix: str = "f") -> LabeledDataset:
         exp_cols = [f"{prefix}{i}" for i in range(len(header) - 3)]
         if header[3:] != exp_cols:
             raise SamplingError(f"unexpected feature columns in {path}")
-        item_ids, pids, cams, feats = [], [], [], []
+        item_ids, pids, cams, feats, lines = [], [], [], [], []
         for row in r:
             try:
                 if len(row) != len(header):
@@ -219,8 +259,13 @@ def read_dataset_csv(path, prefix: str = "f") -> LabeledDataset:
                 pids.append(int(row[1]))
                 cams.append(int(row[2]))
                 feats.append([float(v) for v in row[3:]])
+                lines.append(r.line_num)
             except ValueError as exc:
                 raise SamplingError(f"{path}:{r.line_num}: {exc}") from None
     features = np.asarray(feats, dtype=np.float64).reshape(
         len(feats), len(exp_cols))
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise SamplingError(f"{path}:{lines[int(np.argmin(finite))]}: "
+                            "non-finite feature value")
     return LabeledDataset(features, pids, cams, item_ids)

@@ -55,6 +55,12 @@ class RunConfig:
                 raise ConfigError("PK losses need P >= 2 and K >= 2")
         if self.layer_widths and len(self.layer_widths) < 2:
             raise ConfigError("layer_widths needs input and output widths")
+        if self.log_every < 1:
+            raise ConfigError("log_every must be >= 1")
+        if self.ohm_refresh_every < 1:
+            raise ConfigError("ohm_refresh_every must be >= 1")
+        if self.collapse_window < 2:
+            raise ConfigError("collapse_window must be >= 2")
 
 
 @dataclass

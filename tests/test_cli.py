@@ -26,6 +26,18 @@ def quick_train(tmp_path, data, extra=()):
     return rc, out
 
 
+def write_nonfinite(tmp_path, data, value):
+    """Copy of the dataset CSV with one feature of line 3 set to `value`."""
+    with open(data) as f:
+        lines = f.read().splitlines()
+    fields = lines[2].split(",")
+    fields[4] = value
+    lines[2] = ",".join(fields)
+    bad = tmp_path / "nonfinite.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    return str(bad)
+
+
 class TestDatagen:
     def test_writes_csv_and_meta(self, tmp_path):
         csv_path = make_data(tmp_path)
@@ -115,6 +127,32 @@ class TestTrain:
         log = open(os.path.join(out, "train_log.csv")).read().splitlines()
         assert len(log) == 41
 
+    def test_zero_ohm_refresh_exits_2(self, tmp_path, capsys):
+        data = make_data(tmp_path)
+        rc, _ = quick_train(tmp_path, data, extra=(
+            "--loss", "triplet_ohm", "--ohm-refresh-every", "0"))
+        assert rc == cli.EXIT_USAGE
+        assert "ohm_refresh_every" in capsys.readouterr().err
+
+    def test_explicit_flag_at_default_beats_config(self, tmp_path):
+        data = make_data(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 5}))
+        rc, out = quick_train(tmp_path, data, extra=(
+            "--config", str(cfg_path), "--seed", "0"))
+        assert rc == cli.EXIT_OK
+        with open(os.path.join(out, "checkpoint.json")) as f:
+            assert json.load(f)["seed"] == 0
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_feature_exits_3(self, tmp_path, capsys, value):
+        bad = write_nonfinite(tmp_path, make_data(tmp_path), value)
+        capsys.readouterr()
+        rc, out = quick_train(tmp_path, bad)
+        assert rc == cli.EXIT_DATA
+        assert f"{bad}:3: non-finite" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "checkpoint.json"))
+
 
 class TestEvaluate:
     def test_end_to_end(self, tmp_path):
@@ -184,6 +222,17 @@ class TestEvaluate:
                        "--queries", str(bad), "--gallery", data, "-o", out])
         assert rc == cli.EXIT_DATA
         assert f"{bad}:3:" in capsys.readouterr().err
+
+    def test_nonfinite_feature_exits_3(self, tmp_path, capsys):
+        data = make_data(tmp_path)
+        rc, out = quick_train(tmp_path, data)
+        bad = write_nonfinite(tmp_path, data, "nan")
+        capsys.readouterr()
+        rc = cli.main(["evaluate",
+                       "--checkpoint", os.path.join(out, "checkpoint.json"),
+                       "--queries", data, "--gallery", bad, "-o", out])
+        assert rc == cli.EXIT_DATA
+        assert f"{bad}:3: non-finite" in capsys.readouterr().err
 
     def test_zero_byte_csv_exits_3(self, tmp_path, capsys):
         data = make_data(tmp_path)
