@@ -1,13 +1,14 @@
 """Command-line entry point: datagen, train, evaluate, bench-losses.
 
 Exit codes: 0 success, 2 usage/config error, 3 runtime data error,
-4 collapse abort.
+4 training aborted (collapse alarm or non-finite loss).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -94,37 +95,34 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _merge_config(args: argparse.Namespace, given: set[str]) -> None:
-    """Config file values fill in every flag not given on the command line."""
-    if not getattr(args, "config", None):
-        return
-    with open(args.config, encoding="utf-8") as f:
+def _config_flags(path: str) -> list[str]:
+    """A JSON config file's keys as the flags they name (`per_id` or
+    `per-id` is `--per-id`; `true` is a bare switch, a list comma-joined),
+    for argparse to check as it checks the command line."""
+    with open(path, encoding="utf-8") as f:
         doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: config file must hold a JSON object")
+    flags = []
     for key, value in doc.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and attr not in given:
-            setattr(args, attr, value)
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            flags.append(flag)
+        elif value is not False:
+            if isinstance(value, list):
+                value = ",".join(map(str, value))
+            flags.append(f"{flag}={value}")
+    return flags
 
 
-def _given_flags(argv: list[str]) -> set[str]:
-    """Destinations of the flags present in argv, whatever their values."""
-    parser = build_parser()
-    for sp in parser._subparsers._group_actions[0].choices.values():
-        for action in sp._actions:
-            action.default = argparse.SUPPRESS
-    return set(vars(parser.parse_args(argv)))
-
-
-def _parse_widths(text) -> list[int]:
-    if isinstance(text, list):
-        return [int(v) for v in text]
-    return [int(v) for v in str(text).split(",")]
+def _parse_widths(text: str) -> list[int]:
+    return [int(v) for v in text.split(",")]
 
 
 def _run_config_from_args(args: argparse.Namespace) -> training.RunConfig:
     return training.RunConfig(
         loss=args.loss,
-        margin=losses.parse_margin(str(args.margin)),
+        margin=losses.parse_margin(args.margin),
         metric=args.metric,
         P=args.P, K=args.K, B=args.B,
         layer_widths=_parse_widths(args.widths),
@@ -215,14 +213,8 @@ def cmd_evaluate(args) -> int:
 def run_bench_cell(loss_name: str, margin_text: str, train_set, val_set,
                    base_cfg: training.RunConfig) -> dict:
     """Train and evaluate one grid cell; failures are reported, not raised."""
-    cfg = training.RunConfig(
-        loss=loss_name, margin=losses.parse_margin(margin_text),
-        metric=base_cfg.metric, P=base_cfg.P, K=base_cfg.K, B=base_cfg.B,
-        layer_widths=list(base_cfg.layer_widths), schedule=base_cfg.schedule,
-        seed=base_cfg.seed, averaging=base_cfg.averaging,
-        ohm_sample_fraction=base_cfg.ohm_sample_fraction,
-        ohm_refresh_every=base_cfg.ohm_refresh_every,
-        init_scale=base_cfg.init_scale)
+    cfg = dataclasses.replace(base_cfg, loss=loss_name,
+                              margin=losses.parse_margin(margin_text))
     cell = {"loss": loss_name, "margin": margin_text,
             "map": "", "rank1": "", "status": "ok"}
     try:
@@ -240,7 +232,6 @@ def run_bench_cell(loss_name: str, margin_text: str, train_set, val_set,
 def cmd_bench_losses(args) -> int:
     dataset = sampling.read_dataset_csv(args.data)
     base = training.RunConfig(
-        loss="batch_hard", margin=losses.MarginMode.soft(),
         P=args.P, K=args.K, B=args.B,
         layer_widths=_parse_widths(args.widths),
         schedule=optim.Schedule(args.eps0, args.t0, args.t1),
@@ -275,9 +266,14 @@ def cmd_bench_losses(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(argv)
     try:
-        _merge_config(args, _given_flags(argv))
+        # config flags go first, so flags given on the command line win
+        config = argparse.ArgumentParser(prog="tripletkit", add_help=False)
+        config.add_argument("--config")
+        path = config.parse_known_args(argv[1:])[0].config
+        if path:
+            argv = [argv[0], *_config_flags(path), *argv[1:]]
+        args = build_parser().parse_args(argv)
         if args.command == "datagen":
             return cmd_datagen(args)
         if args.command == "train":

@@ -9,6 +9,7 @@ an N x N matrix and chaining through the distance metric once at the end.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Literal
 
@@ -154,6 +155,17 @@ def _masks(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pos, neg
 
 
+def triplet_differences(d: np.ndarray, ids: np.ndarray, lo: int = 0,
+                        hi: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """xvals[a, p, n] = D(a,p) - D(a,n) for the anchors in rows lo..hi-1 of
+    `d`, and the mask of valid triplets (p != a shares a's label, n does not).
+    """
+    rows = d[lo:hi]
+    same = ids[lo:lo + len(rows), None] == ids[None, :]
+    pos = same & (np.arange(lo, lo + len(rows))[:, None] != np.arange(len(d)))
+    return rows[:, :, None] - rows[:, None, :], pos[:, :, None] & ~same[:, None, :]
+
+
 def _finish(loss: float, per_term: np.ndarray, coeff: np.ndarray,
             embeddings: np.ndarray, dist: DistanceMatrix) -> LossReport:
     grad = _chain_through_metric(embeddings, dist, coeff)
@@ -213,11 +225,7 @@ def batch_all_loss(embeddings: np.ndarray, labels: BatchLabels,
     dist = pairwise_distances(x, metric)
     d = dist.values
     n = len(x)
-    pos, neg = _masks(labels.identities)
-
-    # xvals[a, p, n] = D(a,p) - D(a,n) over valid triplets
-    valid = pos[:, :, None] & neg[:, None, :]
-    xvals = d[:, :, None] - d[:, None, :]
+    xvals, valid = triplet_differences(d, labels.identities)
     per_term = margin_apply(xvals, mode)[valid]
     num_terms = int(valid.sum())
 
@@ -272,7 +280,8 @@ def lmnn_loss(embeddings: np.ndarray, labels: BatchLabels,
     """Pull toward fixed target neighbors, push differently labeled points.
 
     Pull and push sums are normalized by their own term counts before the
-    (1-mu)/mu weighting.
+    (1-mu)/mu weighting. Pull terms come in anchor order, then the push
+    terms of each anchor in row order.
     """
     if not 0.0 <= mu <= 1.0:
         raise ValueError("mu must be in [0, 1]")
@@ -281,84 +290,79 @@ def lmnn_loss(embeddings: np.ndarray, labels: BatchLabels,
     n = len(x)
     dist = pairwise_distances(x, metric)
     d = dist.values
-    anchors = sorted(target_neighbors)
-    for a in anchors:
-        t = target_neighbors[a]
-        if ids[a] != ids[t] or a == t:
-            raise BatchContractError(
-                f"target neighbor {t} of anchor {a} must be a distinct same-class item")
+    if not target_neighbors:
+        raise BatchContractError("need at least one target neighbor")
+    anchors, targets = np.array(sorted(target_neighbors.items()),
+                                dtype=np.intp).T
+    bad = (ids[anchors] != ids[targets]) | (anchors == targets)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise BatchContractError(
+            f"target neighbor {targets[i]} of anchor {anchors[i]} must be a "
+            "distinct same-class item")
 
     coeff = np.zeros((n, n))
-    # pull term
-    pull_terms = np.array([d[a, target_neighbors[a]] for a in anchors])
+    pull_terms = d[anchors, targets]
     n_pull = len(anchors)
-    pull = pull_terms.sum() / n_pull
-    for a in anchors:
-        coeff[a, target_neighbors[a]] += (1 - mu) / n_pull
+    coeff[anchors, targets] = (1 - mu) / n_pull
 
     # push term over (a, n) pairs with differing labels
-    push_terms = []
-    push_entries = []   # (a, T(a), neg, grad_indicator)
-    for a in anchors:
-        t = target_neighbors[a]
-        for j in range(n):
-            if ids[j] == ids[a]:
-                continue
-            v = m + d[a, t] - d[a, j]
-            hinge = max(0.0, v)
-            push_terms.append(hinge)
-            push_entries.append((a, t, j, 1.0 if v > 0 else 0.0))
-    push_terms = np.asarray(push_terms)
-    n_push = len(push_terms)
-    push = push_terms.sum() / n_push if n_push else 0.0
-    if n_push:
-        for a, t, j, ind in push_entries:
-            coeff[a, t] += mu * ind / n_push
-            coeff[a, j] -= mu * ind / n_push
+    push_pairs = ids[anchors, None] != ids[None, :]
+    v = m + pull_terms[:, None] - d[anchors]
+    push_terms = np.maximum(0.0, v[push_pairs])
+    n_push = max(len(push_terms), 1)    # no push pairs: the push sum is 0
+    hinged = mu * ((v > 0) & push_pairs) / n_push
+    coeff[anchors] -= hinged
+    coeff[anchors, targets] += hinged.sum(axis=1)
 
-    loss = (1 - mu) * pull + mu * push
-    per_term = np.concatenate([pull_terms, push_terms]) if n_push else pull_terms
-    return _finish(loss, per_term, coeff, x, dist)
+    loss = (1 - mu) * (pull_terms.sum() / n_pull) + mu * (push_terms.sum() / n_push)
+    return _finish(loss, np.concatenate([pull_terms, push_terms]), coeff, x,
+                   dist)
 
 
-def lifted_loss(embeddings: np.ndarray, pairing: list[tuple[int, int]],
+def lifted_loss(embeddings: np.ndarray, pairing: np.ndarray | list,
                 metric: Metric = "euclidean", m: float = 0.2,
                 mode: MarginMode = MarginMode.hard(0.0),
                 labels: BatchLabels | None = None) -> LossReport:
     """One-positive lifted loss: every non-pair row is a negative for both ends.
 
+    `pairing` lists (anchor, positive) pairs, as tuples or an (n, 2) array.
     `mode` selects the outer clamp only (plain hinge or softplus); the margin
     m lives inside the exponentials. When labels are given the same-class
     pairing precondition is checked.
     """
     x = np.asarray(embeddings, dtype=np.float64)
     n = len(x)
-    if not pairing:
+    pairs = np.asarray(pairing, dtype=np.intp).reshape(-1, 2)
+    if len(pairs) == 0:
         raise BatchContractError("need at least one (anchor, positive) pair")
+    a, p = pairs.T
+    if np.any(a == p):
+        raise BatchContractError("anchor and positive must differ")
+    cross = labels is not None and labels.identities[a] != labels.identities[p]
+    if np.any(cross):
+        i = np.argmax(cross)
+        raise BatchContractError(f"pair ({a[i]}, {p[i]}) is not same-class")
+    if n < 3:
+        raise BatchContractError("lifted loss needs at least one negative")
     dist = pairwise_distances(x, metric)
     d = dist.values
     outer = MarginMode.hard(0.0) if mode.kind == "hard" else mode
 
+    # row i: m - D(a_i, .) then m - D(p_i, .), both ends of the pair masked
+    terms = np.arange(len(pairs))
+    negative = np.ones((len(pairs), n), dtype=bool)
+    negative[terms, a] = negative[terms, p] = False
+    exps = np.where(np.tile(negative, 2), m - np.hstack([d[a], d[p]]), -np.inf)
+    inner = d[a, p] + logsumexp(exps, axis=1)
+    per_term = margin_apply(inner, outer)
+    g = margin_apply_grad(inner, outer) / len(pairs)
+    # d/dD(a_i, .) then d/dD(p_i, .); the a_i half also holds +g at p_i.
+    # Reshaped, the rows go a_0, p_0, a_1, p_1, ... as `pairs.ravel()`.
+    rows = -g[:, None] * softmax(exps, axis=1)
+    rows[terms, p] += g
     coeff = np.zeros((n, n))
-    per_term = np.empty(len(pairing))
-    for i, (a, p) in enumerate(pairing):
-        if a == p:
-            raise BatchContractError("anchor and positive must differ")
-        if labels is not None and labels.identities[a] != labels.identities[p]:
-            raise BatchContractError(f"pair ({a}, {p}) is not same-class")
-        negs = np.array([j for j in range(n) if j != a and j != p])
-        if len(negs) == 0:
-            raise BatchContractError("lifted loss needs at least one negative")
-        exps = np.concatenate([m - d[a, negs], m - d[p, negs]])
-        lse = logsumexp(exps)
-        inner = d[a, p] + lse
-        per_term[i] = margin_apply(inner, outer)
-        g = margin_apply_grad(inner, outer) / len(pairing)
-        if g != 0.0:
-            w = softmax(exps)
-            coeff[a, p] += g
-            coeff[a, negs] -= g * w[: len(negs)]
-            coeff[p, negs] -= g * w[len(negs):]
+    np.add.at(coeff, pairs.ravel(), rows.reshape(-1, n))
     return _finish(per_term.mean(), per_term, coeff, x, dist)
 
 
@@ -374,28 +378,70 @@ def lifted_generalized_loss(embeddings: np.ndarray, labels: BatchLabels,
     pos, neg = _masks(labels.identities)
     outer = MarginMode.hard(0.0) if mode.kind == "hard" else mode
 
-    coeff = np.zeros((n, n))
-    per_term = np.empty(n)
-    for a in range(n):
-        p_idx = np.flatnonzero(pos[a])
-        n_idx = np.flatnonzero(neg[a])
-        lse_pos = logsumexp(d[a, p_idx])
-        lse_neg = logsumexp(m - d[a, n_idx])
-        inner = lse_pos + lse_neg
-        per_term[a] = margin_apply(inner, outer)
-        g = margin_apply_grad(inner, outer) / n
-        if g != 0.0:
-            coeff[a, p_idx] += g * softmax(d[a, p_idx])
-            coeff[a, n_idx] -= g * softmax(m - d[a, n_idx])
+    pos_exps = np.where(pos, d, -np.inf)
+    neg_exps = np.where(neg, m - d, -np.inf)
+    inner = logsumexp(pos_exps, axis=1) + logsumexp(neg_exps, axis=1)
+    per_term = margin_apply(inner, outer)
+    g = margin_apply_grad(inner, outer)[:, None] / n
+    coeff = g * softmax(pos_exps, axis=1) - g * softmax(neg_exps, axis=1)
     return _finish(per_term.mean(), per_term, coeff, x, dist)
 
 
-# Closed loss enumeration for the CLI and the benchmark grid. Each entry maps
-# to (callable kind, options); the trainer dispatches on the kind.
-LOSS_NAMES = (
-    "triplet", "triplet_ohm", "batch_hard", "batch_hard_nnz",
-    "batch_all", "batch_all_nnz", "lifted", "lifted_gen", "lmnn",
-)
+@dataclass(frozen=True)
+class LossSpec:
+    """One registry entry: the batch the trainer feeds the loss ("random"
+    or offline-"mined" triplets, or a "pk" batch), and `apply(embeddings,
+    labels, cfg)`, which calls the loss as a `training.RunConfig` asks."""
+
+    name: str
+    batch: Literal["random", "mined", "pk"]
+    apply: Callable[..., LossReport]
+
+
+def _inner_margin(cfg, soft_m: float) -> float:
+    """The hinge margin m, or `soft_m` when a loss that keeps its margin
+    inside (lifted, LMNN) is run with the soft margin."""
+    return cfg.margin.m if cfg.margin.kind == "hard" else soft_m
+
+
+def _lifted(emb, labels, cfg):
+    pos, _ = _masks(labels.identities)
+    return lifted_loss(emb, np.argwhere(np.triu(pos)), cfg.metric,
+                       _inner_margin(cfg, 1.0), cfg.margin, labels)
+
+
+def _lmnn(emb, labels, cfg):
+    # the target neighbor of each anchor is its first same-class row
+    pos, _ = _masks(labels.identities)
+    anchors = np.flatnonzero(pos.any(axis=1))
+    targets = dict(zip(anchors.tolist(), pos.argmax(axis=1)[anchors].tolist()))
+    return lmnn_loss(emb, labels, targets, cfg.lmnn_mu,
+                     _inner_margin(cfg, 0.2), cfg.metric)
+
+
+# Closed loss enumeration for the trainer, the CLI and the benchmark grid.
+# Entries call the losses through the module globals, so that a wrapper
+# put in their place (a tracer, a test double) is what runs.
+LOSSES = {spec.name: spec for spec in (
+    LossSpec("triplet", "random", lambda emb, labels, cfg:
+             classic_triplet_loss(emb, cfg.metric, cfg.margin)),
+    LossSpec("triplet_ohm", "mined", lambda emb, labels, cfg:
+             classic_triplet_loss(emb, cfg.metric, cfg.margin)),
+    LossSpec("batch_hard", "pk", lambda emb, labels, cfg: batch_hard_loss(
+        emb, labels, cfg.metric, cfg.margin, cfg.averaging)),
+    LossSpec("batch_hard_nnz", "pk", lambda emb, labels, cfg: batch_hard_loss(
+        emb, labels, cfg.metric, cfg.margin, "nonzero")),
+    LossSpec("batch_all", "pk", lambda emb, labels, cfg: batch_all_loss(
+        emb, labels, cfg.metric, cfg.margin, cfg.averaging)),
+    LossSpec("batch_all_nnz", "pk", lambda emb, labels, cfg: batch_all_loss(
+        emb, labels, cfg.metric, cfg.margin, "nonzero")),
+    LossSpec("lifted", "pk", _lifted),
+    LossSpec("lifted_gen", "pk", lambda emb, labels, cfg:
+             lifted_generalized_loss(emb, labels, cfg.metric,
+                                     _inner_margin(cfg, 1.0), cfg.margin)),
+    LossSpec("lmnn", "pk", _lmnn),
+)}
+LOSS_NAMES = tuple(LOSSES)
 
 
 def parse_margin(text: str) -> MarginMode:

@@ -8,8 +8,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .losses import MarginMode, margin_apply, pairwise_distances
+from .losses import (MarginMode, margin_apply, pairwise_distances,
+                     triplet_differences)
 from .numcore import MlpParams, mlp_forward
+
+
+# Cap on the (anchor, positive, negative) elements one mining block holds.
+_BLOCK_ELEMENTS = 2 ** 18
 
 
 class SamplingError(ValueError):
@@ -166,19 +171,6 @@ def sample_random_triplets(dataset: LabeledDataset, B: int,
     return TripletSet(triplets)
 
 
-def _all_valid_triplets(pids: np.ndarray) -> list[tuple[int, int, int]]:
-    n = len(pids)
-    out = []
-    for a in range(n):
-        for p in range(n):
-            if p == a or pids[p] != pids[a]:
-                continue
-            for j in range(n):
-                if pids[j] != pids[a]:
-                    out.append((a, p, j))
-    return out
-
-
 def mine_hard_offline(model: MlpParams, dataset: LabeledDataset,
                       sample_fraction: float, B: int,
                       margin_mode: MarginMode,
@@ -187,41 +179,42 @@ def mine_hard_offline(model: MlpParams, dataset: LabeledDataset,
     """Embed a random subset and return the B highest-loss valid triplets.
 
     Returned indices refer to the full dataset. Ordering is by descending
-    loss term, ties by subset enumeration order.
+    loss term, ties by subset (a, p, n) enumeration order. Terms are built
+    in blocks of anchors, about `_BLOCK_ELEMENTS` triplets at a time.
     """
     if not 0.0 < sample_fraction <= 1.0:
         raise SamplingError("sample_fraction must be in (0, 1]")
     n = len(dataset)
     size = max(2, int(round(sample_fraction * n)))
 
-    def pick_subset():
+    for _ in range(2):      # one retry before giving up
         rows = np.sort(rng.choice(n, size=size, replace=False))
-        return rows
-
-    rows = pick_subset()
-    if len(np.unique(dataset.pids[rows])) < 2:
-        rows = pick_subset()    # one retry before giving up
-        if len(np.unique(dataset.pids[rows])) < 2:
-            raise SamplingError("mined subset degenerated to one identity")
+        if len(np.unique(dataset.pids[rows])) >= 2:
+            break
+    else:
+        raise SamplingError("mined subset degenerated to one identity")
 
     emb, _ = mlp_forward(model, dataset.features[rows])
     d = pairwise_distances(emb, metric).values
     pids = dataset.pids[rows]
-    candidates = _all_valid_triplets(pids)
-    if not candidates:
+    m = len(rows)
+    step = max(1, _BLOCK_ELEMENTS // (m * m))
+    found, keys = [], []
+    for lo in range(0, m, step):
+        xvals, valid = triplet_differences(d, pids, lo, lo + step)
+        flat = np.flatnonzero(valid)
+        key = -margin_apply(xvals.ravel()[flat], margin_mode)
+        top = np.argsort(key, kind="stable")[:B]
+        found.append(flat[top] + lo * m * m)
+        keys.append(key[top])
+    found, keys = np.concatenate(found), np.concatenate(keys)
+    if len(found) == 0:
         raise SamplingError("subset contains no valid triplet")
-    terms = np.array([
-        float(margin_apply(d[a, p] - d[a, j], margin_mode))
-        for a, p, j in candidates
-    ])
-    # stable sort keeps enumeration order among ties
-    order = np.argsort(-terms, kind="stable")[:B]
-    triplets = [
-        (int(rows[candidates[i][0]]), int(rows[candidates[i][1]]),
-         int(rows[candidates[i][2]]))
-        for i in order
-    ]
-    return TripletSet(triplets)
+    # blocks are in anchor order and each keeps ties in enumeration order,
+    # so one stable sort ranks the survivors as a sort of every triplet would
+    best = found[np.argsort(keys, kind="stable")[:B]]
+    a, p, j = (rows[i].tolist() for i in np.unravel_index(best, (m, m, m)))
+    return TripletSet(list(zip(a, p, j)))
 
 
 def write_dataset_csv(path, dataset: LabeledDataset) -> None:

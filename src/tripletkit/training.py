@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,9 +14,13 @@ from . import datagen, diagnostics, evalkit, losses, numcore, optim, sampling
 class CollapseError(RuntimeError):
     """Training aborted because the collapse alarm fired."""
 
-    def __init__(self, iteration: int):
-        super().__init__(f"collapse alarm fired at iteration {iteration}")
+    def __init__(self, iteration: int, reason: str = "collapse alarm fired"):
+        super().__init__(f"{reason} at iteration {iteration}")
         self.iteration = iteration
+
+
+class NonFiniteLossError(CollapseError):
+    """Training aborted because the loss became NaN or infinite."""
 
 
 class ConfigError(ValueError):
@@ -42,17 +48,15 @@ class RunConfig:
     log_every: int = 1
 
     def __post_init__(self):
-        if self.loss not in losses.LOSS_NAMES:
+        if self.loss not in losses.LOSSES:
             raise ConfigError(f"unknown loss {self.loss!r}")
-        if self.loss in ("triplet", "triplet_ohm"):
-            if self.B < 1:
-                raise ConfigError("triplet losses need B >= 1")
-            if self.loss == "triplet_ohm" and \
-                    not 0.0 < self.ohm_sample_fraction <= 1.0:
-                raise ConfigError("ohm_sample_fraction must be in (0, 1]")
-        else:
-            if self.P < 2 or self.K < 2:
-                raise ConfigError("PK losses need P >= 2 and K >= 2")
+        batch = losses.LOSSES[self.loss].batch
+        if batch == "pk" and (self.P < 2 or self.K < 2):
+            raise ConfigError("PK losses need P >= 2 and K >= 2")
+        if batch != "pk" and self.B < 1:
+            raise ConfigError("triplet losses need B >= 1")
+        if batch == "mined" and not 0.0 < self.ohm_sample_fraction <= 1.0:
+            raise ConfigError("ohm_sample_fraction must be in (0, 1]")
         if self.layer_widths and len(self.layer_widths) < 2:
             raise ConfigError("layer_widths needs input and output widths")
         if self.log_every < 1:
@@ -71,52 +75,10 @@ class TrainResult:
     collapsed: bool = False
 
 
-def _loss_on_batch(cfg: RunConfig, emb: np.ndarray,
-                   labels: losses.BatchLabels) -> losses.LossReport:
-    name = cfg.loss
-    if name in ("triplet", "triplet_ohm"):
-        return losses.classic_triplet_loss(emb, cfg.metric, cfg.margin)
-    if name in ("batch_hard", "batch_hard_nnz"):
-        avg = "nonzero" if name.endswith("nnz") else cfg.averaging
-        return losses.batch_hard_loss(emb, labels, cfg.metric, cfg.margin, avg)
-    if name in ("batch_all", "batch_all_nnz"):
-        avg = "nonzero" if name.endswith("nnz") else cfg.averaging
-        return losses.batch_all_loss(emb, labels, cfg.metric, cfg.margin, avg)
-    if name == "lifted":
-        pairing = _same_class_pairs(labels.identities)
-        m = cfg.margin.m if cfg.margin.kind == "hard" else 1.0
-        return losses.lifted_loss(emb, pairing, cfg.metric, m, cfg.margin, labels)
-    if name == "lifted_gen":
-        m = cfg.margin.m if cfg.margin.kind == "hard" else 1.0
-        return losses.lifted_generalized_loss(emb, labels, cfg.metric, m, cfg.margin)
-    if name == "lmnn":
-        targets = _target_neighbors(labels.identities)
-        m = cfg.margin.m if cfg.margin.kind == "hard" else 0.2
-        return losses.lmnn_loss(emb, labels, targets, cfg.lmnn_mu, m, cfg.metric)
-    raise ConfigError(f"unknown loss {name!r}")
-
-
-def _same_class_pairs(ids: np.ndarray) -> list[tuple[int, int]]:
-    pairs = []
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            if ids[i] == ids[j]:
-                pairs.append((i, j))
-    return pairs
-
-
-def _target_neighbors(ids: np.ndarray) -> dict[int, int]:
-    targets = {}
-    for i in range(len(ids)):
-        same = [j for j in range(len(ids)) if j != i and ids[j] == ids[i]]
-        if same:
-            targets[i] = same[0]
-    return targets
-
-
 def train(cfg: RunConfig, dataset: sampling.LabeledDataset,
           log_writer: diagnostics.TrainLogWriter | None = None) -> TrainResult:
-    """Run the full schedule; raises CollapseError if the alarm fires.
+    """Run the full schedule; raises CollapseError if the alarm fires, or
+    its subclass NonFiniteLossError, before the update, on a NaN/inf loss.
 
     Partial history (and any log file written so far) is preserved on the
     exception for post-mortem inspection.
@@ -129,16 +91,17 @@ def train(cfg: RunConfig, dataset: sampling.LabeledDataset,
     rng = np.random.default_rng(cfg.seed)
     history: list[diagnostics.TrainLogRecord] = []
     mined: sampling.TripletSet | None = None
+    spec = losses.LOSSES[cfg.loss]
 
     for t in range(1, cfg.schedule.t1 + 1):
         lr = optim.lr_at(cfg.schedule, t)
         state = optim.beta1_drop(state, t, cfg.schedule)
 
-        if cfg.loss == "triplet":
+        if spec.batch == "random":
             triplets = sampling.sample_random_triplets(dataset, cfg.B, rng)
             rows = triplets.materialize_rows()
             labels = losses.BatchLabels(dataset.pids[rows])
-        elif cfg.loss == "triplet_ohm":
+        elif spec.batch == "mined":
             if mined is None or (t - 1) % cfg.ohm_refresh_every == 0:
                 mined = sampling.mine_hard_offline(
                     params, dataset, cfg.ohm_sample_fraction, cfg.B,
@@ -151,7 +114,9 @@ def train(cfg: RunConfig, dataset: sampling.LabeledDataset,
             labels = losses.BatchLabels(dataset.pids[rows], cfg.P, cfg.K)
 
         emb, cache = numcore.mlp_forward(params, dataset.features[rows])
-        report = _loss_on_batch(cfg, emb, labels)
+        report = spec.apply(emb, labels, cfg)
+        if not math.isfinite(report.loss):
+            raise NonFiniteLossError(t, "non-finite loss")
         grads = numcore.mlp_backward(params, cache, report.grad_embeddings)
         params, state = optim.adam_step(params, grads, state, lr)
 
@@ -183,10 +148,7 @@ def default_benchmark_sets(seed: int = BENCHMARK_SEED
               identity_spread=1.0, intra_spread=1.0, seed=seed)
     noisy = datagen.generate(datagen.GenSpec(outlier_rate=0.05, **kw))
     clean = datagen.generate(datagen.GenSpec(outlier_rate=0.0, **kw))
-    rng = np.random.default_rng(seed)
-    pids = np.unique(clean.pids)
-    val_pids = set(int(p) for p in rng.choice(pids, size=10, replace=False))
-    val_mask = np.array([int(p) in val_pids for p in clean.pids])
+    val_mask = _validation_mask(clean.pids, 10, seed)
     return (noisy.subset(np.flatnonzero(~val_mask)),
             clean.subset(np.flatnonzero(val_mask)))
 
@@ -225,12 +187,10 @@ def ohm_stress_dataset() -> sampling.LabeledDataset:
 
 def ohm_stress_config(loss: str, seed: int) -> RunConfig:
     """Margin-0.1 stress configuration shared by OHM and batch-hard runs."""
-    cfg = benchmark_config(loss, losses.MarginMode.hard(0.1), seed)
-    cfg.metric = "squared_euclidean"
-    cfg.B = 12
-    cfg.ohm_sample_fraction = 0.5
-    cfg.ohm_refresh_every = 500
-    return cfg
+    return dataclasses.replace(
+        benchmark_config(loss, losses.MarginMode.hard(0.1), seed),
+        metric="squared_euclidean", B=12, ohm_sample_fraction=0.5,
+        ohm_refresh_every=500)
 
 
 def embed_dataset(params: numcore.MlpParams,
@@ -246,13 +206,16 @@ def identity_disjoint_split(dataset: sampling.LabeledDataset,
                             seed: int) -> tuple[sampling.LabeledDataset,
                                                 sampling.LabeledDataset]:
     """Split by identity so train and validation share no person."""
-    rng = np.random.default_rng(seed)
-    pids = np.unique(dataset.pids)
-    n_val = max(1, int(round(val_fraction * len(pids))))
-    val_pids = set(int(p) for p in rng.choice(pids, size=n_val, replace=False))
-    val_mask = np.array([int(p) in val_pids for p in dataset.pids])
+    n_val = max(1, int(round(val_fraction * len(np.unique(dataset.pids)))))
+    val_mask = _validation_mask(dataset.pids, n_val, seed)
     return dataset.subset(np.flatnonzero(~val_mask)), \
         dataset.subset(np.flatnonzero(val_mask))
+
+
+def _validation_mask(pids: np.ndarray, n_val: int, seed: int) -> np.ndarray:
+    """Rows of `n_val` identities drawn without replacement by `seed`."""
+    rng = np.random.default_rng(seed)
+    return np.isin(pids, rng.choice(np.unique(pids), size=n_val, replace=False))
 
 
 def validation_map(params: numcore.MlpParams,

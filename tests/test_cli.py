@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from tripletkit import cli, training
+from tripletkit import cli, optim, training
 from tripletkit.sampling import LabeledDataset, read_dataset_csv, write_dataset_csv
 
 
@@ -144,6 +144,38 @@ class TestTrain:
         with open(os.path.join(out, "checkpoint.json")) as f:
             assert json.load(f)["seed"] == 0
 
+    def test_config_values_parse_as_flags(self, tmp_path):
+        data = make_data(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"P": "3", "K": 2, "widths": [5, 6, 3],
+                                        "t0": 10, "t1": 20, "data": data}))
+        out = os.path.join(str(tmp_path), "run")
+        rc = cli.main(["train", "--config", str(cfg_path), "-o", out])
+        assert rc == cli.EXIT_OK
+        with open(os.path.join(out, "checkpoint.json")) as f:
+            assert json.load(f)["layer_widths"] == [5, 6, 3]
+
+    @pytest.mark.parametrize("doc, named", [({"t11": 5}, "--t11"),
+                                            ({"P": 2.5}, "--P")])
+    def test_bad_config_key_or_value_exits_2(self, tmp_path, capsys, doc,
+                                             named):
+        data = make_data(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            quick_train(tmp_path, data, extra=("--config", str(cfg_path)))
+        assert exc.value.code == cli.EXIT_USAGE
+        assert named in capsys.readouterr().err
+
+    def test_nonfinite_loss_exits_4_without_checkpoint(self, tmp_path,
+                                                       capsys):
+        data = make_data(tmp_path)
+        capsys.readouterr()
+        rc, out = quick_train(tmp_path, data, extra=("--eps0", "1e300"))
+        assert rc == cli.EXIT_COLLAPSE
+        assert "non-finite loss at iteration" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "checkpoint.json"))
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_nonfinite_feature_exits_3(self, tmp_path, capsys, value):
         bad = write_nonfinite(tmp_path, make_data(tmp_path), value)
@@ -166,6 +198,21 @@ class TestEvaluate:
         report = json.load(open(os.path.join(out, "eval_report.json")))
         assert 0.0 <= report["map"] <= 1.0
         assert "cmc" in report
+
+    def test_config_true_sets_switch(self, tmp_path):
+        data = make_data(tmp_path)
+        rc, out = quick_train(tmp_path, data)
+        cfg_path = tmp_path / "eval.json"
+        cfg_path.write_text(json.dumps({"multi_query": True,
+                                        "no-camera-filter": False}))
+        rc = cli.main(["evaluate", "--config", str(cfg_path),
+                       "--checkpoint", os.path.join(out, "checkpoint.json"),
+                       "--queries", data, "--gallery", data, "-o", out])
+        assert rc == cli.EXIT_OK
+        with open(os.path.join(out, "eval_report.json")) as f:
+            report = json.load(f)
+        assert report["protocol"]["mode"] == "multi_query"
+        assert report["protocol"]["exclude_same_camera_same_id"]
 
     def test_dim_mismatch_exits_3(self, tmp_path):
         data = make_data(tmp_path)
@@ -277,3 +324,12 @@ class TestBenchLosses:
         rc = cli.main(["bench-losses", "--data", data, "--losses", "bogus",
                        "-o", str(tmp_path)])
         assert rc == cli.EXIT_USAGE
+
+    def test_nonfinite_cell_is_marked_collapsed(self, tmp_path):
+        ds = read_dataset_csv(make_data(tmp_path, ids=8))
+        train_set, val_set = training.identity_disjoint_split(ds, 0.3, 0)
+        base = training.RunConfig(P=3, K=2, layer_widths=[5, 8, 4],
+                                  schedule=optim.Schedule(1e300, 5, 10))
+        cell = cli.run_bench_cell("batch_hard", "soft", train_set, val_set,
+                                  base)
+        assert cell["status"] == "*"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tripletkit import cli, losses
 from tripletkit.losses import (BatchContractError, BatchLabels, MarginMode,
                                batch_all_loss, batch_hard_loss,
                                classic_triplet_loss, lifted_generalized_loss,
@@ -442,3 +443,17 @@ class TestProperties:
             assert r1.loss == pytest.approx(r2.loss, abs=1e-10)
             assert np.allclose(r1.grad_embeddings, r2.grad_embeddings,
                                atol=1e-10)
+
+
+class TestRegistry:
+    def test_loss_names_pinned(self):
+        assert losses.LOSS_NAMES == (
+            "triplet", "triplet_ohm", "batch_hard", "batch_hard_nnz",
+            "batch_all", "batch_all_nnz", "lifted", "lifted_gen", "lmnn")
+        assert losses.LOSS_NAMES == tuple(losses.LOSSES)
+        assert all(name == spec.name for name, spec in losses.LOSSES.items())
+
+    def test_cli_loss_choices_come_from_registry(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["train", "--help"])
+        assert "{" + ",".join(losses.LOSSES) + "}" in capsys.readouterr().out

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from tripletkit import sampling
 from tripletkit.losses import MarginMode, margin_apply, pairwise_distances
 from tripletkit.numcore import MlpParams, init_params, mlp_forward
 from tripletkit.sampling import (LabeledDataset, SamplingError,
@@ -175,6 +176,30 @@ class TestOfflineHardMining:
                                   margin_mode=MarginMode.hard(0.2),
                                   rng=np.random.default_rng(15))
         assert len(mined) == 7
+
+    @pytest.mark.parametrize("mode", [MarginMode.hard(1.0), MarginMode.soft()])
+    def test_blocks_rank_like_one_stable_sort(self, monkeypatch, mode):
+        # integer points on a line: many triplets share a loss term exactly
+        rng = np.random.default_rng(21)
+        ds = LabeledDataset(rng.integers(0, 4, size=(20, 1)).astype(float),
+                            np.repeat(np.arange(5), 4), np.zeros(20),
+                            np.arange(20))
+        emb, _ = mlp_forward(identity_embedding_model(1), ds.features)
+        d = pairwise_distances(emb, "euclidean").values
+        everything = [(a, p, j) for a in range(20) for p in range(20)
+                      for j in range(20) if p != a and
+                      ds.pids[p] == ds.pids[a] and ds.pids[j] != ds.pids[a]]
+        terms = [float(margin_apply(d[a, p] - d[a, j], mode))
+                 for a, p, j in everything]
+        assert len(set(terms)) < len(terms) / 10
+        ranked = [everything[i] for i in
+                  sorted(range(len(terms)), key=lambda i: -terms[i])]
+        # 3 anchors per block: seven blocks, the last one short
+        monkeypatch.setattr(sampling, "_BLOCK_ELEMENTS", 3 * 20 * 20 + 5)
+        for B in (1, 7, 40, 333, 10 ** 6):
+            mined = mine_hard_offline(identity_embedding_model(1), ds, 1.0,
+                                      B, mode, np.random.default_rng(B))
+            assert mined.triplets == ranked[:B]
 
     def test_bad_fraction(self):
         ds = make_dataset()
