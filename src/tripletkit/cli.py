@@ -31,11 +31,25 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", "-o", default=".", help="output directory")
 
 
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    """The dataset and training-run flags `train` and `bench-losses` share."""
+    p.add_argument("--data", required=True, help="dataset CSV")
+    p.add_argument("--P", type=int, default=8)
+    p.add_argument("--K", type=int, default=4)
+    p.add_argument("--B", type=int, default=12)
+    p.add_argument("--widths", default="16,32,32",
+                   help="comma-separated layer widths, input first")
+    p.add_argument("--eps0", type=float, default=1e-3)
+    p.add_argument("--t0", type=int, default=1500)
+    p.add_argument("--t1", type=int, default=2500)
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="tripletkit")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("datagen", help="generate a synthetic identity dataset")
+    p.set_defaults(run=cmd_datagen)
     _add_common(p)
     p.add_argument("--ids", type=int, required=True)
     p.add_argument("--per-id", type=int, required=True)
@@ -47,27 +61,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", default="train")
 
     p = sub.add_parser("train", help="train an embedding model")
+    p.set_defaults(run=cmd_train)
     _add_common(p)
-    p.add_argument("--data", required=True, help="dataset CSV")
+    _add_run_flags(p)
     p.add_argument("--loss", choices=losses.LOSS_NAMES, default="batch_hard")
     p.add_argument("--margin", default="soft",
                    help="'soft' or a nonnegative real")
     p.add_argument("--metric", choices=("euclidean", "squared_euclidean"),
                    default="euclidean")
-    p.add_argument("--P", type=int, default=8)
-    p.add_argument("--K", type=int, default=4)
-    p.add_argument("--B", type=int, default=12)
-    p.add_argument("--widths", default="16,32,32",
-                   help="comma-separated layer widths, input first")
-    p.add_argument("--eps0", type=float, default=1e-3)
-    p.add_argument("--t0", type=int, default=1500)
-    p.add_argument("--t1", type=int, default=2500)
-    p.add_argument("--averaging", choices=("all", "nonzero"), default="all")
     p.add_argument("--ohm-sample-fraction", type=float, default=0.25)
     p.add_argument("--ohm-refresh-every", type=int, default=500)
-    p.add_argument("--init-scale", type=float, default=1.0)
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint")
+    p.set_defaults(run=cmd_evaluate)
     _add_common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--queries", required=True)
@@ -79,26 +85,20 @@ def build_parser() -> argparse.ArgumentParser:
                                          "disjoint from queries")
 
     p = sub.add_parser("bench-losses", help="train/evaluate a loss x margin grid")
+    p.set_defaults(run=cmd_bench_losses)
     _add_common(p)
-    p.add_argument("--data", required=True)
+    _add_run_flags(p)
     p.add_argument("--losses", default="batch_hard,batch_all",
                    help="comma-separated subset of the loss enumeration")
     p.add_argument("--margins", default=",".join(BENCH_MARGINS))
     p.add_argument("--val-fraction", type=float, default=0.3)
-    p.add_argument("--widths", default="16,32,32")
-    p.add_argument("--eps0", type=float, default=1e-3)
-    p.add_argument("--t0", type=int, default=1500)
-    p.add_argument("--t1", type=int, default=2500)
-    p.add_argument("--P", type=int, default=8)
-    p.add_argument("--K", type=int, default=4)
-    p.add_argument("--B", type=int, default=12)
     return top
 
 
 def _config_flags(path: str) -> list[str]:
     """A JSON config file's keys as the flags they name (`per_id` or
-    `per-id` is `--per-id`; `true` is a bare switch, a list comma-joined),
-    for argparse to check as it checks the command line."""
+    `per-id` is `--per-id`; `true` is a bare switch, a list comma-joined,
+    `null` an error), for argparse to check as it checks the command line."""
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
     if not isinstance(doc, dict):
@@ -106,6 +106,8 @@ def _config_flags(path: str) -> list[str]:
     flags = []
     for key, value in doc.items():
         flag = "--" + key.replace("_", "-")
+        if value is None:
+            raise ValueError(f"{path}: invalid value null for key {key!r}")
         if value is True:
             flags.append(flag)
         elif value is not False:
@@ -115,24 +117,14 @@ def _config_flags(path: str) -> list[str]:
     return flags
 
 
-def _parse_widths(text: str) -> list[int]:
-    return [int(v) for v in text.split(",")]
-
-
-def _run_config_from_args(args: argparse.Namespace) -> training.RunConfig:
+def _run_config(args: argparse.Namespace, **fields) -> training.RunConfig:
+    """The run the shared run flags and `--seed` describe, with the
+    command's own `fields` on top."""
     return training.RunConfig(
-        loss=args.loss,
-        margin=losses.parse_margin(args.margin),
-        metric=args.metric,
         P=args.P, K=args.K, B=args.B,
-        layer_widths=_parse_widths(args.widths),
+        layer_widths=[int(v) for v in args.widths.split(",")],
         schedule=optim.Schedule(args.eps0, args.t0, args.t1),
-        seed=args.seed,
-        averaging=args.averaging,
-        ohm_sample_fraction=args.ohm_sample_fraction,
-        ohm_refresh_every=args.ohm_refresh_every,
-        init_scale=args.init_scale,
-    )
+        seed=args.seed, **fields)
 
 
 def cmd_datagen(args) -> int:
@@ -147,7 +139,11 @@ def cmd_datagen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _run_config_from_args(args)
+    cfg = _run_config(args, loss=args.loss,
+                      margin=losses.parse_margin(args.margin),
+                      metric=args.metric,
+                      ohm_sample_fraction=args.ohm_sample_fraction,
+                      ohm_refresh_every=args.ohm_refresh_every)
     dataset = sampling.read_dataset_csv(args.data)
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "train_log.csv")
@@ -231,11 +227,7 @@ def run_bench_cell(loss_name: str, margin_text: str, train_set, val_set,
 
 def cmd_bench_losses(args) -> int:
     dataset = sampling.read_dataset_csv(args.data)
-    base = training.RunConfig(
-        P=args.P, K=args.K, B=args.B,
-        layer_widths=_parse_widths(args.widths),
-        schedule=optim.Schedule(args.eps0, args.t0, args.t1),
-        seed=args.seed)
+    base = _run_config(args)
     train_set, val_set = training.identity_disjoint_split(
         dataset, args.val_fraction, args.seed)
     loss_names = [s.strip() for s in args.losses.split(",")]
@@ -274,14 +266,7 @@ def main(argv: list[str] | None = None) -> int:
         if path:
             argv = [argv[0], *_config_flags(path), *argv[1:]]
         args = build_parser().parse_args(argv)
-        if args.command == "datagen":
-            return cmd_datagen(args)
-        if args.command == "train":
-            return cmd_train(args)
-        if args.command == "evaluate":
-            return cmd_evaluate(args)
-        if args.command == "bench-losses":
-            return cmd_bench_losses(args)
+        return args.run(args)
     # data errors first: SamplingError and ProtocolError are ValueErrors
     except (OSError, sampling.SamplingError, evalkit.ProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -289,7 +274,6 @@ def main(argv: list[str] | None = None) -> int:
     except (training.ConfigError, optim.ScheduleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

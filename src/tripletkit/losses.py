@@ -415,8 +415,8 @@ def _lmnn(emb, labels, cfg):
     pos, _ = _masks(labels.identities)
     anchors = np.flatnonzero(pos.any(axis=1))
     targets = dict(zip(anchors.tolist(), pos.argmax(axis=1)[anchors].tolist()))
-    return lmnn_loss(emb, labels, targets, cfg.lmnn_mu,
-                     _inner_margin(cfg, 0.2), cfg.metric)
+    return lmnn_loss(emb, labels, targets, m=_inner_margin(cfg, 0.2),
+                     metric=cfg.metric)
 
 
 # Closed loss enumeration for the trainer, the CLI and the benchmark grid.
@@ -428,11 +428,11 @@ LOSSES = {spec.name: spec for spec in (
     LossSpec("triplet_ohm", "mined", lambda emb, labels, cfg:
              classic_triplet_loss(emb, cfg.metric, cfg.margin)),
     LossSpec("batch_hard", "pk", lambda emb, labels, cfg: batch_hard_loss(
-        emb, labels, cfg.metric, cfg.margin, cfg.averaging)),
+        emb, labels, cfg.metric, cfg.margin)),
     LossSpec("batch_hard_nnz", "pk", lambda emb, labels, cfg: batch_hard_loss(
         emb, labels, cfg.metric, cfg.margin, "nonzero")),
     LossSpec("batch_all", "pk", lambda emb, labels, cfg: batch_all_loss(
-        emb, labels, cfg.metric, cfg.margin, cfg.averaging)),
+        emb, labels, cfg.metric, cfg.margin)),
     LossSpec("batch_all_nnz", "pk", lambda emb, labels, cfg: batch_all_loss(
         emb, labels, cfg.metric, cfg.margin, "nonzero")),
     LossSpec("lifted", "pk", _lifted),

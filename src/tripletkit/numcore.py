@@ -90,12 +90,10 @@ class GradBundle:
                 raise DimensionError("gradient shape mismatch")
 
 
-def init_params(layer_widths: list[int], seed: int, slope: float = 0.3,
-                scale: float = 1.0) -> MlpParams:
+def init_params(layer_widths: list[int], seed: int) -> MlpParams:
     """He-init hidden layers, Glorot-init final layer, zero biases.
 
     `layer_widths` includes the input width, so n widths give n-1 layers.
-    `scale` multiplies all initial weights; 1.0 is the standard init.
     """
     if len(layer_widths) < 2:
         raise ConfigError("need at least an input and an output width")
@@ -113,9 +111,8 @@ def init_params(layer_widths: list[int], seed: int, slope: float = 0.3,
             # Glorot: uniform on +-sqrt(6/(fan_in+fan_out))
             limit = np.sqrt(6.0 / (fan_in + fan_out))
             w = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-        layers.append((scale * w, np.zeros(fan_out)))
-    return MlpParams(layers, slope=slope, layer_widths=list(layer_widths),
-                     seed=seed)
+        layers.append((w, np.zeros(fan_out)))
+    return MlpParams(layers, layer_widths=list(layer_widths), seed=seed)
 
 
 @dataclass

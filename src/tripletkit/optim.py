@@ -55,11 +55,10 @@ class AdamState:
     eps_hat: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: MlpParams, beta1: float = 0.9,
-                   beta2: float = 0.999, eps_hat: float = 1e-8) -> "AdamState":
+    def for_params(cls, params: MlpParams) -> "AdamState":
         zeros = lambda: [(np.zeros_like(w), np.zeros_like(b))
                          for w, b in params.layers]
-        return cls(zeros(), zeros(), 0, beta1, beta2, eps_hat)
+        return cls(zeros(), zeros())
 
     def to_dict(self) -> dict:
         return {

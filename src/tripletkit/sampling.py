@@ -230,7 +230,7 @@ def write_dataset_csv(path, dataset: LabeledDataset) -> None:
                        + [repr(float(v)) for v in dataset.features[i]])
 
 
-def read_dataset_csv(path, prefix: str = "f") -> LabeledDataset:
+def read_dataset_csv(path) -> LabeledDataset:
     """Read a dataset CSV; a file with only the header gives zero rows of
     the header's feature width. Malformed rows and non-finite feature
     values raise SamplingError naming the file and line."""
@@ -239,7 +239,7 @@ def read_dataset_csv(path, prefix: str = "f") -> LabeledDataset:
         header = next(r, [])
         if header[:3] != ["item_id", "pid", "cam"]:
             raise SamplingError(f"unexpected CSV header in {path}")
-        exp_cols = [f"{prefix}{i}" for i in range(len(header) - 3)]
+        exp_cols = [f"f{i}" for i in range(len(header) - 3)]
         if header[3:] != exp_cols:
             raise SamplingError(f"unexpected feature columns in {path}")
         item_ids, pids, cams, feats, lines = [], [], [], [], []

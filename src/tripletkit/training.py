@@ -39,13 +39,8 @@ class RunConfig:
     schedule: optim.Schedule = field(
         default_factory=lambda: optim.Schedule(1e-3, 1500, 2500))
     seed: int = 0
-    averaging: str = "all"
-    lmnn_mu: float = 0.5
     ohm_sample_fraction: float = 0.25
     ohm_refresh_every: int = 500
-    init_scale: float = 1.0
-    collapse_window: int = diagnostics.DEFAULT_COLLAPSE_WINDOW
-    log_every: int = 1
 
     def __post_init__(self):
         if self.loss not in losses.LOSSES:
@@ -59,12 +54,8 @@ class RunConfig:
             raise ConfigError("ohm_sample_fraction must be in (0, 1]")
         if self.layer_widths and len(self.layer_widths) < 2:
             raise ConfigError("layer_widths needs input and output widths")
-        if self.log_every < 1:
-            raise ConfigError("log_every must be >= 1")
         if self.ohm_refresh_every < 1:
             raise ConfigError("ohm_refresh_every must be >= 1")
-        if self.collapse_window < 2:
-            raise ConfigError("collapse_window must be >= 2")
 
 
 @dataclass
@@ -72,7 +63,6 @@ class TrainResult:
     params: numcore.MlpParams
     state: optim.AdamState
     history: list[diagnostics.TrainLogRecord]
-    collapsed: bool = False
 
 
 def train(cfg: RunConfig, dataset: sampling.LabeledDataset,
@@ -86,7 +76,7 @@ def train(cfg: RunConfig, dataset: sampling.LabeledDataset,
     widths = list(cfg.layer_widths)
     if widths[0] != dataset.feature_dim:
         widths = [dataset.feature_dim] + widths[1:]
-    params = numcore.init_params(widths, cfg.seed, scale=cfg.init_scale)
+    params = numcore.init_params(widths, cfg.seed)
     state = optim.AdamState.for_params(params)
     rng = np.random.default_rng(cfg.seed)
     history: list[diagnostics.TrainLogRecord] = []
@@ -113,20 +103,21 @@ def train(cfg: RunConfig, dataset: sampling.LabeledDataset,
             rows = batch.rows
             labels = losses.BatchLabels(dataset.pids[rows], cfg.P, cfg.K)
 
-        emb, cache = numcore.mlp_forward(params, dataset.features[rows])
-        report = spec.apply(emb, labels, cfg)
+        # overflow and NaN from a diverging step are reported by the guard below
+        with np.errstate(over="ignore", invalid="ignore"):
+            emb, cache = numcore.mlp_forward(params, dataset.features[rows])
+            report = spec.apply(emb, labels, cfg)
         if not math.isfinite(report.loss):
             raise NonFiniteLossError(t, "non-finite loss")
         grads = numcore.mlp_backward(params, cache, report.grad_embeddings)
         params, state = optim.adam_step(params, grads, state, lr)
 
-        if t % cfg.log_every == 0:
-            record = diagnostics.batch_stats(emb, report, t, lr)
-            history.append(record)
-            if log_writer is not None:
-                log_writer.append(record)
-            if diagnostics.collapse_alarm(history, cfg.collapse_window):
-                raise CollapseError(t)
+        record = diagnostics.batch_stats(emb, report, t, lr)
+        history.append(record)
+        if log_writer is not None:
+            log_writer.append(record)
+        if diagnostics.collapse_alarm(history):
+            raise CollapseError(t)
 
     return TrainResult(params, state, history)
 

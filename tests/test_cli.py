@@ -156,7 +156,10 @@ class TestTrain:
             assert json.load(f)["layer_widths"] == [5, 6, 3]
 
     @pytest.mark.parametrize("doc, named", [({"t11": 5}, "--t11"),
-                                            ({"P": 2.5}, "--P")])
+                                            ({"P": 2.5}, "--P"),
+                                            ({"averaging": "nonzero"},
+                                             "--averaging"),
+                                            ({"init_scale": 2}, "--init-scale")])
     def test_bad_config_key_or_value_exits_2(self, tmp_path, capsys, doc,
                                              named):
         data = make_data(tmp_path)
@@ -166,6 +169,15 @@ class TestTrain:
             quick_train(tmp_path, data, extra=("--config", str(cfg_path)))
         assert exc.value.code == cli.EXIT_USAGE
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--averaging", "nonzero"),
+                                             ("--init-scale", "2")])
+    def test_removed_flag_exits_2(self, tmp_path, capsys, flag, value):
+        data = make_data(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            quick_train(tmp_path, data, extra=(flag, value))
+        assert exc.value.code == cli.EXIT_USAGE
+        assert flag in capsys.readouterr().err
 
     def test_nonfinite_loss_exits_4_without_checkpoint(self, tmp_path,
                                                        capsys):
@@ -184,6 +196,26 @@ class TestTrain:
         assert rc == cli.EXIT_DATA
         assert f"{bad}:3: non-finite" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "checkpoint.json"))
+
+
+@pytest.mark.parametrize("command", ["train", "bench-losses"])
+def test_shared_run_flags_reach_run_config(tmp_path, monkeypatch, command):
+    data = make_data(tmp_path, ids=8)
+    seen = []
+
+    def capture(cfg, dataset, writer=None):
+        seen.append(cfg)
+        raise training.CollapseError(1)
+
+    monkeypatch.setattr(training, "train", capture)
+    cli.main([command, "--data", data, "--P", "3", "--K", "2", "--B", "5",
+              "--widths", "5,7,4", "--eps0", "0.002", "--t0", "11",
+              "--t1", "13", "--seed", "9", "-o", str(tmp_path / "out")])
+    assert seen
+    for cfg in seen:
+        assert (cfg.P, cfg.K, cfg.B, cfg.layer_widths, cfg.schedule,
+                cfg.seed) == (3, 2, 5, [5, 7, 4],
+                              optim.Schedule(0.002, 11, 13), 9)
 
 
 class TestEvaluate:
@@ -213,6 +245,16 @@ class TestEvaluate:
             report = json.load(f)
         assert report["protocol"]["mode"] == "multi_query"
         assert report["protocol"]["exclude_same_camera_same_id"]
+
+    def test_config_null_exits_2_naming_key(self, tmp_path, capsys):
+        cfg_path = tmp_path / "eval.json"
+        cfg_path.write_text(json.dumps({"distractors": None}))
+        missing = str(tmp_path / "missing.csv")
+        rc = cli.main(["evaluate", "--config", str(cfg_path),
+                       "--checkpoint", missing, "--queries", missing,
+                       "--gallery", missing, "-o", str(tmp_path)])
+        assert rc == cli.EXIT_USAGE
+        assert "'distractors'" in capsys.readouterr().err
 
     def test_dim_mismatch_exits_3(self, tmp_path):
         data = make_data(tmp_path)
