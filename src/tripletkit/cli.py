@@ -226,16 +226,23 @@ def run_bench_cell(loss_name: str, margin_text: str, train_set, val_set,
 
 
 def cmd_bench_losses(args) -> int:
-    dataset = sampling.read_dataset_csv(args.data)
-    base = _run_config(args)
-    train_set, val_set = training.identity_disjoint_split(
-        dataset, args.val_fraction, args.seed)
     loss_names = [s.strip() for s in args.losses.split(",")]
+    margins = [s.strip() for s in args.margins.split(",")]
     for name in loss_names:
         if name not in losses.LOSS_NAMES:
-            print(f"error: unknown loss {name!r}", file=sys.stderr)
+            print(f"error: --losses: unknown loss {name!r}", file=sys.stderr)
             return EXIT_USAGE
-    margins = [s.strip() for s in args.margins.split(",")]
+    for text in margins:
+        try:
+            losses.parse_margin(text)
+        except ValueError as exc:
+            print(f"error: --margins: bad margin {text!r}: {exc}",
+                  file=sys.stderr)
+            return EXIT_USAGE
+    base = _run_config(args)
+    dataset = sampling.read_dataset_csv(args.data)
+    train_set, val_set = training.identity_disjoint_split(
+        dataset, args.val_fraction, args.seed)
 
     cells = [run_bench_cell(ln, mt, train_set, val_set, base)
              for ln in loss_names for mt in margins]

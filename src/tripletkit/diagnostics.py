@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,18 +51,59 @@ def batch_stats(embeddings: np.ndarray, report: LossReport,
     """
     x = np.asarray(embeddings, dtype=np.float64)
     norms = np.linalg.norm(x, axis=1)
-    iu = np.triu_indices(len(x), k=1)
-    dists = np.sqrt(report.distances.squared[iu]) if len(iu[0]) \
+    upper = _upper_triangle(len(x))
+    dists = np.sqrt(report.distances.squared.take(upper)) if len(upper) \
         else np.zeros(1)
     return TrainLogRecord(
         iteration=iteration,
         loss_mean=float(report.loss),
-        loss_p5=float(np.percentile(report.per_term, 5)),
+        loss_p5=float(percentiles(report.per_term, (5,))[0]),
         active_fraction=report.active_fraction,
-        emb_norm_percentiles=tuple(np.percentile(norms, PERCENTILES)),
-        pair_dist_percentiles=tuple(np.percentile(dists, PERCENTILES)),
+        emb_norm_percentiles=tuple(percentiles(norms, PERCENTILES)),
+        pair_dist_percentiles=tuple(percentiles(dists, PERCENTILES)),
         lr=lr,
     )
+
+
+@functools.lru_cache(maxsize=16)
+def _upper_triangle(n: int) -> np.ndarray:
+    """Flat indices of the strict upper triangle of an n x n matrix."""
+    i, j = np.triu_indices(n, k=1)
+    return _read_only(i * n + j)
+
+
+def percentiles(values: np.ndarray, percents: tuple) -> np.ndarray:
+    """`np.percentile(values, percents)` from one sort, bit for bit as long
+    as `values` do not hold both signed zeros (NumPy's partition leaves
+    their order open)."""
+    s = np.sort(values, axis=None)
+    lo, hi, gamma, from_hi = _interpolation(len(s), percents)
+    a, b = s[lo], s[hi]
+    diff = b - a
+    out = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=out, where=from_hi)
+    if np.isnan(s[-1]):     # a NaN makes every percentile NaN
+        out[:] = np.nan
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _interpolation(n: int, percents: tuple) -> tuple[np.ndarray, ...]:
+    """NumPy's linear-method neighbours and weights for n sorted values:
+    lower and upper indices (both the last one at or past the end), the
+    weight of the upper, and where the value is taken from the upper."""
+    virtual = (n - 1) * np.true_divide(percents, 100)
+    past = virtual >= n - 1
+    lo = np.where(past, -1, np.floor(virtual)).astype(np.intp)
+    hi = np.where(past, -1, lo + 1)
+    gamma = virtual - lo
+    return tuple(map(_read_only, (lo, hi, gamma, gamma >= 0.5)))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """Cached arrays are shared by every caller, so none may write them."""
+    a.flags.writeable = False
+    return a
 
 
 def collapse_alarm(history: list[TrainLogRecord],

@@ -25,12 +25,20 @@ def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
     if not 0.0 <= slope < 1.0:
         raise ConfigError(f"slope must be in [0, 1), got {slope}")
     x = np.asarray(x, dtype=np.float64)
-    return np.where(x >= 0.0, x, slope * x)
+    return np.maximum(x, slope * x)     # the larger of the two for slope < 1
 
 
-def leaky_relu_grad(pre: np.ndarray, slope: float) -> np.ndarray:
-    # derivative at exactly 0 is defined as slope
-    return np.where(pre > 0.0, 1.0, slope)
+Layers = list[tuple[np.ndarray, np.ndarray]]
+
+
+def pack_layers(layers: Layers) -> tuple[np.ndarray, Layers]:
+    """Copy (weight, bias) pairs into one new float64 vector, layer by
+    layer, weight before bias; return it and the pairs as views into it."""
+    arrays = [np.ravel(a) for pair in layers for a in pair]
+    flat = np.concatenate(arrays, dtype=np.float64)
+    parts = np.split(flat, np.cumsum([a.size for a in arrays[:-1]]))
+    return flat, [(parts[2 * i].reshape(w.shape), parts[2 * i + 1])
+                  for i, (w, _) in enumerate(layers)]
 
 
 @dataclass
@@ -39,9 +47,11 @@ class MlpParams:
 
     Weight i has shape (in_width, out_width); bias i has shape (out_width,).
     Hidden layers are followed by leaky ReLU, the last layer is linear.
+    The pairs are copied into one vector, `flat`, and `layers` holds views
+    into it, so an update of `flat` is an update of every layer.
     """
 
-    layers: list[tuple[np.ndarray, np.ndarray]]
+    layers: Layers
     slope: float = 0.3
     layer_widths: list[int] = field(default_factory=list)
     seed: int | None = None
@@ -49,13 +59,16 @@ class MlpParams:
     def __post_init__(self):
         if not self.layers:
             raise ConfigError("MlpParams needs at least one layer")
+        if not 0.0 <= self.slope < 1.0:
+            raise ConfigError(f"slope must be in [0, 1), got {self.slope}")
         for i, (w, b) in enumerate(self.layers):
             if w.shape[1] != b.shape[0]:
                 raise ConfigError(f"layer {i}: weight/bias width mismatch")
             if i > 0 and self.layers[i - 1][0].shape[1] != w.shape[0]:
                 raise ConfigError(f"layer {i}: does not chain with layer {i-1}")
+        self.flat, self.layers = pack_layers(self.layers)
         if not self.layer_widths:
-            self.layer_widths = [self.layers[0][0].shape[0]] + [
+            self.layer_widths = [self.input_dim] + [
                 w.shape[1] for w, _ in self.layers
             ]
 
@@ -63,31 +76,20 @@ class MlpParams:
     def input_dim(self) -> int:
         return self.layers[0][0].shape[0]
 
-    @property
-    def embed_dim(self) -> int:
-        return self.layers[-1][0].shape[1]
-
     def copy(self) -> "MlpParams":
-        return MlpParams(
-            [(w.copy(), b.copy()) for w, b in self.layers],
-            slope=self.slope,
-            layer_widths=list(self.layer_widths),
-            seed=self.seed,
-        )
+        return MlpParams(self.layers, slope=self.slope,
+                         layer_widths=list(self.layer_widths), seed=self.seed)
 
 
 @dataclass
 class GradBundle:
-    """Per-layer weight/bias gradients, shape-congruent with MlpParams."""
+    """Per-layer weight/bias gradients, views into one vector, `flat`,
+    laid out as `MlpParams.flat` is."""
 
-    layers: list[tuple[np.ndarray, np.ndarray]]
+    layers: Layers
 
-    def check_congruent(self, params: MlpParams) -> None:
-        if len(self.layers) != len(params.layers):
-            raise DimensionError("gradient layer count mismatch")
-        for (dw, db), (w, b) in zip(self.layers, params.layers):
-            if dw.shape != w.shape or db.shape != b.shape:
-                raise DimensionError("gradient shape mismatch")
+    def __post_init__(self):
+        self.flat, self.layers = pack_layers(self.layers)
 
 
 def init_params(layer_widths: list[int], seed: int) -> MlpParams:
@@ -117,7 +119,6 @@ def init_params(layer_widths: list[int], seed: int) -> MlpParams:
 
 @dataclass
 class ForwardCache:
-    inputs: np.ndarray
     pre_activations: list[np.ndarray]   # one per layer
     activations: list[np.ndarray]       # layer inputs, including the batch itself
 
@@ -128,38 +129,38 @@ def mlp_forward(params: MlpParams, inputs: np.ndarray) -> tuple[np.ndarray, Forw
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise DimensionError(
             f"expected input shape (B, {params.input_dim}), got {x.shape}")
-    pre_acts = []
-    acts = [x]
-    h = x
-    n = len(params.layers)
+    cache = ForwardCache([], [x])
     for i, (w, b) in enumerate(params.layers):
-        z = h @ w + b
-        pre_acts.append(z)
-        h = z if i == n - 1 else leaky_relu(z, params.slope)
-        if i < n - 1:
-            acts.append(h)
-    return h, ForwardCache(x, pre_acts, acts)
+        if i:       # leaky ReLU after every hidden layer, in place
+            h = params.slope * z
+            cache.activations.append(np.maximum(z, h, out=h))
+        z = cache.activations[-1] @ w
+        z += b
+        cache.pre_activations.append(z)
+    return z, cache
 
 
-def mlp_backward(params: MlpParams, cache: ForwardCache,
-                 upstream: np.ndarray) -> GradBundle:
-    """Gradients of sum(embeddings * upstream) w.r.t. all parameters."""
-    upstream = np.asarray(upstream, dtype=np.float64)
+def mlp_backward(params: MlpParams, cache: ForwardCache, upstream: np.ndarray,
+                 out: GradBundle | None = None) -> GradBundle:
+    """Gradients of sum(embeddings * upstream) w.r.t. all parameters,
+    written into `out` (a new bundle when None), which is returned."""
+    delta = np.asarray(upstream, dtype=np.float64)
     n = len(params.layers)
     if len(cache.pre_activations) != n:
         raise DimensionError("cache does not match parameter layer count")
-    if upstream.shape != cache.pre_activations[-1].shape:
+    if delta.shape != cache.pre_activations[-1].shape:
         raise DimensionError("upstream shape does not match embeddings")
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * n  # type: ignore
-    delta = upstream
+    # a copy of params has the layout; every value of it is overwritten
+    grads = GradBundle(params.layers) if out is None else out
     for i in range(n - 1, -1, -1):
-        w, _ = params.layers[i]
-        if i < n - 1:
-            delta = delta * leaky_relu_grad(cache.pre_activations[i], params.slope)
-        a = cache.activations[i]
-        grads[i] = (a.T @ delta, delta.sum(axis=0))
-        delta = delta @ w.T
-    return GradBundle(grads)
+        dw, db = grads.layers[i]
+        np.matmul(cache.activations[i].T, delta, out=dw)
+        np.sum(delta, axis=0, out=db)
+        if i > 0:   # through the leaky ReLU, whose derivative at 0 is slope
+            delta = delta @ params.layers[i][0].T
+            np.multiply(delta, params.slope, out=delta,
+                        where=~(cache.pre_activations[i - 1] > 0.0))
+    return grads
 
 
 def save_checkpoint(path, params: MlpParams, optim_state: dict | None = None) -> None:
@@ -181,11 +182,8 @@ def save_checkpoint(path, params: MlpParams, optim_state: dict | None = None) ->
 def load_checkpoint(path) -> tuple[MlpParams, dict | None]:
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
-    layers = [
-        (np.asarray(l["weight"], dtype=np.float64),
-         np.asarray(l["bias"], dtype=np.float64))
-        for l in doc["layers"]
-    ]
+    layers = [(np.asarray(l["weight"]), np.asarray(l["bias"]))
+              for l in doc["layers"]]
     params = MlpParams(layers, slope=doc["slope"],
                        layer_widths=doc["layer_widths"], seed=doc.get("seed"))
     return params, doc.get("optim")

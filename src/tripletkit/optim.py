@@ -7,11 +7,11 @@ once the decay phase starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import DimensionError, GradBundle, MlpParams
+from .numcore import DimensionError, GradBundle, Layers, MlpParams, pack_layers
 
 DECAY_FACTOR = 1e-3
 BETA1_DECAY = 0.5
@@ -45,20 +45,27 @@ def lr_at(schedule: Schedule, t: int) -> float:
 
 @dataclass
 class AdamState:
-    """Moment estimates plus hyperparameters; shapes mirror MlpParams."""
+    """Moment estimates plus hyperparameters. Each moment is copied into
+    one vector laid out as `MlpParams.flat` (`m`, `v`), and its per-layer
+    list holds views into it."""
 
-    first_moment: list[tuple[np.ndarray, np.ndarray]]
-    second_moment: list[tuple[np.ndarray, np.ndarray]]
+    first_moment: Layers
+    second_moment: Layers
     step_count: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps_hat: float = 1e-8
 
+    def __post_init__(self):
+        self.m, self.first_moment = pack_layers(self.first_moment)
+        self.v, self.second_moment = pack_layers(self.second_moment)
+        # scratch for adam_step, so that an update allocates nothing
+        self._tmp, self._step = np.empty_like(self.m), np.empty_like(self.m)
+
     @classmethod
     def for_params(cls, params: MlpParams) -> "AdamState":
-        zeros = lambda: [(np.zeros_like(w), np.zeros_like(b))
-                         for w, b in params.layers]
-        return cls(zeros(), zeros())
+        zeros = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params.layers]
+        return cls(zeros, zeros)
 
     def to_dict(self) -> dict:
         return {
@@ -83,38 +90,31 @@ class AdamState:
 
 def adam_step(params: MlpParams, grads: GradBundle, state: AdamState,
               lr: float) -> tuple[MlpParams, AdamState]:
-    """One Adam update with bias correction; returns fresh params and state."""
-    grads.check_congruent(params)
-    if len(state.first_moment) != len(params.layers):
-        raise DimensionError("optimizer state does not match parameters")
+    """One Adam update with bias correction, made in place on `params`
+    and `state`, which are returned."""
+    if not params.flat.shape == grads.flat.shape == state.m.shape:
+        raise DimensionError("gradients or Adam state do not fit params")
     if lr <= 0:
         raise ValueError("lr must be positive")
-    t = state.step_count + 1
-    b1, b2 = state.beta1, state.beta2
-    new_layers, new_m, new_v = [], [], []
-    for (w, b), (dw, db), (mw, mb), (vw, vb) in zip(
-            params.layers, grads.layers, state.first_moment, state.second_moment):
-        upd, ms, vs = [], [], []
-        for p, g, m, v in ((w, dw, mw, vw), (b, db, mb, vb)):
-            m = b1 * m + (1 - b1) * g
-            v = b2 * v + (1 - b2) * g * g
-            m_hat = m / (1 - b1 ** t)
-            v_hat = v / (1 - b2 ** t)
-            upd.append(p - lr * m_hat / (np.sqrt(v_hat) + state.eps_hat))
-            ms.append(m)
-            vs.append(v)
-        new_layers.append((upd[0], upd[1]))
-        new_m.append((ms[0], ms[1]))
-        new_v.append((vs[0], vs[1]))
-    new_params = MlpParams(new_layers, slope=params.slope,
-                           layer_widths=list(params.layer_widths),
-                           seed=params.seed)
-    new_state = AdamState(new_m, new_v, t, b1, b2, state.eps_hat)
-    return new_params, new_state
+    state.step_count += 1
+    t, b1, b2 = state.step_count, state.beta1, state.beta2
+    m, v, g, tmp, step = state.m, state.v, grads.flat, state._tmp, state._step
+    # m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+    m *= b1
+    m += np.multiply(g, 1 - b1, out=tmp)
+    v *= b2
+    v += np.multiply(np.multiply(g, 1 - b2, out=tmp), g, out=tmp)
+    # p -= (lr * m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps_hat)
+    denom = np.sqrt(np.divide(v, 1 - b2 ** t, out=tmp), out=tmp)
+    denom += state.eps_hat
+    np.multiply(np.divide(m, 1 - b1 ** t, out=step), lr, out=step)
+    params.flat -= np.divide(step, denom, out=step)
+    return params, state
 
 
 def beta1_drop(state: AdamState, t: int, schedule: Schedule) -> AdamState:
-    """Set beta1 to 0.5 once the decay phase is entered; idempotent."""
-    if t >= schedule.t0 and state.beta1 != BETA1_DECAY:
-        return replace(state, beta1=BETA1_DECAY)
+    """Set beta1 to 0.5 once the decay phase is entered; idempotent.
+    Changes `state` in place and returns it."""
+    if t >= schedule.t0:
+        state.beta1 = BETA1_DECAY
     return state

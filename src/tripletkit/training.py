@@ -59,49 +59,49 @@ class RunConfig:
 
 
 @dataclass
-class TrainResult:
+class TrainState:
+    """Everything a training step reads and advances; `train` returns it.
+    `state` is the Adam state."""
     params: numcore.MlpParams
     state: optim.AdamState
-    history: list[diagnostics.TrainLogRecord]
+    rng: np.random.Generator
+    history: list[diagnostics.TrainLogRecord] = field(default_factory=list)
+    t: int = 0
+    mined: sampling.TripletSet | None = None
 
 
 def train(cfg: RunConfig, dataset: sampling.LabeledDataset,
-          log_writer: diagnostics.TrainLogWriter | None = None) -> TrainResult:
+          log_writer: diagnostics.TrainLogWriter | None = None) -> TrainState:
     """Run the full schedule; raises CollapseError if the alarm fires, or
     its subclass NonFiniteLossError, before the update, on a NaN/inf loss.
 
     Partial history (and any log file written so far) is preserved on the
     exception for post-mortem inspection.
     """
-    widths = list(cfg.layer_widths)
-    if widths[0] != dataset.feature_dim:
-        widths = [dataset.feature_dim] + widths[1:]
+    widths = [dataset.feature_dim, *cfg.layer_widths[1:]]
     params = numcore.init_params(widths, cfg.seed)
-    state = optim.AdamState.for_params(params)
-    rng = np.random.default_rng(cfg.seed)
-    history: list[diagnostics.TrainLogRecord] = []
-    mined: sampling.TripletSet | None = None
+    run = TrainState(params, optim.AdamState.for_params(params),
+                     np.random.default_rng(cfg.seed))
+    grads = numcore.GradBundle(params.layers)   # mlp_backward's output buffer
     spec = losses.LOSSES[cfg.loss]
 
     for t in range(1, cfg.schedule.t1 + 1):
+        run.t = t
         lr = optim.lr_at(cfg.schedule, t)
-        state = optim.beta1_drop(state, t, cfg.schedule)
+        optim.beta1_drop(run.state, t, cfg.schedule)
 
-        if spec.batch == "random":
-            triplets = sampling.sample_random_triplets(dataset, cfg.B, rng)
+        if spec.batch == "mined" and (t - 1) % cfg.ohm_refresh_every == 0:
+            run.mined = sampling.mine_hard_offline(
+                params, dataset, cfg.ohm_sample_fraction, cfg.B, cfg.margin,
+                run.rng, cfg.metric)
+        if spec.batch == "pk":
+            rows = sampling.sample_pk_batch(dataset, cfg.P, cfg.K, run.rng).rows
+            labels = losses.BatchLabels(dataset.pids[rows], cfg.P, cfg.K)
+        else:
+            triplets = run.mined if spec.batch == "mined" else \
+                sampling.sample_random_triplets(dataset, cfg.B, run.rng)
             rows = triplets.materialize_rows()
             labels = losses.BatchLabels(dataset.pids[rows])
-        elif spec.batch == "mined":
-            if mined is None or (t - 1) % cfg.ohm_refresh_every == 0:
-                mined = sampling.mine_hard_offline(
-                    params, dataset, cfg.ohm_sample_fraction, cfg.B,
-                    cfg.margin, rng, cfg.metric)
-            rows = mined.materialize_rows()
-            labels = losses.BatchLabels(dataset.pids[rows])
-        else:
-            batch = sampling.sample_pk_batch(dataset, cfg.P, cfg.K, rng)
-            rows = batch.rows
-            labels = losses.BatchLabels(dataset.pids[rows], cfg.P, cfg.K)
 
         # overflow and NaN from a diverging step are reported by the guard below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -109,17 +109,17 @@ def train(cfg: RunConfig, dataset: sampling.LabeledDataset,
             report = spec.apply(emb, labels, cfg)
         if not math.isfinite(report.loss):
             raise NonFiniteLossError(t, "non-finite loss")
-        grads = numcore.mlp_backward(params, cache, report.grad_embeddings)
-        params, state = optim.adam_step(params, grads, state, lr)
+        numcore.mlp_backward(params, cache, report.grad_embeddings, grads)
+        optim.adam_step(params, grads, run.state, lr)
 
         record = diagnostics.batch_stats(emb, report, t, lr)
-        history.append(record)
+        run.history.append(record)
         if log_writer is not None:
             log_writer.append(record)
-        if diagnostics.collapse_alarm(history):
+        if diagnostics.collapse_alarm(run.history):
             raise CollapseError(t)
 
-    return TrainResult(params, state, history)
+    return run
 
 
 BENCHMARK_SEED = 7

@@ -367,6 +367,26 @@ class TestBenchLosses:
                        "-o", str(tmp_path)])
         assert rc == cli.EXIT_USAGE
 
+    def test_bad_margin_exits_2_before_training(self, tmp_path, monkeypatch,
+                                                capsys):
+        data = make_data(tmp_path, ids=8)
+        trained = []
+        monkeypatch.setattr(training, "train",
+                            lambda *a, **k: trained.append(a))
+        out = tmp_path / "bench"
+        rc = cli.main(["bench-losses", "--data", data, "--losses", "batch_hard",
+                       "--margins", "0.2,abc", "-o", str(out)])
+        assert rc == cli.EXIT_USAGE
+        assert "--margins" in capsys.readouterr().err
+        assert trained == []
+        assert not (out / "bench_losses.csv").exists()
+
+    def test_bad_losses_with_missing_data_exits_2(self, tmp_path, capsys):
+        rc = cli.main(["bench-losses", "--data", str(tmp_path / "absent.csv"),
+                       "--losses", "bogus", "-o", str(tmp_path)])
+        assert rc == cli.EXIT_USAGE
+        assert "--losses" in capsys.readouterr().err
+
     def test_nonfinite_cell_is_marked_collapsed(self, tmp_path):
         ds = read_dataset_csv(make_data(tmp_path, ids=8))
         train_set, val_set = training.identity_disjoint_split(ds, 0.3, 0)

@@ -5,7 +5,7 @@ import pytest
 
 from tripletkit.diagnostics import (LOG_HEADER, PERCENTILES, TrainLogRecord,
                                     TrainLogWriter, batch_stats,
-                                    collapse_alarm)
+                                    collapse_alarm, percentiles)
 from tripletkit.losses import BatchLabels, MarginMode, batch_hard_loss
 
 from oracles import oracle_sorted_percentile
@@ -47,6 +47,36 @@ class TestBatchStats:
             got = np.percentile(values, q)
             want = oracle_sorted_percentile(values.tolist(), q)
             assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("values", [
+        [3.5],                                  # one value
+        [2.0, -1.0],                            # two values
+        [1.0, 1.0, 2.0, 2.0, 2.0, 0.5],         # ties
+        [0.0, 0.0, 0.0],
+        np.linspace(0.1, 9.7, 21) ** 3,
+        np.random.default_rng(5).standard_normal(2556) * 1e-5,
+        np.random.default_rng(6).exponential(1e5, 999),
+    ])
+    @pytest.mark.parametrize("percents", [
+        (5,), PERCENTILES,
+        # fractional ranks with weight >= 0.5, interpolated from above
+        (7.5, 62.5, 87.5, 99.0),
+    ])
+    def test_percentiles_match_numpy_bitwise(self, values, percents):
+        values = np.asarray(values, dtype=np.float64)
+        want = np.percentile(values, percents)
+        got = percentiles(values, percents)
+        assert got.tobytes() == want.tobytes()
+
+    def test_percentiles_interpolate_down_from_upper_neighbour(self):
+        # rank 1.875 between 0.4858... and 0.8894...: weight 0.875 >= 0.5,
+        # where b - (b-a)*(1-t) and a + (b-a)*t differ in the last bit
+        values = np.array([0.9340435159562497, 0.35779519670907023,
+                           0.8894878343490003, 0.4858353588317891])
+        a, b, t = 0.4858353588317891, 0.8894878343490003, 0.875
+        assert a + (b - a) * t != b - (b - a) * (1 - t)
+        got = percentiles(values, (62.5,))[0]
+        assert got == b - (b - a) * (1 - t) == np.percentile(values, 62.5)
 
     def test_percentile_arrays_nondecreasing(self, rng):
         x = rng.standard_normal((10, 5))

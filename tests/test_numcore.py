@@ -157,3 +157,66 @@ def test_params_reject_broken_chain():
     with pytest.raises(ConfigError):
         MlpParams([(np.zeros((3, 4)), np.zeros(4)),
                    (np.zeros((5, 2)), np.zeros(2))])
+
+
+class TestFlatLayout:
+    def test_layers_are_views_of_flat(self):
+        p = init_params([4, 5, 3], seed=1)
+        assert p.flat.size == 4 * 5 + 5 + 5 * 3 + 3
+        p.layers[1][0][2, 1] = 7.25
+        p.layers[0][1][3] = -1.5
+        assert p.flat[4 * 5 + 5 + 2 * 3 + 1] == 7.25
+        assert p.flat[4 * 5 + 3] == -1.5
+        p.flat[-1] = 2.0
+        assert p.layers[1][1][-1] == 2.0
+
+    def test_copy_shares_no_memory(self):
+        p = init_params([4, 5, 3], seed=1)
+        q = p.copy()
+        assert not np.shares_memory(p.flat, q.flat)
+        for (w, b), (w2, b2) in zip(p.layers, q.layers):
+            assert not np.shares_memory(w, w2)
+            assert not np.shares_memory(b, b2)
+            assert np.array_equal(w, w2) and np.array_equal(b, b2)
+        q.flat += 1.0
+        assert not np.array_equal(p.flat, q.flat)
+
+    def test_construction_copies_its_inputs(self):
+        w, b = np.eye(3), np.zeros(3)
+        p = MlpParams([(w, b)])
+        p.flat[:] = 5.0
+        assert np.array_equal(w, np.eye(3)) and np.all(b == 0)
+
+    def test_backward_writes_into_given_bundle(self):
+        p = init_params([4, 5, 3], seed=2)
+        x = np.random.default_rng(2).standard_normal((6, 4))
+        up = np.random.default_rng(3).standard_normal((6, 3))
+        _, cache = mlp_forward(p, x)
+        out = numcore.GradBundle(p.layers)
+        buf = out.flat
+        assert mlp_backward(p, cache, up, out) is out
+        assert out.flat is buf
+        fresh = mlp_backward(p, cache, up)
+        assert fresh.flat.tobytes() == out.flat.tobytes()
+
+    def test_rejects_bad_slope_at_construction(self):
+        with pytest.raises(ConfigError):
+            MlpParams([(np.eye(2), np.zeros(2))], slope=1.0)
+
+    def test_hand_written_checkpoint_loads_and_resaves_byte_stable(self, tmp_path):
+        doc = {"layer_widths": [2, 3, 1], "slope": 0.3, "seed": None,
+               "layers": [{"weight": [[0.5, -1.0, 0.25], [2.0, 0.0, -0.125]],
+                           "bias": [0.1, 0.2, -0.3]},
+                          {"weight": [[1.5], [-2.5], [0.75]], "bias": [0.0]}],
+               "optim": {"step_count": 0}}
+        path = tmp_path / "hand.json"
+        path.write_text(json.dumps(doc))
+        params, optim_state = numcore.load_checkpoint(path)
+        assert optim_state == {"step_count": 0}
+        assert params.layers[0][0].tolist() == doc["layers"][0]["weight"]
+        assert params.layers[1][1].tolist() == doc["layers"][1]["bias"]
+        assert params.flat.tolist() == [0.5, -1.0, 0.25, 2.0, 0.0, -0.125,
+                                        0.1, 0.2, -0.3, 1.5, -2.5, 0.75, 0.0]
+        again = tmp_path / "again.json"
+        numcore.save_checkpoint(again, params, optim_state)
+        assert again.read_bytes() == path.read_bytes()

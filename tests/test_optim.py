@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tripletkit import numcore
+from tripletkit import diagnostics, losses, numcore, sampling, training
 from tripletkit.optim import (AdamState, Schedule, ScheduleError, adam_step,
                               beta1_drop, lr_at)
 
@@ -63,8 +63,9 @@ def test_first_step_matches_reference():
     g = numcore.GradBundle([(rng.standard_normal(w.shape),
                              rng.standard_normal(b.shape))
                             for w, b in p.layers])
+    before = p.copy()           # adam_step updates p in place
     p2, _ = adam_step(p, g, s, lr=1e-3)
-    for (w, b), (dw, db), (w2, b2) in zip(p.layers, g.layers, p2.layers):
+    for (w, b), (dw, db), (w2, b2) in zip(before.layers, g.layers, p2.layers):
         ref_w, _, _ = reference_adam(w, dw, np.zeros_like(w), np.zeros_like(w),
                                      1, 1e-3, 0.9, 0.999, 1e-8)
         ref_b, _, _ = reference_adam(b, db, np.zeros_like(b), np.zeros_like(b),
@@ -135,3 +136,111 @@ def test_state_serialization_round_trip():
     assert restored.beta1 == s.beta1
     for (a, b), (c, d) in zip(restored.first_moment, s.first_moment):
         assert np.array_equal(a, c) and np.array_equal(b, d)
+
+
+# Reference copy of the training loop as it was before the state went flat:
+# per-layer (weight, bias) tuple lists rebuilt every step, a np.where leaky
+# ReLU, a per-layer Adam that returns fresh arrays, and np.percentile
+# statistics. `training.train` must match it byte for byte.
+
+SLOPE = 0.3
+
+
+def reference_forward(layers, x):
+    acts, pres, h = [x], [], x
+    for i, (w, b) in enumerate(layers):
+        z = h @ w + b
+        pres.append(z)
+        h = z if i == len(layers) - 1 else np.where(z >= 0.0, z, SLOPE * z)
+        acts.append(h)
+    return h, acts, pres
+
+
+def reference_backward(layers, acts, pres, upstream):
+    n = len(layers)
+    grads, delta = [None] * n, upstream
+    for i in range(n - 1, -1, -1):
+        if i < n - 1:
+            delta = delta * np.where(pres[i] > 0.0, 1.0, SLOPE)
+        grads[i] = (acts[i].T @ delta, delta.sum(axis=0))
+        delta = delta @ layers[i][0].T
+    return grads
+
+
+def reference_adam_layers(layers, grads, m, v, t, lr, b1, b2=0.999, eps=1e-8):
+    out_p, out_m, out_v = [], [], []
+    for pair, gpair, mpair, vpair in zip(layers, grads, m, v):
+        ps, ms, vs = [], [], []
+        for p, g, mm, vv in zip(pair, gpair, mpair, vpair):
+            mm = b1 * mm + (1 - b1) * g
+            vv = b2 * vv + (1 - b2) * g * g
+            m_hat = mm / (1 - b1 ** t)
+            v_hat = vv / (1 - b2 ** t)
+            ps.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
+            ms.append(mm)
+            vs.append(vv)
+        out_p.append(tuple(ps))
+        out_m.append(tuple(ms))
+        out_v.append(tuple(vs))
+    return out_p, out_m, out_v
+
+
+def reference_row(emb, report, t, lr):
+    norms = np.linalg.norm(emb, axis=1)
+    dists = np.sqrt(report.distances.squared[np.triu_indices(len(emb), k=1)])
+    return diagnostics.TrainLogRecord(
+        t, float(report.loss), float(np.percentile(report.per_term, 5)),
+        report.active_fraction,
+        tuple(np.percentile(norms, diagnostics.PERCENTILES)),
+        tuple(np.percentile(dists, diagnostics.PERCENTILES)), lr).to_row()
+
+
+def reference_train(cfg, dataset):
+    init = numcore.init_params([dataset.feature_dim, *cfg.layer_widths[1:]],
+                               cfg.seed)
+    layers = [(w.copy(), b.copy()) for w, b in init.layers]
+    m = [(np.zeros_like(w), np.zeros_like(b)) for w, b in layers]
+    v = [(np.zeros_like(w), np.zeros_like(b)) for w, b in layers]
+    rng = np.random.default_rng(cfg.seed)
+    spec = losses.LOSSES[cfg.loss]
+    b1, mined, rows_out = 0.9, None, []
+    for t in range(1, cfg.schedule.t1 + 1):
+        lr = lr_at(cfg.schedule, t)
+        if t >= cfg.schedule.t0:
+            b1 = 0.5
+        if spec.batch == "mined":
+            if mined is None or (t - 1) % cfg.ohm_refresh_every == 0:
+                mined = sampling.mine_hard_offline(
+                    numcore.MlpParams(layers), dataset,
+                    cfg.ohm_sample_fraction, cfg.B, cfg.margin, rng, cfg.metric)
+            rows = mined.materialize_rows()
+            labels = losses.BatchLabels(dataset.pids[rows])
+        else:
+            rows = sampling.sample_pk_batch(dataset, cfg.P, cfg.K, rng).rows
+            labels = losses.BatchLabels(dataset.pids[rows], cfg.P, cfg.K)
+        emb, acts, pres = reference_forward(layers, dataset.features[rows])
+        report = spec.apply(emb, labels, cfg)
+        grads = reference_backward(layers, acts, pres, report.grad_embeddings)
+        layers, m, v = reference_adam_layers(layers, grads, m, v, t, lr, b1)
+        rows_out.append(reference_row(emb, report, t, lr))
+    return layers, m, v, b1, rows_out
+
+
+@pytest.mark.parametrize("loss", ["batch_hard", "triplet_ohm"])
+def test_train_matches_per_layer_reference(loss):
+    train_set, _ = training.default_benchmark_sets(3)
+    cfg = training.benchmark_config(loss, losses.MarginMode.soft(), seed=3)
+    # 50 steps crossing the beta1 drop at t0, with an OHM refresh at t=26
+    cfg.schedule = Schedule(1e-3, 30, 50)
+    cfg.ohm_refresh_every = 25
+    result = training.train(cfg, train_set)
+    layers, m, v, b1, rows = reference_train(cfg, train_set)
+
+    def raw(pairs):
+        return b"".join(a.tobytes() for pair in pairs for a in pair)
+
+    assert raw(result.params.layers) == raw(layers)
+    assert raw(result.state.first_moment) == raw(m)
+    assert raw(result.state.second_moment) == raw(v)
+    assert (result.state.step_count, result.state.beta1) == (50, b1)
+    assert [r.to_row() for r in result.history] == rows

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from tripletkit import sampling
@@ -232,3 +234,46 @@ class TestCsvRoundTrip:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
             read_dataset_csv(path)
+
+
+# Property-based invariants of the PK sampler (needs hypothesis, see the
+# `test` extra): identity-blocked layout, no single-row identity, and draws
+# without replacement when an identity has at least K rows.
+
+
+@st.composite
+def pk_cases(draw):
+    """A label column, P and K with at least P identities of >= 2 rows."""
+    sizes = draw(st.lists(st.integers(1, 7), min_size=2, max_size=12))
+    usable = sum(s >= 2 for s in sizes)
+    if usable < 2:
+        sizes += [2, 2]
+        usable += 2
+    pids = np.repeat(draw(st.permutations(range(len(sizes)))), sizes)
+    pids = draw(st.permutations(pids.tolist()))
+    P = draw(st.integers(2, usable))
+    K = draw(st.integers(2, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.array(pids), P, K, seed
+
+
+class TestPKBatchProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(pk_cases())
+    def test_invariants(self, case):
+        pids, P, K, seed = case
+        n = len(pids)
+        ds = LabeledDataset(np.zeros((n, 2)), pids, np.zeros(n), np.arange(n))
+        batch = sample_pk_batch(ds, P, K, np.random.default_rng(seed))
+        blocks = batch.rows.reshape(P, K)
+        block_pids = pids[blocks]
+        # identity-blocked: each block is one identity, and no identity twice
+        assert (block_pids == block_pids[:, :1]).all()
+        assert len(set(block_pids[:, 0].tolist())) == P
+        for block, pid in zip(blocks, block_pids[:, 0]):
+            own = np.flatnonzero(pids == pid)
+            assert len(own) >= 2            # no single-row identity
+            if len(own) >= K:               # drawn without replacement
+                assert len(set(block.tolist())) == K
+            else:                           # every row, then repeats
+                assert set(block.tolist()) == set(own.tolist())
