@@ -25,20 +25,23 @@ def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
     if not 0.0 <= slope < 1.0:
         raise ConfigError(f"slope must be in [0, 1), got {slope}")
     x = np.asarray(x, dtype=np.float64)
-    return np.maximum(x, slope * x)     # the larger of the two for slope < 1
+    h = slope * x
+    return np.maximum(x, h, out=h)      # the larger of the two for slope < 1
 
 
 Layers = list[tuple[np.ndarray, np.ndarray]]
 
 
-def pack_layers(layers: Layers) -> tuple[np.ndarray, Layers]:
+def pack_layers(layers: Layers) -> tuple[np.ndarray, Layers, tuple]:
     """Copy (weight, bias) pairs into one new float64 vector, layer by
-    layer, weight before bias; return it and the pairs as views into it."""
+    layer, weight before bias; return it, the pairs as views into it and
+    the views' shapes, which compare two layouts."""
     arrays = [np.ravel(a) for pair in layers for a in pair]
     flat = np.concatenate(arrays, dtype=np.float64)
     parts = np.split(flat, np.cumsum([a.size for a in arrays[:-1]]))
-    return flat, [(parts[2 * i].reshape(w.shape), parts[2 * i + 1])
-                  for i, (w, _) in enumerate(layers)]
+    views = [(parts[2 * i].reshape(w.shape), parts[2 * i + 1])
+             for i, (w, _) in enumerate(layers)]
+    return flat, views, tuple((w.shape, b.shape) for w, b in views)
 
 
 @dataclass
@@ -48,7 +51,8 @@ class MlpParams:
     Weight i has shape (in_width, out_width); bias i has shape (out_width,).
     Hidden layers are followed by leaky ReLU, the last layer is linear.
     The pairs are copied into one vector, `flat`, and `layers` holds views
-    into it, so an update of `flat` is an update of every layer.
+    into it, so an update of `flat` is an update of every layer. The slope
+    is checked by `leaky_relu`, which the forward pass applies.
     """
 
     layers: Layers
@@ -59,14 +63,12 @@ class MlpParams:
     def __post_init__(self):
         if not self.layers:
             raise ConfigError("MlpParams needs at least one layer")
-        if not 0.0 <= self.slope < 1.0:
-            raise ConfigError(f"slope must be in [0, 1), got {self.slope}")
         for i, (w, b) in enumerate(self.layers):
             if w.shape[1] != b.shape[0]:
                 raise ConfigError(f"layer {i}: weight/bias width mismatch")
             if i > 0 and self.layers[i - 1][0].shape[1] != w.shape[0]:
                 raise ConfigError(f"layer {i}: does not chain with layer {i-1}")
-        self.flat, self.layers = pack_layers(self.layers)
+        self.flat, self.layers, self.shapes = pack_layers(self.layers)
         if not self.layer_widths:
             self.layer_widths = [self.input_dim] + [
                 w.shape[1] for w, _ in self.layers
@@ -89,7 +91,7 @@ class GradBundle:
     layers: Layers
 
     def __post_init__(self):
-        self.flat, self.layers = pack_layers(self.layers)
+        self.flat, self.layers, self.shapes = pack_layers(self.layers)
 
 
 def init_params(layer_widths: list[int], seed: int) -> MlpParams:
@@ -131,9 +133,8 @@ def mlp_forward(params: MlpParams, inputs: np.ndarray) -> tuple[np.ndarray, Forw
             f"expected input shape (B, {params.input_dim}), got {x.shape}")
     cache = ForwardCache([], [x])
     for i, (w, b) in enumerate(params.layers):
-        if i:       # leaky ReLU after every hidden layer, in place
-            h = params.slope * z
-            cache.activations.append(np.maximum(z, h, out=h))
+        if i:       # leaky ReLU after every hidden layer
+            cache.activations.append(leaky_relu(z, params.slope))
         z = cache.activations[-1] @ w
         z += b
         cache.pre_activations.append(z)

@@ -57,8 +57,10 @@ class AdamState:
     eps_hat: float = 1e-8
 
     def __post_init__(self):
-        self.m, self.first_moment = pack_layers(self.first_moment)
-        self.v, self.second_moment = pack_layers(self.second_moment)
+        self.m, self.first_moment, self.shapes = pack_layers(self.first_moment)
+        self.v, self.second_moment, shapes = pack_layers(self.second_moment)
+        if shapes != self.shapes:
+            raise DimensionError("first and second moments differ in layout")
         # scratch for adam_step, so that an update allocates nothing
         self._tmp, self._step = np.empty_like(self.m), np.empty_like(self.m)
 
@@ -92,7 +94,7 @@ def adam_step(params: MlpParams, grads: GradBundle, state: AdamState,
               lr: float) -> tuple[MlpParams, AdamState]:
     """One Adam update with bias correction, made in place on `params`
     and `state`, which are returned."""
-    if not params.flat.shape == grads.flat.shape == state.m.shape:
+    if not params.shapes == grads.shapes == state.shapes:
         raise DimensionError("gradients or Adam state do not fit params")
     if lr <= 0:
         raise ValueError("lr must be positive")

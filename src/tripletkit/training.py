@@ -59,19 +59,14 @@ class RunConfig:
 
 
 @dataclass
-class TrainState:
-    """Everything a training step reads and advances; `train` returns it.
-    `state` is the Adam state."""
+class TrainResult:
     params: numcore.MlpParams
     state: optim.AdamState
-    rng: np.random.Generator
-    history: list[diagnostics.TrainLogRecord] = field(default_factory=list)
-    t: int = 0
-    mined: sampling.TripletSet | None = None
+    history: list[diagnostics.TrainLogRecord]
 
 
 def train(cfg: RunConfig, dataset: sampling.LabeledDataset,
-          log_writer: diagnostics.TrainLogWriter | None = None) -> TrainState:
+          log_writer: diagnostics.TrainLogWriter | None = None) -> TrainResult:
     """Run the full schedule; raises CollapseError if the alarm fires, or
     its subclass NonFiniteLossError, before the update, on a NaN/inf loss.
 
@@ -80,26 +75,27 @@ def train(cfg: RunConfig, dataset: sampling.LabeledDataset,
     """
     widths = [dataset.feature_dim, *cfg.layer_widths[1:]]
     params = numcore.init_params(widths, cfg.seed)
-    run = TrainState(params, optim.AdamState.for_params(params),
-                     np.random.default_rng(cfg.seed))
+    state = optim.AdamState.for_params(params)
+    rng = np.random.default_rng(cfg.seed)
+    history: list[diagnostics.TrainLogRecord] = []
+    mined: sampling.TripletSet | None = None
     grads = numcore.GradBundle(params.layers)   # mlp_backward's output buffer
     spec = losses.LOSSES[cfg.loss]
 
     for t in range(1, cfg.schedule.t1 + 1):
-        run.t = t
         lr = optim.lr_at(cfg.schedule, t)
-        optim.beta1_drop(run.state, t, cfg.schedule)
+        optim.beta1_drop(state, t, cfg.schedule)
 
         if spec.batch == "mined" and (t - 1) % cfg.ohm_refresh_every == 0:
-            run.mined = sampling.mine_hard_offline(
+            mined = sampling.mine_hard_offline(
                 params, dataset, cfg.ohm_sample_fraction, cfg.B, cfg.margin,
-                run.rng, cfg.metric)
+                rng, cfg.metric)
         if spec.batch == "pk":
-            rows = sampling.sample_pk_batch(dataset, cfg.P, cfg.K, run.rng).rows
+            rows = sampling.sample_pk_batch(dataset, cfg.P, cfg.K, rng).rows
             labels = losses.BatchLabels(dataset.pids[rows], cfg.P, cfg.K)
         else:
-            triplets = run.mined if spec.batch == "mined" else \
-                sampling.sample_random_triplets(dataset, cfg.B, run.rng)
+            triplets = mined if spec.batch == "mined" else \
+                sampling.sample_random_triplets(dataset, cfg.B, rng)
             rows = triplets.materialize_rows()
             labels = losses.BatchLabels(dataset.pids[rows])
 
@@ -110,16 +106,16 @@ def train(cfg: RunConfig, dataset: sampling.LabeledDataset,
         if not math.isfinite(report.loss):
             raise NonFiniteLossError(t, "non-finite loss")
         numcore.mlp_backward(params, cache, report.grad_embeddings, grads)
-        optim.adam_step(params, grads, run.state, lr)
+        optim.adam_step(params, grads, state, lr)
 
         record = diagnostics.batch_stats(emb, report, t, lr)
-        run.history.append(record)
+        history.append(record)
         if log_writer is not None:
             log_writer.append(record)
-        if diagnostics.collapse_alarm(run.history):
+        if diagnostics.collapse_alarm(history):
             raise CollapseError(t)
 
-    return run
+    return TrainResult(params, state, history)
 
 
 BENCHMARK_SEED = 7

@@ -199,9 +199,10 @@ class TestFlatLayout:
         fresh = mlp_backward(p, cache, up)
         assert fresh.flat.tobytes() == out.flat.tobytes()
 
-    def test_rejects_bad_slope_at_construction(self):
+    def test_forward_rejects_bad_slope(self):
+        p = MlpParams([(np.eye(2), np.zeros(2))] * 2, slope=1.0)
         with pytest.raises(ConfigError):
-            MlpParams([(np.eye(2), np.zeros(2))], slope=1.0)
+            mlp_forward(p, np.ones((1, 2)))
 
     def test_hand_written_checkpoint_loads_and_resaves_byte_stable(self, tmp_path):
         doc = {"layer_widths": [2, 3, 1], "slope": 0.3, "seed": None,

@@ -40,11 +40,29 @@ def test_zero_gradient_step():
     s = AdamState.for_params(p)
     g = numcore.GradBundle([(np.zeros_like(w), np.zeros_like(b))
                             for w, b in p.layers])
+    before = p.copy()           # adam_step updates p in place
     p2, s2 = adam_step(p, g, s, lr=1e-3)
     assert s2.step_count == 1
-    for (w0, b0), (w1, b1) in zip(p.layers, p2.layers):
+    for (w0, b0), (w1, b1) in zip(before.layers, p2.layers):
         assert np.array_equal(w0, w1)
         assert np.array_equal(b0, b1)
+
+
+def test_rejects_layouts_that_only_match_in_size():
+    p = numcore.init_params([4, 3, 2], seed=0)
+    # transposed weights: as many values as `p`, in other layer shapes
+    shuffled = [(np.zeros(w.shape[::-1]), np.zeros_like(b)) for w, b in p.layers]
+    assert sum(w.size + b.size for w, b in shuffled) == p.flat.size
+    good_g = numcore.GradBundle(p.layers)
+    with pytest.raises(numcore.DimensionError):
+        adam_step(p, numcore.GradBundle(shuffled), AdamState.for_params(p), 1e-3)
+    with pytest.raises(numcore.DimensionError):
+        adam_step(p, good_g, AdamState(shuffled, shuffled), 1e-3)
+    doc = AdamState.for_params(p).to_dict()
+    doc["second_moment"] = AdamState(shuffled, shuffled).to_dict()["second_moment"]
+    with pytest.raises(numcore.DimensionError):
+        AdamState.from_dict(doc)
+    assert p.flat.tolist() == numcore.init_params([4, 3, 2], seed=0).flat.tolist()
 
 
 def reference_adam(p, g, m, v, t, lr, b1, b2, eps):
