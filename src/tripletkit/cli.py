@@ -236,8 +236,7 @@ def cmd_bench_losses(args) -> int:
         try:
             losses.parse_margin(text)
         except ValueError as exc:
-            print(f"error: --margins: bad margin {text!r}: {exc}",
-                  file=sys.stderr)
+            print(f"error: --margins: {exc}", file=sys.stderr)
             return EXIT_USAGE
     base = _run_config(args)
     dataset = sampling.read_dataset_csv(args.data)

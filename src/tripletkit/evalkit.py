@@ -219,9 +219,8 @@ def combine_embeddings_max(embeddings: list[np.ndarray]) -> np.ndarray:
 
 
 def inject_distractors(gallery: LabeledDataset, distractors: LabeledDataset,
-                       query_pids: np.ndarray,
-                       prepend: bool = False) -> LabeledDataset:
-    """Concatenate distractor rows into the gallery.
+                       query_pids: np.ndarray) -> LabeledDataset:
+    """Append distractor rows to the gallery.
 
     Distractor identities must be disjoint from every query identity so
     they can never be relevant.
@@ -229,7 +228,7 @@ def inject_distractors(gallery: LabeledDataset, distractors: LabeledDataset,
     clash = np.intersect1d(np.unique(distractors.pids), np.unique(query_pids))
     if len(clash):
         raise ProtocolError(f"distractor identities collide with queries: {clash}")
-    parts = ([distractors, gallery] if prepend else [gallery, distractors])
+    parts = [gallery, distractors]
     feats = np.concatenate([p.features for p in parts])
     pids = np.concatenate([p.pids for p in parts])
     cams = np.concatenate([p.cams for p in parts])

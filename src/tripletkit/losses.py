@@ -9,12 +9,12 @@ an N x N matrix and chaining through the distance metric once at the end.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.special import expit, log1p, logsumexp, softmax
 
 ACTIVE_THRESHOLD = 1e-5
 
@@ -36,6 +36,8 @@ class MarginMode:
     m: float = 0.0
 
     def __post_init__(self):
+        if not math.isfinite(self.m):
+            raise ValueError(f"margin must be finite, got {self.m}")
         if self.kind == "hard" and self.m < 0:
             raise ValueError("hard margin must be nonnegative")
 
@@ -49,19 +51,19 @@ class MarginMode:
 
 
 def margin_apply(x, mode: MarginMode):
-    """hard(m): max(0, m + x); soft: softplus(x), overflow-safe."""
+    """hard(m): max(0, m + x); soft: softplus(x) = log(1 + e^x), overflow-safe."""
     x = np.asarray(x, dtype=np.float64)
     if mode.kind == "hard":
         return np.maximum(0.0, mode.m + x)
-    # stable softplus: max(x, 0) + log1p(exp(-|x|))
-    return np.maximum(x, 0.0) + log1p(np.exp(-np.abs(x)))
+    return np.logaddexp(0.0, x)
 
 
 def margin_apply_grad(x, mode: MarginMode):
+    """The slope of `margin_apply`: a step, or the logistic 1 / (1 + e^-x)."""
     x = np.asarray(x, dtype=np.float64)
     if mode.kind == "hard":
         return np.where(mode.m + x > 0, 1.0, 0.0)
-    return expit(x)
+    return np.exp(-np.logaddexp(0.0, -x))     # no overflow for x << 0
 
 
 @dataclass
@@ -166,6 +168,17 @@ def triplet_differences(d: np.ndarray, ids: np.ndarray, lo: int = 0,
     return rows[:, :, None] - rows[:, None, :], pos[:, :, None] & ~same[:, None, :]
 
 
+def _logsumexp_softmax(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise log-sum-exp of `a` and its softmax, from one shifted exp.
+
+    Masked entries are -inf; every row needs at least one finite entry.
+    """
+    top = a.max(axis=1, keepdims=True)
+    e = np.exp(a - top)
+    total = e.sum(axis=1, keepdims=True)
+    return np.log(total[:, 0]) + top[:, 0], e / total
+
+
 def _finish(loss: float, per_term: np.ndarray, coeff: np.ndarray,
             embeddings: np.ndarray, dist: DistanceMatrix) -> LossReport:
     grad = _chain_through_metric(embeddings, dist, coeff)
@@ -226,29 +239,27 @@ def batch_all_loss(embeddings: np.ndarray, labels: BatchLabels,
     d = dist.values
     n = len(x)
     xvals, valid = triplet_differences(d, labels.identities)
-    per_term = margin_apply(xvals, mode)[valid]
-    num_terms = int(valid.sum())
+    applied = margin_apply(xvals, mode)
+    per_term = applied[valid]
 
     if averaging == "nonzero":
         divisor = int(np.sum(per_term > ACTIVE_THRESHOLD))
     else:
-        divisor = num_terms
+        divisor = len(per_term)
 
     coeff = np.zeros((n, n))
     loss = 0.0
     if divisor > 0:
         g = margin_apply_grad(xvals, mode) * valid
         if averaging == "nonzero":
-            g = g * (margin_apply(xvals, mode) > ACTIVE_THRESHOLD)
+            g = g * (applied > ACTIVE_THRESHOLD)
             loss = float(np.sum(per_term[per_term > ACTIVE_THRESHOLD]) / divisor)
         else:
             loss = float(per_term.sum() / divisor)
         g = g / divisor
         coeff += g.sum(axis=2)          # d/dD(a,p)
         coeff -= g.sum(axis=1)          # d/dD(a,n)
-    report = _finish(loss, per_term, coeff, x, dist)
-    report.num_terms = num_terms
-    return report
+    return _finish(loss, per_term, coeff, x, dist)
 
 
 def classic_triplet_loss(embeddings: np.ndarray,
@@ -354,12 +365,13 @@ def lifted_loss(embeddings: np.ndarray, pairing: np.ndarray | list,
     negative = np.ones((len(pairs), n), dtype=bool)
     negative[terms, a] = negative[terms, p] = False
     exps = np.where(np.tile(negative, 2), m - np.hstack([d[a], d[p]]), -np.inf)
-    inner = d[a, p] + logsumexp(exps, axis=1)
+    lse, weights = _logsumexp_softmax(exps)
+    inner = d[a, p] + lse
     per_term = margin_apply(inner, outer)
     g = margin_apply_grad(inner, outer) / len(pairs)
     # d/dD(a_i, .) then d/dD(p_i, .); the a_i half also holds +g at p_i.
     # Reshaped, the rows go a_0, p_0, a_1, p_1, ... as `pairs.ravel()`.
-    rows = -g[:, None] * softmax(exps, axis=1)
+    rows = -g[:, None] * weights
     rows[terms, p] += g
     coeff = np.zeros((n, n))
     np.add.at(coeff, pairs.ravel(), rows.reshape(-1, n))
@@ -380,10 +392,12 @@ def lifted_generalized_loss(embeddings: np.ndarray, labels: BatchLabels,
 
     pos_exps = np.where(pos, d, -np.inf)
     neg_exps = np.where(neg, m - d, -np.inf)
-    inner = logsumexp(pos_exps, axis=1) + logsumexp(neg_exps, axis=1)
+    lse_pos, soft_pos = _logsumexp_softmax(pos_exps)
+    lse_neg, soft_neg = _logsumexp_softmax(neg_exps)
+    inner = lse_pos + lse_neg
     per_term = margin_apply(inner, outer)
     g = margin_apply_grad(inner, outer)[:, None] / n
-    coeff = g * softmax(pos_exps, axis=1) - g * softmax(neg_exps, axis=1)
+    coeff = g * soft_pos - g * soft_neg
     return _finish(per_term.mean(), per_term, coeff, x, dist)
 
 
@@ -445,8 +459,11 @@ LOSS_NAMES = tuple(LOSSES)
 
 
 def parse_margin(text: str) -> MarginMode:
-    """Parse a CLI margin value: 'soft' or any nonnegative real."""
+    """Parse a CLI margin value: 'soft' or a finite nonnegative real."""
     if text == "soft":
         return MarginMode.soft()
-    m = float(text)
-    return MarginMode.hard(m)
+    try:
+        return MarginMode.hard(float(text))
+    except ValueError:
+        raise ValueError(f"bad margin {text!r}: expected 'soft' or a finite "
+                         "nonnegative real") from None

@@ -70,8 +70,8 @@ def train(cfg: RunConfig, dataset: sampling.LabeledDataset,
     """Run the full schedule; raises CollapseError if the alarm fires, or
     its subclass NonFiniteLossError, before the update, on a NaN/inf loss.
 
-    Partial history (and any log file written so far) is preserved on the
-    exception for post-mortem inspection.
+    The exception carries only the iteration. The in-memory history is
+    lost with it; only the log rows `log_writer` has already written survive.
     """
     widths = [dataset.feature_dim, *cfg.layer_widths[1:]]
     params = numcore.init_params(widths, cfg.seed)

@@ -81,6 +81,13 @@ class TestTrain:
         rc, _ = quick_train(tmp_path, data, extra=("--margin", "-1"))
         assert rc == cli.EXIT_USAGE
 
+    def test_nonfinite_margin_exits_2(self, tmp_path, capsys):
+        data = make_data(tmp_path)
+        rc, out = quick_train(tmp_path, data, extra=("--margin", "nan"))
+        assert rc == cli.EXIT_USAGE
+        assert "margin 'nan'" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("fraction", ["0", "2"])
     def test_bad_ohm_sample_fraction_exits_2(self, tmp_path, fraction):
         data = make_data(tmp_path)
@@ -378,6 +385,21 @@ class TestBenchLosses:
                        "--margins", "0.2,abc", "-o", str(out)])
         assert rc == cli.EXIT_USAGE
         assert "--margins" in capsys.readouterr().err
+        assert trained == []
+        assert not (out / "bench_losses.csv").exists()
+
+    def test_nonfinite_margin_exits_2_before_training(self, tmp_path,
+                                                      monkeypatch, capsys):
+        data = make_data(tmp_path, ids=8)
+        trained = []
+        monkeypatch.setattr(training, "train",
+                            lambda *a, **k: trained.append(a))
+        out = tmp_path / "bench"
+        rc = cli.main(["bench-losses", "--data", data, "--losses", "batch_hard",
+                       "--margins", "0.2,inf", "-o", str(out)])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--margins" in err and "margin 'inf'" in err
         assert trained == []
         assert not (out / "bench_losses.csv").exists()
 

@@ -241,6 +241,10 @@ class TestDistractors:
         g = embset([[0.0, 0.0], [5.0, 0.0]], [0, 1], cams=[0, 0])
         proto = EvalProtocol(cmc_ranks=(1,))
         assert evaluate(q, g, proto).cmc[1] == 1.0
+        # a distance tie goes to the earlier gallery row
+        twin_first = embset([[0.0, 0.0], [0.0, 0.0], [5.0, 0.0]], [42, 0, 1],
+                            cams=[0, 0, 0])
+        assert evaluate(q, twin_first, proto).cmc[1] == 0.0
         twin = embset([[0.0, 0.0]], [42], cams=[0])
-        injected = inject_distractors(g, twin, q.pids, prepend=True)
-        assert evaluate(q, injected, proto).cmc[1] == 0.0
+        appended = inject_distractors(g, twin, q.pids)
+        assert evaluate(q, appended, proto).cmc[1] == 1.0

@@ -67,6 +67,11 @@ class TestMarginApply:
     def test_soft_overflow_safe(self):
         big = float(margin_apply(1e4, SOFT))
         assert np.isfinite(big) and big == pytest.approx(1e4)
+        # value and slope at the extremes; a RuntimeWarning fails the suite
+        x = np.array([-1e4, -800.0, 800.0, 1e4])
+        assert np.array_equal(margin_apply(x, SOFT), [0.0, 0.0, 800.0, 1e4])
+        assert np.array_equal(losses.margin_apply_grad(x, SOFT),
+                              [0.0, 0.0, 1.0, 1.0])
 
     def test_soft_dominates_hinge(self, rng):
         x = rng.uniform(-50, 50, 1000)
@@ -84,6 +89,11 @@ class TestMarginApply:
         assert parse_margin("0.2") == MarginMode.hard(0.2)
         with pytest.raises(ValueError):
             parse_margin("-1")
+        for text in ("nan", "inf", "-inf"):
+            with pytest.raises(ValueError, match=f"margin '{text}'"):
+                parse_margin(text)
+            with pytest.raises(ValueError):
+                MarginMode.hard(float(text))
 
 
 ONE_D_BATCH = np.array([[0.0], [1.0], [1.5], [2.5]])
