@@ -238,6 +238,10 @@ def cmd_bench_losses(args) -> int:
         except ValueError as exc:
             print(f"error: --margins: {exc}", file=sys.stderr)
             return EXIT_USAGE
+    if not 0.0 < args.val_fraction < 1.0:
+        print(f"error: --val-fraction must be in (0, 1), got "
+              f"{args.val_fraction}", file=sys.stderr)
+        return EXIT_USAGE
     base = _run_config(args)
     dataset = sampling.read_dataset_csv(args.data)
     train_set, val_set = training.identity_disjoint_split(

@@ -34,6 +34,10 @@ class GenSpec:
             raise ValueError("outlier_rate must be in [0, 1)")
         if self.num_identities < 1 or self.items_per_identity < 1:
             raise ValueError("counts must be positive")
+        for name in ("feature_dim", "num_cameras"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def generate(spec: GenSpec) -> LabeledDataset:

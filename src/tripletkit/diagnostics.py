@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,17 +51,19 @@ def batch_stats(embeddings: np.ndarray, report: LossReport,
     interpolation between closest ranks.
     """
     x = np.asarray(embeddings, dtype=np.float64)
-    norms = np.linalg.norm(x, axis=1)
+    norms = np.sqrt((x * x).sum(axis=1))    # np.linalg.norm's own formula
     upper = _upper_triangle(len(x))
     dists = np.sqrt(report.distances.squared.take(upper)) if len(upper) \
         else np.zeros(1)
+    values = _percentiles_of((report.per_term, norms, dists),
+                             ((5,), PERCENTILES, PERCENTILES)).tolist()
     return TrainLogRecord(
         iteration=iteration,
         loss_mean=float(report.loss),
-        loss_p5=float(percentiles(report.per_term, (5,))[0]),
+        loss_p5=values[0],
         active_fraction=report.active_fraction,
-        emb_norm_percentiles=tuple(percentiles(norms, PERCENTILES)),
-        pair_dist_percentiles=tuple(percentiles(dists, PERCENTILES)),
+        emb_norm_percentiles=tuple(values[1:6]),
+        pair_dist_percentiles=tuple(values[6:]),
         lr=lr,
     )
 
@@ -76,28 +79,55 @@ def percentiles(values: np.ndarray, percents: tuple) -> np.ndarray:
     """`np.percentile(values, percents)` from one sort, bit for bit as long
     as `values` do not hold both signed zeros (NumPy's partition leaves
     their order open)."""
-    s = np.sort(values, axis=None)
-    lo, hi, gamma, from_hi = _interpolation(len(s), percents)
+    return _percentiles_of((np.asarray(values),), (tuple(percents),))
+
+
+def _percentiles_of(arrays: tuple, percents: tuple) -> np.ndarray:
+    """`percentiles(arrays[i], percents[i])` for every i, concatenated:
+    one sort per array, then one gather and one interpolation for all."""
+    sizes = tuple(a.size for a in arrays)
+    if 0 in sizes:
+        raise ValueError("percentiles of an empty array")
+    lo, hi, gamma, rest, from_hi, last, group, segments = _interpolation(
+        sizes, percents)
+    s = np.concatenate(arrays, axis=None)
+    for segment in segments:
+        s[segment].sort()
     a, b = s[lo], s[hi]
     diff = b - a
     out = a + diff * gamma
-    np.subtract(b, diff * (1 - gamma), out=out, where=from_hi)
-    if np.isnan(s[-1]):     # a NaN makes every percentile NaN
-        out[:] = np.nan
+    np.subtract(b, diff * rest, out=out, where=from_hi)
+    nan = np.isnan(s[last])     # a NaN, sorted last, makes every percentile
+    if nan.any():               # of its array NaN
+        out[nan[group]] = np.nan
     return out
 
 
 @functools.lru_cache(maxsize=64)
-def _interpolation(n: int, percents: tuple) -> tuple[np.ndarray, ...]:
-    """NumPy's linear-method neighbours and weights for n sorted values:
-    lower and upper indices (both the last one at or past the end), the
-    weight of the upper, and where the value is taken from the upper."""
-    virtual = (n - 1) * np.true_divide(percents, 100)
-    past = virtual >= n - 1
-    lo = np.where(past, -1, np.floor(virtual)).astype(np.intp)
-    hi = np.where(past, -1, lo + 1)
-    gamma = virtual - lo
-    return tuple(map(_read_only, (lo, hi, gamma, gamma >= 0.5)))
+def _interpolation(sizes: tuple, percents: tuple) -> tuple[np.ndarray, ...]:
+    """NumPy's linear-method neighbours and weights for arrays of `sizes`
+    sorted values laid end to end, `percents[i]` taken of array i: lower
+    and upper indices (both the array's last one at or past its end), the
+    weights of the upper and of the lower, where the value is taken from
+    the upper, each array's last index, each value's array, and the
+    arrays' slices."""
+    parts, segments = [], []
+    start = 0
+    for n, pcts in zip(sizes, percents):
+        segments.append(slice(start, start + n))
+        virtual = (n - 1) * np.true_divide(pcts, 100)
+        past = virtual >= n - 1
+        lo = np.where(past, -1, np.floor(virtual)).astype(np.intp)
+        hi = np.where(past, -1, lo + 1)
+        gamma = virtual - lo
+        parts.append((np.where(lo < 0, lo + n, lo) + start,
+                      np.where(hi < 0, hi + n, hi) + start, gamma))
+        start += n
+    lo, hi, gamma = (np.concatenate(p) for p in zip(*parts))
+    last = np.cumsum(sizes) - 1
+    group = np.repeat(np.arange(len(sizes)), [len(p) for p in percents])
+    return (*map(_read_only, (lo, hi, gamma, 1 - gamma, gamma >= 0.5, last,
+                              group)), tuple(segments))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -116,10 +146,10 @@ def collapse_alarm(history: list[TrainLogRecord],
         return False
     initial_median = history[0].pair_dist_percentiles[2]
     threshold = COLLAPSE_DIST_RATIO * initial_median
-    recent = history[-window:]
+    # newest first, so a healthy run stops at its last record
     return all(r.pair_dist_percentiles[2] < threshold
                and r.active_fraction > COLLAPSE_ACTIVITY
-               for r in recent)
+               for r in itertools.islice(reversed(history), window))
 
 
 class TrainLogWriter:

@@ -76,16 +76,23 @@ class DistanceMatrix:
 def pairwise_distances(embeddings: np.ndarray, metric: Metric = "euclidean") -> DistanceMatrix:
     """All pairwise distances among rows; euclidean uses a clamped sqrt."""
     x = np.asarray(embeddings, dtype=np.float64)
-    sq = np.sum(x * x, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    n = len(x)
+    sq = (x * x).sum(axis=1)
+    # (|a|^2 + |b|^2) - 2 a.b, clamped at 0, zero diagonal, then symmetrized
+    gram = x @ x.T
+    gram *= 2.0
+    d2 = np.add.outer(sq, sq)
+    d2 -= gram
     np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
-    d2 = 0.5 * (d2 + d2.T)
+    d2.flat[::n + 1] = 0.0
+    d2 = np.add(d2, d2.T, out=gram)
+    d2 *= 0.5
     if metric == "squared_euclidean":
         return DistanceMatrix(d2, metric, d2)
     if metric == "euclidean":
-        d = np.sqrt(np.maximum(d2, EUCLID_SQ_FLOOR))
-        np.fill_diagonal(d, 0.0)
+        d = np.maximum(d2, EUCLID_SQ_FLOOR)
+        np.sqrt(d, out=d)
+        d.flat[::n + 1] = 0.0
         return DistanceMatrix(d, metric, d2)
     raise ValueError(f"unknown metric {metric!r}")
 
@@ -99,13 +106,12 @@ def _chain_through_metric(embeddings: np.ndarray, dist: DistanceMatrix,
     opposite-signed contributions.
     """
     x = np.asarray(embeddings, dtype=np.float64)
-    w = coeff + coeff.T
+    k = coeff + coeff.T
     if dist.metric == "squared_euclidean":
-        k = 2.0 * w
+        k *= 2.0
     else:
-        denom = np.maximum(dist.values, EUCLID_GRAD_FLOOR)
-        k = w / denom
-    np.fill_diagonal(k, 0.0)
+        k /= np.maximum(dist.values, EUCLID_GRAD_FLOOR)
+    k.flat[::len(k) + 1] = 0.0
     return k.sum(axis=1)[:, None] * x - k @ x
 
 
@@ -120,20 +126,29 @@ class BatchLabels:
     def __post_init__(self):
         self.identities = np.asarray(self.identities)
 
-    def validate_pk(self) -> tuple[int, int]:
-        ids, counts = np.unique(self.identities, return_counts=True)
-        p = len(ids)
-        if p < 2:
+    def same_label(self) -> np.ndarray:
+        """same[i, j] is True when rows i and j carry one identity."""
+        return self.identities[:, None] == self.identities[None, :]
+
+    def validate_pk(self, same: np.ndarray | None = None) -> tuple[int, int]:
+        """(P, K) of a PK batch, or BatchContractError. `same` is the
+        batch's `same_label()` matrix, when the caller already has it."""
+        if same is None:
+            same = self.same_label()
+        counts = same.sum(axis=1).tolist()  # rows sharing each row's identity
+        n = len(counts)
+        if n == 0 or counts[0] == n:
             raise BatchContractError("PK batch needs at least 2 identities")
         k = counts[0]
-        if k < 2 or not np.all(counts == k):
+        if k < 2 or counts.count(k) != n:
             raise BatchContractError(
                 "PK batch needs every identity exactly K >= 2 times")
+        p = n // k
         if self.P is not None and self.P != p:
             raise BatchContractError(f"declared P={self.P}, found {p}")
         if self.K is not None and self.K != k:
             raise BatchContractError(f"declared K={self.K}, found {k}")
-        return p, int(k)
+        return p, k
 
 
 @dataclass
@@ -150,11 +165,15 @@ class LossReport:
         return self.num_active / self.num_terms if self.num_terms else 0.0
 
 
-def _masks(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    same = labels[:, None] == labels[None, :]
-    pos = same & ~np.eye(len(labels), dtype=bool)
-    neg = ~same
-    return pos, neg
+def _masks(labels: BatchLabels, pk: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Positive (same identity, other row) and negative masks; with `pk`,
+    the batch is first checked to be a PK batch."""
+    same = labels.same_label()
+    if pk:
+        labels.validate_pk(same)
+    pos = same.copy()
+    pos.flat[::len(pos) + 1] = False
+    return pos, ~same
 
 
 def triplet_differences(d: np.ndarray, ids: np.ndarray, lo: int = 0,
@@ -179,12 +198,18 @@ def _logsumexp_softmax(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.log(total[:, 0]) + top[:, 0], e / total
 
 
+def _mean(a: np.ndarray) -> np.float64:
+    """`a.mean()` of a non-empty vector, without its Python-level wrapper."""
+    return a.sum() / len(a)
+
+
 def _finish(loss: float, per_term: np.ndarray, coeff: np.ndarray,
             embeddings: np.ndarray, dist: DistanceMatrix) -> LossReport:
+    """The report of a loss whose float64 `per_term` is built."""
     grad = _chain_through_metric(embeddings, dist, coeff)
-    num_active = int(np.sum(np.asarray(per_term) > ACTIVE_THRESHOLD))
-    return LossReport(float(loss), grad, len(per_term), num_active,
-                      np.asarray(per_term, dtype=np.float64), dist)
+    num_active = int(np.count_nonzero(per_term > ACTIVE_THRESHOLD))
+    return LossReport(float(loss), grad, len(per_term), num_active, per_term,
+                      dist)
 
 
 def batch_hard_loss(embeddings: np.ndarray, labels: BatchLabels,
@@ -196,33 +221,34 @@ def batch_hard_loss(embeddings: np.ndarray, labels: BatchLabels,
     Ties in the max/min are broken toward the lowest row index so the
     gradient is deterministic.
     """
-    labels.validate_pk()
+    pos, neg = _masks(labels, pk=True)
     x = np.asarray(embeddings, dtype=np.float64)
     dist = pairwise_distances(x, metric)
     d = dist.values
     n = len(x)
-    pos, neg = _masks(labels.identities)
 
     dpos = np.where(pos, d, -np.inf)
     dneg = np.where(neg, d, np.inf)
-    hardest_pos = np.argmax(dpos, axis=1)   # argmax/argmin take the first tie
-    hardest_neg = np.argmin(dneg, axis=1)
+    hardest_pos = dpos.argmax(axis=1)   # argmax/argmin take the first tie
+    hardest_neg = dneg.argmin(axis=1)
     rows = np.arange(n)
     xvals = d[rows, hardest_pos] - d[rows, hardest_neg]
     per_term = margin_apply(xvals, mode)
-
+    g = margin_apply_grad(xvals, mode)
+    kept = per_term
     if averaging == "nonzero":
-        divisor = int(np.sum(per_term > ACTIVE_THRESHOLD))
+        active = per_term > ACTIVE_THRESHOLD
+        divisor = int(np.count_nonzero(active))
+        g, kept = g * active, per_term * active
     else:
         divisor = n
-    g = margin_apply_grad(xvals, mode)
     coeff = np.zeros((n, n))
     if divisor > 0:
-        active = (per_term > ACTIVE_THRESHOLD) if averaging == "nonzero" else np.ones(n, bool)
-        scale = g * active / divisor
-        np.add.at(coeff, (rows, hardest_pos), scale)
-        np.add.at(coeff, (rows, hardest_neg), -scale)
-        loss = float(np.sum(per_term * active) / divisor)
+        scale = g / divisor
+        # each (row, column) pair is set once, so no accumulation is needed
+        coeff[rows, hardest_pos] = scale
+        coeff[rows, hardest_neg] = -scale
+        loss = float(kept.sum() / divisor)
     else:
         loss = 0.0
     return _finish(loss, per_term, coeff, x, dist)
@@ -233,17 +259,18 @@ def batch_all_loss(embeddings: np.ndarray, labels: BatchLabels,
                    mode: MarginMode = MarginMode.hard(0.2),
                    averaging: Literal["all", "nonzero"] = "all") -> LossReport:
     """Sum over every valid (a, p, n) triplet in the PK batch."""
-    labels.validate_pk()
+    pos, neg = _masks(labels, pk=True)
     x = np.asarray(embeddings, dtype=np.float64)
     dist = pairwise_distances(x, metric)
     d = dist.values
     n = len(x)
-    xvals, valid = triplet_differences(d, labels.identities)
+    xvals = d[:, :, None] - d[:, None, :]       # as `triplet_differences`
+    valid = pos[:, :, None] & neg[:, None, :]
     applied = margin_apply(xvals, mode)
     per_term = applied[valid]
 
     if averaging == "nonzero":
-        divisor = int(np.sum(per_term > ACTIVE_THRESHOLD))
+        divisor = int(np.count_nonzero(per_term > ACTIVE_THRESHOLD))
     else:
         divisor = len(per_term)
 
@@ -253,7 +280,7 @@ def batch_all_loss(embeddings: np.ndarray, labels: BatchLabels,
         g = margin_apply_grad(xvals, mode) * valid
         if averaging == "nonzero":
             g = g * (applied > ACTIVE_THRESHOLD)
-            loss = float(np.sum(per_term[per_term > ACTIVE_THRESHOLD]) / divisor)
+            loss = float(per_term[per_term > ACTIVE_THRESHOLD].sum() / divisor)
         else:
             loss = float(per_term.sum() / divisor)
         g = g / divisor
@@ -280,9 +307,9 @@ def classic_triplet_loss(embeddings: np.ndarray,
     per_term = margin_apply(xvals, mode)
     g = margin_apply_grad(xvals, mode) / b
     coeff = np.zeros((n, n))
-    np.add.at(coeff, (a_idx, p_idx), g)
-    np.add.at(coeff, (a_idx, n_idx), -g)
-    return _finish(per_term.mean(), per_term, coeff, x, dist)
+    coeff[a_idx, p_idx] = g         # the pairs are distinct
+    coeff[a_idx, n_idx] = -g
+    return _finish(_mean(per_term), per_term, coeff, x, dist)
 
 
 def lmnn_loss(embeddings: np.ndarray, labels: BatchLabels,
@@ -348,12 +375,13 @@ def lifted_loss(embeddings: np.ndarray, pairing: np.ndarray | list,
     if len(pairs) == 0:
         raise BatchContractError("need at least one (anchor, positive) pair")
     a, p = pairs.T
-    if np.any(a == p):
+    if (a == p).any():
         raise BatchContractError("anchor and positive must differ")
-    cross = labels is not None and labels.identities[a] != labels.identities[p]
-    if np.any(cross):
-        i = np.argmax(cross)
-        raise BatchContractError(f"pair ({a[i]}, {p[i]}) is not same-class")
+    if labels is not None:
+        cross = labels.identities[a] != labels.identities[p]
+        if cross.any():
+            i = cross.argmax()
+            raise BatchContractError(f"pair ({a[i]}, {p[i]}) is not same-class")
     if n < 3:
         raise BatchContractError("lifted loss needs at least one negative")
     dist = pairwise_distances(x, metric)
@@ -364,7 +392,8 @@ def lifted_loss(embeddings: np.ndarray, pairing: np.ndarray | list,
     terms = np.arange(len(pairs))
     negative = np.ones((len(pairs), n), dtype=bool)
     negative[terms, a] = negative[terms, p] = False
-    exps = np.where(np.tile(negative, 2), m - np.hstack([d[a], d[p]]), -np.inf)
+    exps = np.where(np.concatenate((negative, negative), axis=1),
+                    m - np.concatenate((d[a], d[p]), axis=1), -np.inf)
     lse, weights = _logsumexp_softmax(exps)
     inner = d[a, p] + lse
     per_term = margin_apply(inner, outer)
@@ -375,19 +404,18 @@ def lifted_loss(embeddings: np.ndarray, pairing: np.ndarray | list,
     rows[terms, p] += g
     coeff = np.zeros((n, n))
     np.add.at(coeff, pairs.ravel(), rows.reshape(-1, n))
-    return _finish(per_term.mean(), per_term, coeff, x, dist)
+    return _finish(_mean(per_term), per_term, coeff, x, dist)
 
 
 def lifted_generalized_loss(embeddings: np.ndarray, labels: BatchLabels,
                             metric: Metric = "euclidean", m: float = 0.2,
                             mode: MarginMode = MarginMode.hard(0.0)) -> LossReport:
     """PK generalization of the lifted loss using all positives per anchor."""
-    labels.validate_pk()
+    pos, neg = _masks(labels, pk=True)
     x = np.asarray(embeddings, dtype=np.float64)
     n = len(x)
     dist = pairwise_distances(x, metric)
     d = dist.values
-    pos, neg = _masks(labels.identities)
     outer = MarginMode.hard(0.0) if mode.kind == "hard" else mode
 
     pos_exps = np.where(pos, d, -np.inf)
@@ -398,7 +426,7 @@ def lifted_generalized_loss(embeddings: np.ndarray, labels: BatchLabels,
     per_term = margin_apply(inner, outer)
     g = margin_apply_grad(inner, outer)[:, None] / n
     coeff = g * soft_pos - g * soft_neg
-    return _finish(per_term.mean(), per_term, coeff, x, dist)
+    return _finish(_mean(per_term), per_term, coeff, x, dist)
 
 
 @dataclass(frozen=True)
@@ -419,14 +447,15 @@ def _inner_margin(cfg, soft_m: float) -> float:
 
 
 def _lifted(emb, labels, cfg):
-    pos, _ = _masks(labels.identities)
-    return lifted_loss(emb, np.argwhere(np.triu(pos)), cfg.metric,
+    pos, _ = _masks(labels)
+    pairs = np.argwhere(pos)        # row-major, as argwhere(triu(pos))
+    return lifted_loss(emb, pairs[pairs[:, 0] < pairs[:, 1]], cfg.metric,
                        _inner_margin(cfg, 1.0), cfg.margin, labels)
 
 
 def _lmnn(emb, labels, cfg):
     # the target neighbor of each anchor is its first same-class row
-    pos, _ = _masks(labels.identities)
+    pos, _ = _masks(labels)
     anchors = np.flatnonzero(pos.any(axis=1))
     targets = dict(zip(anchors.tolist(), pos.argmax(axis=1)[anchors].tolist()))
     return lmnn_loss(emb, labels, targets, m=_inner_margin(cfg, 0.2),

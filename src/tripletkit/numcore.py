@@ -156,11 +156,12 @@ def mlp_backward(params: MlpParams, cache: ForwardCache, upstream: np.ndarray,
     for i in range(n - 1, -1, -1):
         dw, db = grads.layers[i]
         np.matmul(cache.activations[i].T, delta, out=dw)
-        np.sum(delta, axis=0, out=db)
+        delta.sum(axis=0, out=db)
         if i > 0:   # through the leaky ReLU, whose derivative at 0 is slope
             delta = delta @ params.layers[i][0].T
-            np.multiply(delta, params.slope, out=delta,
-                        where=~(cache.pre_activations[i - 1] > 0.0))
+            # 1 where pre > 0, else slope (in [0, 1), checked by the forward)
+            np.multiply(delta, np.maximum(cache.pre_activations[i - 1] > 0.0,
+                                          params.slope), out=delta)
     return grads
 
 

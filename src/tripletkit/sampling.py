@@ -118,7 +118,7 @@ class TripletSet:
 
     def materialize_rows(self) -> np.ndarray:
         """Flatten to 3B rows in (a, p, n) order."""
-        return np.array([i for t in self.triplets for i in t], dtype=np.int64)
+        return np.array(self.triplets, dtype=np.int64).reshape(-1)
 
 
 def sample_pk_batch(dataset: LabeledDataset, P: int, K: int,
@@ -151,22 +151,34 @@ def sample_pk_batch(dataset: LabeledDataset, P: int, K: int,
 
 def sample_random_triplets(dataset: LabeledDataset, B: int,
                            rng: np.random.Generator) -> TripletSet:
-    """B uniform triplets; anchors come only from identities with >= 2 items."""
+    """B uniform triplets; anchors come only from identities with >= 2 items.
+
+    Each triplet takes three draws: the anchor from `anchor_rows`, then
+    the positive from the anchor's other rows and the negative from the
+    rows of other identities, both in row order. `arr[rng.integers(0,
+    len(arr))]` is the draw `rng.choice(arr)` makes.
+    """
     index = dataset.identity_index()
     anchor_pool = index.anchor_rows
     if len(index) < 2 or len(anchor_pool) == 0:
         raise SamplingError("need >= 2 identities and one with >= 2 items")
+    pids = dataset.pids
     triplets = []
     for _ in range(B):
-        a = int(rng.choice(anchor_pool))
-        same = index[int(dataset.pids[a])]
-        positives = same[same != a]
-        p = int(rng.choice(positives))
-        neg_mask = dataset.pids != dataset.pids[a]
-        negatives = np.flatnonzero(neg_mask)
-        if len(negatives) == 0:
+        a = int(anchor_pool[rng.integers(0, len(anchor_pool))])
+        same = index[int(pids[a])]
+        # the k-th of the identity's rows other than a
+        k = int(rng.integers(0, len(same) - 1))
+        p = int(same[k])
+        if p >= a:
+            p = int(same[k + 1])
+        if len(same) == len(pids):
             raise SamplingError("no negative exists for some identity")
-        n = int(rng.choice(negatives))
+        # the j-th row of another identity is j plus the number of the
+        # identity's rows at or before it: same[i] - i counts the rows of
+        # other identities before same[i]
+        j = int(rng.integers(0, len(pids) - len(same)))
+        n = j + int((same - np.arange(len(same))).searchsorted(j, "right"))
         triplets.append((a, p, n))
     return TripletSet(triplets)
 

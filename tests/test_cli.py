@@ -59,6 +59,18 @@ class TestDatagen:
             cli.main(["datagen", "--ids", "4", "-o", str(tmp_path)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag, field", [("--cameras", "num_cameras"),
+                                             ("--dim", "feature_dim")])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_nonpositive_width_or_cameras_exits_2(self, tmp_path, capsys,
+                                                  flag, field, value):
+        args = {"--ids": "4", "--per-id": "3", "--dim": "5", flag: value}
+        rc = cli.main(["datagen", *(v for kv in args.items() for v in kv),
+                       "-o", str(tmp_path)])
+        assert rc == cli.EXIT_USAGE
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "train.csv").exists()
+
 
 class TestTrain:
     def test_writes_checkpoint_and_log(self, tmp_path):
@@ -402,6 +414,21 @@ class TestBenchLosses:
         assert "--margins" in err and "margin 'inf'" in err
         assert trained == []
         assert not (out / "bench_losses.csv").exists()
+
+    @pytest.mark.parametrize("fraction", ["1.0", "1.5", "0", "-1"])
+    def test_val_fraction_outside_open_unit_interval_exits_2(
+            self, tmp_path, monkeypatch, capsys, fraction):
+        trained = []
+        monkeypatch.setattr(training, "train",
+                            lambda *a, **k: trained.append(a))
+        # checked before --data is read: a missing file would exit 3
+        rc = cli.main(["bench-losses", "--data", str(tmp_path / "absent.csv"),
+                       "--losses", "batch_hard", "--val-fraction", fraction,
+                       "-o", str(tmp_path)])
+        assert rc == cli.EXIT_USAGE
+        assert "--val-fraction" in capsys.readouterr().err
+        assert trained == []
+        assert not (tmp_path / "bench_losses.csv").exists()
 
     def test_bad_losses_with_missing_data_exits_2(self, tmp_path, capsys):
         rc = cli.main(["bench-losses", "--data", str(tmp_path / "absent.csv"),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -62,6 +63,24 @@ class TestGenerate:
             GenSpec(outlier_rate=1.0)
         with pytest.raises(ValueError):
             GenSpec(intra_spread=-1.0)
+        with pytest.raises(ValueError, match="num_cameras"):
+            GenSpec(num_cameras=0)
+        with pytest.raises(ValueError, match="feature_dim"):
+            GenSpec(feature_dim=0)
+
+    @pytest.mark.parametrize("spec, digest", [
+        (GenSpec(seed=7),
+         "1744f38746e5c4d5f5fa2710e5142eebd135a273b7d7d7db7bf605f7db512417"),
+        (GenSpec(num_identities=5, items_per_identity=3, feature_dim=1,
+                 num_cameras=1, outlier_rate=0.3, seed=2),
+         "b8742ae57c3c0d9b2a56f9e86f111023f80694c99b1fb02175da0bb632f8dc02"),
+    ])
+    def test_output_is_pinned(self, spec, digest):
+        # benchmark inputs come from the generator: its bytes must not move
+        ds = generate(spec)
+        raw = b"".join(a.tobytes() for a in (ds.features, ds.pids, ds.cams,
+                                             ds.item_ids))
+        assert hashlib.sha256(raw).hexdigest() == digest
 
 
 def test_write_generated(tmp_path):

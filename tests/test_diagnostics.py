@@ -87,7 +87,40 @@ class TestBatchStats:
             assert list(arr) == sorted(arr)
 
 
+    @pytest.mark.parametrize("nan_term", [False, True])
+    def test_batch_stats_match_numpy_percentiles_bitwise(self, rng, nan_term):
+        x = rng.standard_normal((8, 3))
+        labels = BatchLabels(np.repeat(np.arange(4), 2))
+        report = batch_hard_loss(x, labels, "euclidean", MarginMode.hard(0.2))
+        if nan_term:    # a NaN there leaves the other panels alone
+            report.per_term[3] = np.nan
+        rec = batch_stats(x, report, 1, 1e-3)
+        dists = np.sqrt(report.distances.squared[np.triu_indices(8, k=1)])
+        want = [np.percentile(report.per_term, 5),
+                *np.percentile(np.linalg.norm(x, axis=1), PERCENTILES),
+                *np.percentile(dists, PERCENTILES)]
+        got = [rec.loss_p5, *rec.emb_norm_percentiles,
+               *rec.pair_dist_percentiles]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 class TestCollapseAlarm:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_full_window_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        window = int(rng.integers(2, 8))
+        history = [make_record(0, 1.0, 1.0)]
+        for i in range(1, int(rng.integers(1, 20))):
+            healthy = rng.random() < 0.15
+            history.append(make_record(i, 1.0 if healthy else 1e-5,
+                                       0.5 if rng.random() < 0.1 else 1.0))
+        for end in range(len(history) + 1):
+            recent = history[:end][-window:]
+            want = end >= window + 1 and all(
+                r.pair_dist_percentiles[2] < 1e-3 and r.active_fraction > 0.99
+                for r in recent)
+            assert collapse_alarm(history[:end], window) == want
+
     def test_healthy_history(self):
         history = [make_record(i, 1.0 + 0.01 * i, 0.5) for i in range(300)]
         assert not collapse_alarm(history, window=200)

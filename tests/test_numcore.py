@@ -221,3 +221,52 @@ class TestFlatLayout:
         again = tmp_path / "again.json"
         numcore.save_checkpoint(again, params, optim_state)
         assert again.read_bytes() == path.read_bytes()
+
+
+def masked_backward(params, cache, upstream):
+    """The backward pass with the leaky-ReLU derivative applied as a masked
+    multiply: slope where the pre-activation is not > 0, untouched elsewhere."""
+    grads, delta = [], upstream.copy()
+    for i in range(len(params.layers) - 1, -1, -1):
+        grads.insert(0, (cache.activations[i].T @ delta, delta.sum(axis=0)))
+        if i > 0:
+            delta = delta @ params.layers[i][0].T
+            np.multiply(delta, params.slope, out=delta,
+                        where=~(cache.pre_activations[i - 1] > 0.0))
+    return numcore.GradBundle(grads)
+
+
+SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 2.0])
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.3, 0.999])
+class TestBackwardDerivative:
+    def test_single_row_delta_bits(self, slope):
+        # one row: the first bias gradient is the hidden delta
+        column = np.array([-1.5, 2.0, -0.0, 3.0, 0.0, -4.0, 5.0, -0.0])
+        p = MlpParams([(np.ones((2, 8)), np.zeros(8)),
+                       (column[:, None], np.zeros(1))], slope=slope)
+        pre = SPECIAL[None, :]
+        cache = numcore.ForwardCache([pre, np.zeros((1, 1))],
+                                     [np.ones((1, 2)), np.ones((1, 8))])
+        got = mlp_backward(p, cache, np.ones((1, 1)))
+        want = masked_backward(p, cache, np.ones((1, 1)))
+        assert got.flat.tobytes() == want.flat.tobytes()
+        delta = (np.ones((1, 1)) @ p.layers[1][0].T)[0]
+        expected = np.where(pre[0] > 0, delta, slope * delta)
+        assert np.array_equal(got.layers[0][1], expected)
+
+    def test_special_pre_activations_match_masked_multiply(self, slope):
+        rng = np.random.default_rng(int(slope * 1000))
+        p = init_params([3, 8, 6, 2], seed=5)
+        p.slope = slope
+        pres = [rng.choice(SPECIAL, size=(7, 8)),
+                rng.choice(SPECIAL, size=(7, 6)), np.zeros((7, 2))]
+        acts = [rng.standard_normal((7, 3)), rng.standard_normal((7, 8)),
+                rng.standard_normal((7, 6))]
+        cache = numcore.ForwardCache(pres, acts)
+        up = rng.standard_normal((7, 2))
+        up[0, 0] = -0.0
+        got = mlp_backward(p, cache, up)
+        want = masked_backward(p, cache, up)
+        assert got.flat.tobytes() == want.flat.tobytes()
