@@ -25,6 +25,11 @@ EXIT_COLLAPSE = 4
 BENCH_MARGINS = ("0.1", "0.2", "0.5", "1.0", "soft")
 
 
+def int_list(text: str) -> list[int]:
+    """Comma-separated integers, as `--widths` and `--cmc-ranks` take them."""
+    return [int(v) for v in text.split(",")]
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override it")
     p.add_argument("--seed", type=int, default=0)
@@ -37,8 +42,9 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--P", type=int, default=8)
     p.add_argument("--K", type=int, default=4)
     p.add_argument("--B", type=int, default=12)
-    p.add_argument("--widths", default="16,32,32",
-                   help="comma-separated layer widths, input first")
+    p.add_argument("--widths", type=int_list, default="16,32,32",
+                   help="comma-separated layer widths, input first (the "
+                        "data's feature width replaces the first)")
     p.add_argument("--eps0", type=float, default=1e-3)
     p.add_argument("--t0", type=int, default=1500)
     p.add_argument("--t1", type=int, default=2500)
@@ -80,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gallery", required=True)
     p.add_argument("--multi-query", action="store_true")
     p.add_argument("--no-camera-filter", action="store_true")
-    p.add_argument("--cmc-ranks", default="1,5,10")
+    p.add_argument("--cmc-ranks", type=int_list, default="1,5,10")
     p.add_argument("--distractors", help="extra gallery CSV, identities "
                                          "disjoint from queries")
 
@@ -122,7 +128,7 @@ def _run_config(args: argparse.Namespace, **fields) -> training.RunConfig:
     command's own `fields` on top."""
     return training.RunConfig(
         P=args.P, K=args.K, B=args.B,
-        layer_widths=[int(v) for v in args.widths.split(",")],
+        layer_widths=args.widths,
         schedule=optim.Schedule(args.eps0, args.t0, args.t1),
         seed=args.seed, **fields)
 
@@ -172,18 +178,16 @@ def cmd_evaluate(args) -> int:
         protocol = evalkit.EvalProtocol(
             mode="multi_query" if args.multi_query else "single_query",
             exclude_same_camera_same_id=not args.no_camera_filter,
-            cmc_ranks=tuple(int(v) for v in args.cmc_ranks.split(",")))
+            cmc_ranks=tuple(args.cmc_ranks))
     except evalkit.ProtocolError as exc:     # a bad flag, not bad data
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--cmc-ranks: {exc}") from None
     params, _ = numcore.load_checkpoint(args.checkpoint)
     queries = sampling.read_dataset_csv(args.queries)
     gallery = sampling.read_dataset_csv(args.gallery)
     if queries.feature_dim != params.input_dim or \
             gallery.feature_dim != params.input_dim:
-        print("error: dataset feature width does not match checkpoint",
-              file=sys.stderr)
-        return EXIT_DATA
+        raise evalkit.ProtocolError(
+            "dataset feature width does not match checkpoint")
     q_emb = training.embed_dataset(params, queries)
     g_emb = training.embed_dataset(params, gallery)
     result = evalkit.evaluate(q_emb, g_emb, protocol)
@@ -230,18 +234,15 @@ def cmd_bench_losses(args) -> int:
     margins = [s.strip() for s in args.margins.split(",")]
     for name in loss_names:
         if name not in losses.LOSS_NAMES:
-            print(f"error: --losses: unknown loss {name!r}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"--losses: unknown loss {name!r}")
     for text in margins:
         try:
             losses.parse_margin(text)
         except ValueError as exc:
-            print(f"error: --margins: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"--margins: {exc}") from None
     if not 0.0 < args.val_fraction < 1.0:
-        print(f"error: --val-fraction must be in (0, 1), got "
-              f"{args.val_fraction}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--val-fraction must be in (0, 1), got "
+                         f"{args.val_fraction}")
     base = _run_config(args)
     dataset = sampling.read_dataset_csv(args.data)
     train_set, val_set = training.identity_disjoint_split(
@@ -277,11 +278,12 @@ def main(argv: list[str] | None = None) -> int:
             argv = [argv[0], *_config_flags(path), *argv[1:]]
         args = build_parser().parse_args(argv)
         return args.run(args)
-    # data errors first: SamplingError and ProtocolError are ValueErrors
-    except (OSError, sampling.SamplingError, evalkit.ProtocolError) as exc:
+    # data errors first: all but OSError are ValueErrors
+    except (OSError, sampling.SamplingError, evalkit.ProtocolError,
+            numcore.CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (training.ConfigError, optim.ScheduleError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -7,6 +7,7 @@ swaps (annotation mistakes), which is what stresses hard mining.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -26,10 +27,11 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.identity_spread <= 0:
-            raise ValueError("identity_spread must be positive")
-        if self.intra_spread < 0:
-            raise ValueError("intra_spread must be nonnegative")
+        # chained comparisons, so that NaN fails as well
+        if not 0.0 < self.identity_spread < math.inf:
+            raise ValueError("identity_spread must be positive and finite")
+        if not 0.0 <= self.intra_spread < math.inf:
+            raise ValueError("intra_spread must be nonnegative and finite")
         if not 0.0 <= self.outlier_rate < 1.0:
             raise ValueError("outlier_rate must be in [0, 1)")
         if self.num_identities < 1 or self.items_per_identity < 1:

@@ -3,7 +3,7 @@ and distractor injection."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -44,26 +44,20 @@ class EvalResult:
             "num_skipped": self.num_skipped,
         }
         if protocol is not None:
-            doc["protocol"] = {
-                "mode": protocol.mode,
-                "exclude_same_camera_same_id": protocol.exclude_same_camera_same_id,
-                "cmc_ranks": list(protocol.cmc_ranks),
-            }
+            doc["protocol"] = asdict(protocol)
         return doc
 
 
-def rank_gallery(query_embedding: np.ndarray, gallery_embeddings: np.ndarray,
-                 metric: str = "euclidean") -> np.ndarray:
-    """Gallery indices by ascending distance; ties go to the lower index."""
+def rank_gallery(query_embedding: np.ndarray,
+                 gallery_embeddings: np.ndarray) -> np.ndarray:
+    """Gallery indices by ascending Euclidean distance; ties go to the
+    lower index."""
     g = np.asarray(gallery_embeddings, dtype=np.float64)
     if len(g) == 0:
         raise ProtocolError("gallery is empty")
     q = np.asarray(query_embedding, dtype=np.float64)
     diff = g - q[None, :]
-    d = np.sum(diff * diff, axis=1)
-    if metric == "euclidean":
-        d = np.sqrt(d)
-    return np.argsort(d, kind="stable")
+    return np.argsort(np.sqrt(np.sum(diff * diff, axis=1)), kind="stable")
 
 
 def average_precision(relevance: np.ndarray, num_relevant_total: int) -> float:
@@ -139,9 +133,9 @@ def _relevant_ranks(dist: np.ndarray,
 
 
 def evaluate(queries: LabeledDataset, gallery: LabeledDataset,
-             protocol: EvalProtocol = EvalProtocol(),
-             metric: str = "euclidean") -> EvalResult:
-    """mAP and CMC over all queries; unanswerable queries are skipped.
+             protocol: EvalProtocol = EvalProtocol()) -> EvalResult:
+    """mAP and CMC over all queries, ranked by Euclidean distance;
+    unanswerable queries are skipped.
 
     Queries are taken in blocks: one matrix product gives a block's
     distances to the whole gallery, each query's distances are sorted
@@ -181,8 +175,7 @@ def evaluate(queries: LabeledDataset, gallery: LabeledDataset,
         dist += query_sq[rows, None]
         dist += gallery_sq
         np.maximum(dist, 0.0, out=dist)
-        if metric == "euclidean":
-            np.sqrt(dist, out=dist)
+        np.sqrt(dist, out=dist)
         relevant = queries.pids[rows, None] == gallery.pids
         if protocol.exclude_same_camera_same_id:
             excluded = relevant & (queries.cams[rows, None] == gallery.cams)

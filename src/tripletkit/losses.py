@@ -78,15 +78,14 @@ def pairwise_distances(embeddings: np.ndarray, metric: Metric = "euclidean") -> 
     x = np.asarray(embeddings, dtype=np.float64)
     n = len(x)
     sq = (x * x).sum(axis=1)
-    # (|a|^2 + |b|^2) - 2 a.b, clamped at 0, zero diagonal, then symmetrized
+    # (|a|^2 + |b|^2) - 2 a.b, clamped at 0, zero diagonal; symmetric as
+    # it is, since NumPy computes x @ x.T as one symmetric product
     gram = x @ x.T
     gram *= 2.0
     d2 = np.add.outer(sq, sq)
     d2 -= gram
     np.maximum(d2, 0.0, out=d2)
     d2.flat[::n + 1] = 0.0
-    d2 = np.add(d2, d2.T, out=gram)
-    d2 *= 0.5
     if metric == "squared_euclidean":
         return DistanceMatrix(d2, metric, d2)
     if metric == "euclidean":

@@ -7,7 +7,7 @@ the final layer is linear with no output normalization.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,11 @@ class DimensionError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Invalid network configuration."""
+    """Invalid network or run configuration."""
+
+
+class CheckpointError(ValueError):
+    """A checkpoint document that does not describe a valid model."""
 
 
 def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
@@ -57,30 +61,30 @@ class MlpParams:
 
     layers: Layers
     slope: float = 0.3
-    layer_widths: list[int] = field(default_factory=list)
     seed: int | None = None
 
     def __post_init__(self):
         if not self.layers:
             raise ConfigError("MlpParams needs at least one layer")
         for i, (w, b) in enumerate(self.layers):
-            if w.shape[1] != b.shape[0]:
-                raise ConfigError(f"layer {i}: weight/bias width mismatch")
+            if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.shape[0]:
+                raise ConfigError(f"layer {i}: needs a 2-D weight and a 1-D "
+                                  "bias of its width")
             if i > 0 and self.layers[i - 1][0].shape[1] != w.shape[0]:
                 raise ConfigError(f"layer {i}: does not chain with layer {i-1}")
         self.flat, self.layers, self.shapes = pack_layers(self.layers)
-        if not self.layer_widths:
-            self.layer_widths = [self.input_dim] + [
-                w.shape[1] for w, _ in self.layers
-            ]
 
     @property
     def input_dim(self) -> int:
         return self.layers[0][0].shape[0]
 
+    @property
+    def layer_widths(self) -> list[int]:
+        """The input width, then each layer's output width."""
+        return [self.input_dim] + [w.shape[1] for w, _ in self.layers]
+
     def copy(self) -> "MlpParams":
-        return MlpParams(self.layers, slope=self.slope,
-                         layer_widths=list(self.layer_widths), seed=self.seed)
+        return MlpParams(self.layers, slope=self.slope, seed=self.seed)
 
 
 @dataclass
@@ -116,7 +120,7 @@ def init_params(layer_widths: list[int], seed: int) -> MlpParams:
             limit = np.sqrt(6.0 / (fan_in + fan_out))
             w = rng.uniform(-limit, limit, size=(fan_in, fan_out))
         layers.append((w, np.zeros(fan_out)))
-    return MlpParams(layers, layer_widths=list(layer_widths), seed=seed)
+    return MlpParams(layers, seed=seed)
 
 
 @dataclass
@@ -182,10 +186,21 @@ def save_checkpoint(path, params: MlpParams, optim_state: dict | None = None) ->
 
 
 def load_checkpoint(path) -> tuple[MlpParams, dict | None]:
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    layers = [(np.asarray(l["weight"]), np.asarray(l["bias"]))
-              for l in doc["layers"]]
-    params = MlpParams(layers, slope=doc["slope"],
-                       layer_widths=doc["layer_widths"], seed=doc.get("seed"))
+    """Read a `save_checkpoint` document; anything else raises
+    CheckpointError naming `path`."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+        layers = [(np.asarray(l["weight"]), np.asarray(l["bias"]))
+                  for l in doc["layers"]]
+        params = MlpParams(layers, slope=doc["slope"], seed=doc.get("seed"))
+        if doc["layer_widths"] != params.layer_widths:
+            raise CheckpointError(f"layer_widths {doc['layer_widths']} do "
+                                  f"not match the layers' {params.layer_widths}")
+        if not 0.0 <= params.slope < 1.0:
+            raise CheckpointError(f"slope must be in [0, 1), got {params.slope}")
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
+        detail = f"no key {exc}" if isinstance(exc, KeyError) else exc
+        raise CheckpointError(f"{path}: not a valid checkpoint: {detail}") \
+            from None
     return params, doc.get("optim")

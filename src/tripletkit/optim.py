@@ -2,19 +2,23 @@
 
 The schedule keeps the base rate until t0, then decays by a total factor
 of 0.001 between t0 and t1, where training stops. beta1 is dropped to 0.5
-once the decay phase starts.
+once the decay phase starts; beta2 and eps_hat are fixed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import DimensionError, GradBundle, Layers, MlpParams, pack_layers
+from .numcore import (CheckpointError, DimensionError, GradBundle, Layers,
+                      MlpParams, pack_layers)
 
 DECAY_FACTOR = 1e-3
 BETA1_DECAY = 0.5
+BETA2 = 0.999
+EPS_HAT = 1e-8
 
 
 class ScheduleError(ValueError):
@@ -30,8 +34,8 @@ class Schedule:
     def __post_init__(self):
         if not (0 < self.t0 < self.t1):
             raise ScheduleError(f"need 0 < t0 < t1, got t0={self.t0}, t1={self.t1}")
-        if self.eps0 <= 0:
-            raise ScheduleError("eps0 must be positive")
+        if not 0.0 < self.eps0 < math.inf:      # NaN fails too
+            raise ScheduleError(f"eps0 must be positive and finite, got {self.eps0}")
 
 
 def lr_at(schedule: Schedule, t: int) -> float:
@@ -45,16 +49,14 @@ def lr_at(schedule: Schedule, t: int) -> float:
 
 @dataclass
 class AdamState:
-    """Moment estimates plus hyperparameters. Each moment is copied into
-    one vector laid out as `MlpParams.flat` (`m`, `v`), and its per-layer
-    list holds views into it."""
+    """Moment estimates, step count and the current beta1. Each moment is
+    copied into one vector laid out as `MlpParams.flat` (`m`, `v`), and its
+    per-layer list holds views into it."""
 
     first_moment: Layers
     second_moment: Layers
     step_count: int = 0
     beta1: float = 0.9
-    beta2: float = 0.999
-    eps_hat: float = 1e-8
 
     def __post_init__(self):
         self.m, self.first_moment, self.shapes = pack_layers(self.first_moment)
@@ -73,8 +75,8 @@ class AdamState:
         return {
             "step_count": self.step_count,
             "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps_hat": self.eps_hat,
+            "beta2": BETA2,
+            "eps_hat": EPS_HAT,
             "first_moment": [{"weight": w.tolist(), "bias": b.tolist()}
                              for w, b in self.first_moment],
             "second_moment": [{"weight": w.tolist(), "bias": b.tolist()}
@@ -83,11 +85,16 @@ class AdamState:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "AdamState":
+        """The state `to_dict` wrote; other beta2 or eps_hat values raise
+        CheckpointError."""
+        if (doc["beta2"], doc["eps_hat"]) != (BETA2, EPS_HAT):
+            raise CheckpointError(f"Adam beta2 and eps_hat must be {BETA2} "
+                                  f"and {EPS_HAT}")
         unpack = lambda key: [
             (np.asarray(l["weight"]), np.asarray(l["bias"])) for l in doc[key]
         ]
         return cls(unpack("first_moment"), unpack("second_moment"),
-                   doc["step_count"], doc["beta1"], doc["beta2"], doc["eps_hat"])
+                   doc["step_count"], doc["beta1"])
 
 
 def adam_step(params: MlpParams, grads: GradBundle, state: AdamState,
@@ -99,7 +106,7 @@ def adam_step(params: MlpParams, grads: GradBundle, state: AdamState,
     if lr <= 0:
         raise ValueError("lr must be positive")
     state.step_count += 1
-    t, b1, b2 = state.step_count, state.beta1, state.beta2
+    t, b1, b2 = state.step_count, state.beta1, BETA2
     m, v, g, tmp, step = state.m, state.v, grads.flat, state._tmp, state._step
     # m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
     m *= b1
@@ -108,7 +115,7 @@ def adam_step(params: MlpParams, grads: GradBundle, state: AdamState,
     v += np.multiply(np.multiply(g, 1 - b2, out=tmp), g, out=tmp)
     # p -= (lr * m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps_hat)
     denom = np.sqrt(np.divide(v, 1 - b2 ** t, out=tmp), out=tmp)
-    denom += state.eps_hat
+    denom += EPS_HAT
     np.multiply(np.divide(m, 1 - b1 ** t, out=step), lr, out=step)
     params.flat -= np.divide(step, denom, out=step)
     return params, state

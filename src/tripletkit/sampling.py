@@ -172,8 +172,6 @@ def sample_random_triplets(dataset: LabeledDataset, B: int,
         p = int(same[k])
         if p >= a:
             p = int(same[k + 1])
-        if len(same) == len(pids):
-            raise SamplingError("no negative exists for some identity")
         # the j-th row of another identity is j plus the number of the
         # identity's rows at or before it: same[i] - i counts the rows of
         # other identities before same[i]

@@ -23,8 +23,7 @@ class NonFiniteLossError(CollapseError):
     """Training aborted because the loss became NaN or infinite."""
 
 
-class ConfigError(ValueError):
-    """Inconsistent run configuration."""
+ConfigError = numcore.ConfigError      # an inconsistent run configuration
 
 
 @dataclass
@@ -52,8 +51,9 @@ class RunConfig:
             raise ConfigError("triplet losses need B >= 1")
         if batch == "mined" and not 0.0 < self.ohm_sample_fraction <= 1.0:
             raise ConfigError("ohm_sample_fraction must be in (0, 1]")
-        if self.layer_widths and len(self.layer_widths) < 2:
-            raise ConfigError("layer_widths needs input and output widths")
+        if len(self.layer_widths) < 2 or min(self.layer_widths) < 1:
+            raise ConfigError("layer_widths needs input and output widths, "
+                              f"all >= 1, got {self.layer_widths}")
         if self.ohm_refresh_every < 1:
             raise ConfigError("ohm_refresh_every must be >= 1")
 
@@ -206,9 +206,9 @@ def _validation_mask(pids: np.ndarray, n_val: int, seed: int) -> np.ndarray:
 
 
 def validation_map(params: numcore.MlpParams,
-                   val: sampling.LabeledDataset,
-                   protocol: evalkit.EvalProtocol | None = None) -> evalkit.EvalResult:
-    """Self-retrieval evaluation on an embedded validation split."""
+                   val: sampling.LabeledDataset) -> evalkit.EvalResult:
+    """Self-retrieval evaluation on an embedded validation split, with
+    rank-1 and rank-5 CMC."""
     embedded = embed_dataset(params, val)
-    proto = protocol or evalkit.EvalProtocol(cmc_ranks=(1, 5))
-    return evalkit.evaluate(embedded, embedded, proto)
+    return evalkit.evaluate(embedded, embedded,
+                            evalkit.EvalProtocol(cmc_ranks=(1, 5)))

@@ -444,3 +444,97 @@ class TestBenchLosses:
         cell = cli.run_bench_cell("batch_hard", "soft", train_set, val_set,
                                   base)
         assert cell["status"] == "*"
+
+
+@pytest.mark.parametrize("command", ["train", "bench-losses"])
+class TestRunFlagsCheckedBeforeData:
+    """Checked before --data is read: a missing file would exit 3."""
+
+    def run(self, tmp_path, command, *flags):
+        return cli.main([command, "--data", str(tmp_path / "absent.csv"),
+                         *flags, "-o", str(tmp_path)])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_bad_eps0_exits_2(self, tmp_path, capsys, command, value):
+        assert self.run(tmp_path, command, "--eps0", value) == cli.EXIT_USAGE
+        assert "eps0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("widths", ["4,0,4", "4,-1", "4"])
+    def test_bad_widths_exit_2(self, tmp_path, capsys, command, widths):
+        assert self.run(tmp_path, command, "--widths", widths) == \
+            cli.EXIT_USAGE
+        assert "layer_widths" in capsys.readouterr().err
+
+    def test_non_integer_width_exits_2_naming_flag(self, tmp_path, capsys,
+                                                   command):
+        with pytest.raises(SystemExit) as exc:
+            self.run(tmp_path, command, "--widths", "4,x,4")
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "--widths" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, field", [("--identity-spread", "identity_spread"),
+                                         ("--intra-spread", "intra_spread")])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_nonfinite_spread_exits_2(tmp_path, capsys, flag, field, value):
+    rc = cli.main(["datagen", "--ids", "4", "--per-id", "3", "--dim", "5",
+                   flag, value, "-o", str(tmp_path)])
+    assert rc == cli.EXIT_USAGE
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "train.csv").exists()
+
+
+def test_non_integer_cmc_rank_exits_2_naming_flag(tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["evaluate", "--checkpoint", missing, "--queries", missing,
+                  "--gallery", missing, "--cmc-ranks", "1,x"])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "--cmc-ranks" in capsys.readouterr().err
+
+
+class TestBadCheckpoint:
+    def evaluate(self, tmp_path, text):
+        data = make_data(tmp_path)
+        ckpt = tmp_path / "bad.json"
+        ckpt.write_text(text)
+        return cli.main(["evaluate", "--checkpoint", str(ckpt), "--queries",
+                         data, "--gallery", data, "-o", str(tmp_path)]), ckpt
+
+    def good_doc(self, tmp_path):
+        rc, out = quick_train(tmp_path, make_data(tmp_path))
+        assert rc == cli.EXIT_OK
+        with open(os.path.join(out, "checkpoint.json")) as f:
+            return f.read()
+
+    @pytest.mark.parametrize("doc", [{"foo": 1}, [1, 2], "text", None,
+                                     {"layers": [1], "slope": 0.3,
+                                      "layer_widths": [5, 3]}])
+    def test_foreign_document_exits_3(self, tmp_path, capsys, doc):
+        rc, ckpt = self.evaluate(tmp_path, json.dumps(doc))
+        assert rc == cli.EXIT_DATA
+        assert str(ckpt) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.pop("slope"),
+        lambda d: d.pop("layer_widths"),
+        lambda d: d.update(layer_widths=[5, 7, 4]),
+        lambda d: d.update(slope=1.5),
+        lambda d: d["layers"][0].update(weight=[1.0, 2.0]),
+        lambda d: d["layers"].pop(0),
+    ], ids=["no-slope", "no-widths", "widths-disagree", "bad-slope",
+            "flat-weight", "unchained-layers"])
+    def test_damaged_checkpoint_exits_3(self, tmp_path, capsys, edit):
+        doc = json.loads(self.good_doc(tmp_path))
+        edit(doc)
+        capsys.readouterr()
+        rc, ckpt = self.evaluate(tmp_path, json.dumps(doc))
+        assert rc == cli.EXIT_DATA
+        assert str(ckpt) in capsys.readouterr().err
+
+    def test_truncated_checkpoint_exits_3(self, tmp_path, capsys):
+        text = self.good_doc(tmp_path)
+        capsys.readouterr()
+        rc, ckpt = self.evaluate(tmp_path, text[:len(text) // 2])
+        assert rc == cli.EXIT_DATA
+        assert str(ckpt) in capsys.readouterr().err

@@ -86,25 +86,24 @@ def retrieval_cases(draw):
     protocol = EvalProtocol(mode=mode,
                             exclude_same_camera_same_id=draw(st.booleans()),
                             cmc_ranks=(1, 2, 3, 5, 10))
-    metric = draw(st.sampled_from(["euclidean", "squared_euclidean"]))
     block = draw(st.sampled_from([1, 2, 5, 17, evalkit._BLOCK_ELEMENTS]))
-    return queries, gallery, protocol, metric, block
+    return queries, gallery, protocol, block
 
 
 class TestEvaluateMatchesOracle:
     @settings(max_examples=300, deadline=None)
     @given(retrieval_cases())
     def test_random_galleries(self, case):
-        queries, gallery, protocol, metric, block = case
-        want = _oracle_evaluate(queries, gallery, protocol, metric)
+        queries, gallery, protocol, block = case
+        want = _oracle_evaluate(queries, gallery, protocol, "euclidean")
         # tiny blocks split the query set into many blocks
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(evalkit, "_BLOCK_ELEMENTS", block)
             if want is None:
                 with pytest.raises(ProtocolError):
-                    evaluate(queries, gallery, protocol, metric)
+                    evaluate(queries, gallery, protocol)
                 return
-            got = evaluate(queries, gallery, protocol, metric)
+            got = evaluate(queries, gallery, protocol)
         aps, firsts, skipped = want
         assert got.num_queries == len(aps)
         assert got.num_skipped == skipped

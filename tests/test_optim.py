@@ -284,3 +284,11 @@ def test_train_matches_per_layer_reference(loss):
     assert raw(result.state.second_moment) == raw(v)
     assert (result.state.step_count, result.state.beta1) == (50, b1)
     assert [r.to_row() for r in result.history] == rows
+
+
+@pytest.mark.parametrize("key, value", [("beta2", 0.99), ("eps_hat", 1e-6)])
+def test_from_dict_rejects_other_fixed_hyperparameters(key, value):
+    doc = AdamState.for_params(_tiny_params(4)).to_dict()
+    doc[key] = value
+    with pytest.raises(numcore.CheckpointError, match=key):
+        AdamState.from_dict(doc)

@@ -13,3 +13,9 @@ def test_run_config_rejects_out_of_range_counts(field, value):
 
 def test_run_config_accepts_smallest_valid_counts():
     assert RunConfig(ohm_refresh_every=1).ohm_refresh_every == 1
+
+
+@pytest.mark.parametrize("widths", [[], [16], [16, 0, 8], [16, 32, -1]])
+def test_run_config_rejects_missing_or_nonpositive_widths(widths):
+    with pytest.raises(ConfigError, match="layer_widths"):
+        RunConfig(layer_widths=widths)
