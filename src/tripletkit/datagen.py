@@ -48,22 +48,17 @@ def generate(spec: GenSpec) -> LabeledDataset:
     centers = spec.identity_spread * rng.standard_normal(
         (spec.num_identities, spec.feature_dim))
     n = spec.num_identities * spec.items_per_identity
-    feats = np.empty((n, spec.feature_dim))
-    pids = np.empty(n, dtype=np.int64)
-    cams = np.empty(n, dtype=np.int64)
-    row = 0
-    for pid in range(spec.num_identities):
-        for j in range(spec.items_per_identity):
-            feats[row] = centers[pid] + spec.intra_spread * rng.standard_normal(
-                spec.feature_dim)
-            pids[row] = pid
-            cams[row] = row % spec.num_cameras
-            row += 1
+    pids = np.repeat(np.arange(spec.num_identities), spec.items_per_identity)
+    # row by row the same draws: one noise vector per row, in row order
+    feats = centers[pids] + spec.intra_spread * rng.standard_normal(
+        (n, spec.feature_dim))
+    cams = np.arange(n) % spec.num_cameras
     if spec.outlier_rate > 0 and spec.num_identities > 1:
         swap = rng.random(n) < spec.outlier_rate
         for i in np.flatnonzero(swap):
-            others = [p for p in range(spec.num_identities) if p != pids[i]]
-            pids[i] = others[rng.integers(len(others))]
+            # one of the other identities, skipping the row's own
+            other = rng.integers(spec.num_identities - 1)
+            pids[i] = other + (other >= pids[i])
     return LabeledDataset(feats, pids, cams, np.arange(n))
 
 

@@ -12,13 +12,14 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
 ACTIVE_THRESHOLD = 1e-5
 
 Metric = Literal["euclidean", "squared_euclidean"]
+METRICS: tuple[Metric, ...] = get_args(Metric)
 
 EUCLID_SQ_FLOOR = 1e-24
 EUCLID_GRAD_FLOOR = 1e-12

@@ -6,6 +6,7 @@ the final layer is linear with no output normalization.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass
 
@@ -24,13 +25,14 @@ class CheckpointError(ValueError):
     """A checkpoint document that does not describe a valid model."""
 
 
-def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
-    """Elementwise y = x for x >= 0, slope*x otherwise."""
-    if not 0.0 <= slope < 1.0:
-        raise ConfigError(f"slope must be in [0, 1), got {slope}")
+SLOPE = 0.3     # the leaky-ReLU slope of every hidden layer
+
+
+def leaky_relu(x: np.ndarray) -> np.ndarray:
+    """Elementwise y = x for x >= 0, SLOPE*x otherwise."""
     x = np.asarray(x, dtype=np.float64)
-    h = slope * x
-    return np.maximum(x, h, out=h)      # the larger of the two for slope < 1
+    h = SLOPE * x
+    return np.maximum(x, h, out=h)      # the larger of the two for SLOPE < 1
 
 
 Layers = list[tuple[np.ndarray, np.ndarray]]
@@ -50,17 +52,15 @@ def pack_layers(layers: Layers) -> tuple[np.ndarray, Layers, tuple]:
 
 @dataclass
 class MlpParams:
-    """Ordered (weight, bias) pairs plus the leaky-ReLU slope.
+    """Ordered (weight, bias) pairs.
 
     Weight i has shape (in_width, out_width); bias i has shape (out_width,).
     Hidden layers are followed by leaky ReLU, the last layer is linear.
     The pairs are copied into one vector, `flat`, and `layers` holds views
-    into it, so an update of `flat` is an update of every layer. The slope
-    is checked by `leaky_relu`, which the forward pass applies.
+    into it, so an update of `flat` is an update of every layer.
     """
 
     layers: Layers
-    slope: float = 0.3
     seed: int | None = None
 
     def __post_init__(self):
@@ -84,7 +84,7 @@ class MlpParams:
         return [self.input_dim] + [w.shape[1] for w, _ in self.layers]
 
     def copy(self) -> "MlpParams":
-        return MlpParams(self.layers, slope=self.slope, seed=self.seed)
+        return MlpParams(self.layers, seed=self.seed)
 
 
 @dataclass
@@ -125,7 +125,6 @@ def init_params(layer_widths: list[int], seed: int) -> MlpParams:
 
 @dataclass
 class ForwardCache:
-    pre_activations: list[np.ndarray]   # one per layer
     activations: list[np.ndarray]       # layer inputs, including the batch itself
 
 
@@ -135,13 +134,12 @@ def mlp_forward(params: MlpParams, inputs: np.ndarray) -> tuple[np.ndarray, Forw
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise DimensionError(
             f"expected input shape (B, {params.input_dim}), got {x.shape}")
-    cache = ForwardCache([], [x])
+    cache = ForwardCache([x])
     for i, (w, b) in enumerate(params.layers):
         if i:       # leaky ReLU after every hidden layer
-            cache.activations.append(leaky_relu(z, params.slope))
+            cache.activations.append(leaky_relu(z))
         z = cache.activations[-1] @ w
         z += b
-        cache.pre_activations.append(z)
     return z, cache
 
 
@@ -151,9 +149,9 @@ def mlp_backward(params: MlpParams, cache: ForwardCache, upstream: np.ndarray,
     written into `out` (a new bundle when None), which is returned."""
     delta = np.asarray(upstream, dtype=np.float64)
     n = len(params.layers)
-    if len(cache.pre_activations) != n:
+    if len(cache.activations) != n:
         raise DimensionError("cache does not match parameter layer count")
-    if delta.shape != cache.pre_activations[-1].shape:
+    if delta.shape != (len(cache.activations[0]), params.layers[-1][1].size):
         raise DimensionError("upstream shape does not match embeddings")
     # a copy of params has the layout; every value of it is overwritten
     grads = GradBundle(params.layers) if out is None else out
@@ -161,23 +159,42 @@ def mlp_backward(params: MlpParams, cache: ForwardCache, upstream: np.ndarray,
         dw, db = grads.layers[i]
         np.matmul(cache.activations[i].T, delta, out=dw)
         delta.sum(axis=0, out=db)
-        if i > 0:   # through the leaky ReLU, whose derivative at 0 is slope
+        if i > 0:   # through the leaky ReLU, whose derivative at 0 is SLOPE
             delta = delta @ params.layers[i][0].T
-            # 1 where pre > 0, else slope (in [0, 1), checked by the forward)
-            np.multiply(delta, np.maximum(cache.pre_activations[i - 1] > 0.0,
-                                          params.slope), out=delta)
+            # 1 where the layer input max(p, SLOPE*p) > 0, i.e. where p > 0
+            np.multiply(delta, np.maximum(cache.activations[i] > 0.0, SLOPE),
+                        out=delta)
     return grads
+
+
+def layers_to_json(layers: Layers) -> list[dict]:
+    """(weight, bias) pairs as a checkpoint stores them, one object each."""
+    return [{"weight": w.tolist(), "bias": b.tolist()} for w, b in layers]
+
+
+def layers_from_json(items: list[dict]) -> Layers:
+    """The pairs `layers_to_json` wrote; read inside `reading_checkpoint`."""
+    return [(np.asarray(l["weight"]), np.asarray(l["bias"])) for l in items]
+
+
+@contextlib.contextmanager
+def reading_checkpoint(source):
+    """Raise what reading a malformed document raises as CheckpointError."""
+    try:
+        yield
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
+        detail = f"no key {exc}" if isinstance(exc, KeyError) else exc
+        raise CheckpointError(f"{source}: not a valid checkpoint: {detail}") \
+            from None
 
 
 def save_checkpoint(path, params: MlpParams, optim_state: dict | None = None) -> None:
     """Write the model (and optionally optimizer state) as a JSON document."""
     doc = {
-        "layer_widths": list(params.layer_widths),
-        "slope": params.slope,
+        "layer_widths": params.layer_widths,
+        "slope": SLOPE,
         "seed": params.seed,
-        "layers": [
-            {"weight": w.tolist(), "bias": b.tolist()} for w, b in params.layers
-        ],
+        "layers": layers_to_json(params.layers),
     }
     if optim_state is not None:
         doc["optim"] = optim_state
@@ -186,21 +203,15 @@ def save_checkpoint(path, params: MlpParams, optim_state: dict | None = None) ->
 
 
 def load_checkpoint(path) -> tuple[MlpParams, dict | None]:
-    """Read a `save_checkpoint` document; anything else raises
-    CheckpointError naming `path`."""
-    try:
+    """Read a `save_checkpoint` document; anything else, a slope other
+    than SLOPE included, raises CheckpointError naming `path`."""
+    with reading_checkpoint(path):
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
-        layers = [(np.asarray(l["weight"]), np.asarray(l["bias"]))
-                  for l in doc["layers"]]
-        params = MlpParams(layers, slope=doc["slope"], seed=doc.get("seed"))
+        if doc["slope"] != SLOPE:
+            raise CheckpointError(f"slope must be {SLOPE}, got {doc['slope']}")
+        params = MlpParams(layers_from_json(doc["layers"]), seed=doc.get("seed"))
         if doc["layer_widths"] != params.layer_widths:
             raise CheckpointError(f"layer_widths {doc['layer_widths']} do "
                                   f"not match the layers' {params.layer_widths}")
-        if not 0.0 <= params.slope < 1.0:
-            raise CheckpointError(f"slope must be in [0, 1), got {params.slope}")
-    except (ValueError, KeyError, TypeError, IndexError) as exc:
-        detail = f"no key {exc}" if isinstance(exc, KeyError) else exc
-        raise CheckpointError(f"{path}: not a valid checkpoint: {detail}") \
-            from None
     return params, doc.get("optim")

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numcore import (CheckpointError, DimensionError, GradBundle, Layers,
-                      MlpParams, pack_layers)
+                      MlpParams, layers_from_json, layers_to_json, pack_layers,
+                      reading_checkpoint)
 
 DECAY_FACTOR = 1e-3
 BETA1_DECAY = 0.5
@@ -77,24 +78,21 @@ class AdamState:
             "beta1": self.beta1,
             "beta2": BETA2,
             "eps_hat": EPS_HAT,
-            "first_moment": [{"weight": w.tolist(), "bias": b.tolist()}
-                             for w, b in self.first_moment],
-            "second_moment": [{"weight": w.tolist(), "bias": b.tolist()}
-                              for w, b in self.second_moment],
+            "first_moment": layers_to_json(self.first_moment),
+            "second_moment": layers_to_json(self.second_moment),
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "AdamState":
-        """The state `to_dict` wrote; other beta2 or eps_hat values raise
-        CheckpointError."""
-        if (doc["beta2"], doc["eps_hat"]) != (BETA2, EPS_HAT):
-            raise CheckpointError(f"Adam beta2 and eps_hat must be {BETA2} "
-                                  f"and {EPS_HAT}")
-        unpack = lambda key: [
-            (np.asarray(l["weight"]), np.asarray(l["bias"])) for l in doc[key]
-        ]
-        return cls(unpack("first_moment"), unpack("second_moment"),
-                   doc["step_count"], doc["beta1"])
+        """The state `to_dict` wrote; anything else, other beta2 or eps_hat
+        values included, raises CheckpointError."""
+        with reading_checkpoint("Adam state"):
+            if (doc["beta2"], doc["eps_hat"]) != (BETA2, EPS_HAT):
+                raise CheckpointError(f"Adam beta2 and eps_hat must be "
+                                      f"{BETA2} and {EPS_HAT}")
+            return cls(layers_from_json(doc["first_moment"]),
+                       layers_from_json(doc["second_moment"]),
+                       doc["step_count"], doc["beta1"])
 
 
 def adam_step(params: MlpParams, grads: GradBundle, state: AdamState,

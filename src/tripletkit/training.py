@@ -44,6 +44,8 @@ class RunConfig:
     def __post_init__(self):
         if self.loss not in losses.LOSSES:
             raise ConfigError(f"unknown loss {self.loss!r}")
+        if self.metric not in losses.METRICS:
+            raise ConfigError(f"unknown metric {self.metric!r}")
         batch = losses.LOSSES[self.loss].batch
         if batch == "pk" and (self.P < 2 or self.K < 2):
             raise ConfigError("PK losses need P >= 2 and K >= 2")
@@ -73,8 +75,7 @@ def train(cfg: RunConfig, dataset: sampling.LabeledDataset,
     The exception carries only the iteration. The in-memory history is
     lost with it; only the log rows `log_writer` has already written survive.
     """
-    widths = [dataset.feature_dim, *cfg.layer_widths[1:]]
-    params = numcore.init_params(widths, cfg.seed)
+    params = numcore.init_params(cfg.layer_widths, cfg.seed)
     state = optim.AdamState.for_params(params)
     rng = np.random.default_rng(cfg.seed)
     history: list[diagnostics.TrainLogRecord] = []
@@ -116,6 +117,16 @@ def train(cfg: RunConfig, dataset: sampling.LabeledDataset,
             raise CollapseError(t)
 
     return TrainResult(params, state, history)
+
+
+def check_input_width(cfg: RunConfig, dataset: sampling.LabeledDataset) -> None:
+    """Raise SamplingError, naming `--widths`, unless the model's input
+    width is the dataset's feature width; `train` would fail at its first
+    forward pass."""
+    if cfg.layer_widths[0] != dataset.feature_dim:
+        raise sampling.SamplingError(
+            f"--widths starts with input width {cfg.layer_widths[0]}, but the "
+            f"data has feature width {dataset.feature_dim}")
 
 
 BENCHMARK_SEED = 7

@@ -124,3 +124,39 @@ class TestEvaluateMatchesOracle:
         got = evaluate(q, g, protocol)
         assert np.max(np.abs(np.subtract(got.per_query_ap, aps))) <= 1e-12
         assert got.cmc[1] == np.mean(np.asarray(firsts) <= 1)
+
+
+class TestApProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(retrieval_cases())
+    def test_every_query_ap_lies_in_unit_interval(self, case):
+        queries, gallery, protocol, _ = case
+        try:
+            got = evaluate(queries, gallery, protocol)
+        except ProtocolError:       # every query skipped
+            return
+        assert all(0.0 <= ap <= 1.0 for ap in got.per_query_ap)
+        assert 0.0 <= got.map <= 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(retrieval_cases(), st.integers(0, 20), st.integers(0, 2**32 - 1))
+    def test_distractors_never_raise_a_query_ap(self, case, n_dis, seed):
+        queries, gallery, protocol, _ = case
+        rng = np.random.default_rng(seed)
+        # integer features tie with the integer cases; identities 10..12
+        # are disjoint from the cases' 0..3
+        distractors = embset(
+            rng.integers(-2, 3, (n_dis, queries.feature_dim)).astype(float),
+            rng.integers(10, 13, n_dis), rng.integers(0, 3, n_dis))
+        injected = evalkit.inject_distractors(gallery, distractors,
+                                              queries.pids)
+        try:
+            before = evaluate(queries, gallery, protocol)
+        except ProtocolError:       # distractors answer no query either
+            with pytest.raises(ProtocolError):
+                evaluate(queries, injected, protocol)
+            return
+        after = evaluate(queries, injected, protocol)
+        assert after.num_queries == before.num_queries
+        assert all(a <= b for a, b in zip(after.per_query_ap,
+                                           before.per_query_ap))

@@ -60,7 +60,7 @@ def test_rejects_layouts_that_only_match_in_size():
         adam_step(p, good_g, AdamState(shuffled, shuffled), 1e-3)
     doc = AdamState.for_params(p).to_dict()
     doc["second_moment"] = AdamState(shuffled, shuffled).to_dict()["second_moment"]
-    with pytest.raises(numcore.DimensionError):
+    with pytest.raises(numcore.CheckpointError, match="layout"):
         AdamState.from_dict(doc)
     assert p.flat.tolist() == numcore.init_params([4, 3, 2], seed=0).flat.tolist()
 
@@ -291,4 +291,40 @@ def test_from_dict_rejects_other_fixed_hyperparameters(key, value):
     doc = AdamState.for_params(_tiny_params(4)).to_dict()
     doc[key] = value
     with pytest.raises(numcore.CheckpointError, match=key):
+        AdamState.from_dict(doc)
+
+
+def _state_doc():
+    return AdamState.for_params(_tiny_params(4)).to_dict()
+
+
+def test_from_dict_rejects_empty_document():
+    with pytest.raises(numcore.CheckpointError, match="no key"):
+        AdamState.from_dict({})
+
+
+@pytest.mark.parametrize("key", list(_state_doc()))
+def test_from_dict_rejects_missing_key(key):
+    doc = _state_doc()
+    del doc[key]
+    with pytest.raises(numcore.CheckpointError, match=key):
+        AdamState.from_dict(doc)
+
+
+@pytest.mark.parametrize("moment", [5, None, "text", {"weight": [[0.0]]},
+                                    [[0.0, 0.0]], [{"weight": [[0.0]]}]],
+                         ids=["int", "null", "string", "object",
+                              "list-of-lists", "no-bias"])
+def test_from_dict_rejects_non_list_moment(moment):
+    doc = _state_doc()
+    doc["first_moment"] = moment
+    with pytest.raises(numcore.CheckpointError):
+        AdamState.from_dict(doc)
+
+
+def test_from_dict_rejects_moments_of_different_layouts():
+    doc = _state_doc()
+    doc["second_moment"] = AdamState.for_params(
+        numcore.init_params([2, 4], seed=0)).to_dict()["second_moment"]
+    with pytest.raises(numcore.CheckpointError, match="layout"):
         AdamState.from_dict(doc)

@@ -19,7 +19,8 @@ FIELDS = {
                       "outlier_rate", "seed"],
     evalkit.EvalProtocol: ["mode", "exclude_same_camera_same_id",
                            "cmc_ranks"],
-    numcore.MlpParams: ["layers", "slope", "seed"],
+    numcore.MlpParams: ["layers", "seed"],
+    numcore.ForwardCache: ["activations"],
     optim.AdamState: ["first_moment", "second_moment", "step_count", "beta1"],
 }
 
@@ -28,6 +29,7 @@ SIGNATURES = {
     evalkit.evaluate: ["queries", "gallery", "protocol"],
     evalkit.rank_gallery: ["query_embedding", "gallery_embeddings"],
     training.validation_map: ["params", "val"],
+    numcore.leaky_relu: ["x"],
 }
 
 

@@ -1,6 +1,10 @@
 import pytest
 
-from tripletkit.training import ConfigError, RunConfig
+from tripletkit.numcore import DimensionError
+from tripletkit.optim import Schedule
+from tripletkit.sampling import SamplingError
+from tripletkit.training import (ConfigError, RunConfig, check_input_width,
+                                 default_benchmark_sets, train)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -19,3 +23,21 @@ def test_run_config_accepts_smallest_valid_counts():
 def test_run_config_rejects_missing_or_nonpositive_widths(widths):
     with pytest.raises(ConfigError, match="layer_widths"):
         RunConfig(layer_widths=widths)
+
+
+def test_run_config_rejects_unknown_metric():
+    with pytest.raises(ConfigError, match="cosine"):
+        RunConfig(metric="cosine")
+
+
+def test_train_uses_widths_as_given():
+    train_set, _ = default_benchmark_sets()
+    cfg = RunConfig(P=4, K=2, layer_widths=[16, 8, 4],
+                    schedule=Schedule(1e-3, 2, 3))
+    check_input_width(cfg, train_set)
+    assert train(cfg, train_set).params.layer_widths == [16, 8, 4]
+    cfg.layer_widths = [15, 8, 4]
+    with pytest.raises(SamplingError, match="--widths.* 15.* 16"):
+        check_input_width(cfg, train_set)
+    with pytest.raises(DimensionError):
+        train(cfg, train_set)
