@@ -43,8 +43,8 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--K", type=int, default=4)
     p.add_argument("--B", type=int, default=12)
     p.add_argument("--widths", type=int_list, default="16,32,32",
-                   help="comma-separated layer widths, the data's feature "
-                        "width first")
+                   help="comma-separated layer widths, input first (the "
+                        "data's feature width replaces the first)")
     p.add_argument("--eps0", type=float, default=1e-3)
     p.add_argument("--t0", type=int, default=1500)
     p.add_argument("--t1", type=int, default=2500)
@@ -150,7 +150,6 @@ def cmd_train(args) -> int:
                       ohm_sample_fraction=args.ohm_sample_fraction,
                       ohm_refresh_every=args.ohm_refresh_every)
     dataset = sampling.read_dataset_csv(args.data)
-    training.check_input_width(cfg, dataset)
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "train_log.csv")
     ckpt_path = os.path.join(args.out, "checkpoint.json")
@@ -245,7 +244,6 @@ def cmd_bench_losses(args) -> int:
                          f"{args.val_fraction}")
     base = _run_config(args)
     dataset = sampling.read_dataset_csv(args.data)
-    training.check_input_width(base, dataset)
     train_set, val_set = training.identity_disjoint_split(
         dataset, args.val_fraction, args.seed)
 

@@ -119,11 +119,15 @@ def _relevant_ranks(dist: np.ndarray,
     ordered = np.sort(dist, axis=1)
     ranks = _count_below(ordered, rows, values) + 1
     # ranks[i] indexes the entry after the relevant one; if it is as close,
-    # the value is tied, and its equally close entries of lower index count
+    # the two are tied and the gallery order must decide
     after = np.minimum(ranks, dist.shape[1] - 1)
     tied = (ranks < dist.shape[1]) & (ordered[rows, after] == values)
-    for i in np.flatnonzero(tied):
-        ranks[i] += np.count_nonzero(dist[rows[i], :cols[i]] == values[i])
+    for row in np.unique(rows[tied]):
+        order = np.argsort(dist[row], kind="stable")
+        place = np.empty_like(order)
+        place[order] = np.arange(1, len(order) + 1)
+        lo, hi = np.searchsorted(rows, [row, row + 1])
+        ranks[lo:hi] = place[cols[lo:hi]]
     order = np.lexsort((ranks, rows))
     return rows, ranks[order]
 
@@ -137,9 +141,9 @@ def evaluate(queries: LabeledDataset, gallery: LabeledDataset,
     distances to the whole gallery, each query's distances are sorted
     (values only), and each relevant row's rank is found by binary search
     in them. For G gallery rows and R relevant ones a query costs
-    O((G + R) log G), however large R is. A relevant row exactly as close
-    as another row also counts the equally close rows of lower index (the
-    tie rule of `rank_gallery`), at O(G) more for each such row.
+    O((G + R) log G), however large R is. Only a query whose relevant row
+    is exactly as close as another row falls back to a stable argsort of
+    its distances, the tie rule of `rank_gallery`.
     """
     if queries.feature_dim != gallery.feature_dim:
         raise ProtocolError("query/gallery embedding widths differ")

@@ -75,7 +75,8 @@ def train(cfg: RunConfig, dataset: sampling.LabeledDataset,
     The exception carries only the iteration. The in-memory history is
     lost with it; only the log rows `log_writer` has already written survive.
     """
-    params = numcore.init_params(cfg.layer_widths, cfg.seed)
+    widths = [dataset.feature_dim, *cfg.layer_widths[1:]]
+    params = numcore.init_params(widths, cfg.seed)
     state = optim.AdamState.for_params(params)
     rng = np.random.default_rng(cfg.seed)
     history: list[diagnostics.TrainLogRecord] = []
@@ -117,16 +118,6 @@ def train(cfg: RunConfig, dataset: sampling.LabeledDataset,
             raise CollapseError(t)
 
     return TrainResult(params, state, history)
-
-
-def check_input_width(cfg: RunConfig, dataset: sampling.LabeledDataset) -> None:
-    """Raise SamplingError, naming `--widths`, unless the model's input
-    width is the dataset's feature width; `train` would fail at its first
-    forward pass."""
-    if cfg.layer_widths[0] != dataset.feature_dim:
-        raise sampling.SamplingError(
-            f"--widths starts with input width {cfg.layer_widths[0]}, but the "
-            f"data has feature width {dataset.feature_dim}")
 
 
 BENCHMARK_SEED = 7

@@ -446,24 +446,6 @@ class TestBenchLosses:
         assert cell["status"] == "*"
 
 
-@pytest.mark.parametrize("command", ["train", "bench-losses"])
-def test_input_width_other_than_data_exits_3_before_training(
-        tmp_path, monkeypatch, capsys, command):
-    data = make_data(tmp_path, ids=8)
-    trained = []
-    monkeypatch.setattr(training, "train", lambda *a, **k: trained.append(a))
-    out = tmp_path / "out"
-    rc = cli.main([command, "--data", data, "--widths", "7,8,4",
-                   "--losses" if command == "bench-losses" else "--loss",
-                   "batch_hard", "-o", str(out)])
-    assert rc == cli.EXIT_DATA
-    err = capsys.readouterr().err
-    assert "--widths" in err
-    assert "input width 7" in err and "feature width 5" in err
-    assert trained == []
-    assert not out.exists()
-
-
 def test_unknown_metric_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["train", "--data", str(tmp_path / "absent.csv"),

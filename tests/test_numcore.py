@@ -101,10 +101,10 @@ def test_backward_matches_finite_differences():
     x = rng.standard_normal((4, 5))
     up = rng.standard_normal((4, 3))
 
-    # keep pre-activations clear of the leaky-ReLU kink: |z| > 1e-3 exactly
-    # where the hidden activation |leaky_relu(z)| > SLOPE * 1e-3
+    # keep hidden pre-activations clear of the leaky-ReLU kink
     _, cache = mlp_forward(p, x)
-    assert all(np.min(np.abs(a)) > SLOPE * 1e-3 for a in cache.activations[1:])
+    assert all(np.min(np.abs(a @ w + b)) > 1e-3
+               for a, (w, b) in zip(cache.activations, p.layers[:-1]))
 
     def scalar(params):
         emb, _ = mlp_forward(params, x)

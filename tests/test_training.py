@@ -1,9 +1,7 @@
 import pytest
 
-from tripletkit.numcore import DimensionError
 from tripletkit.optim import Schedule
-from tripletkit.sampling import SamplingError
-from tripletkit.training import (ConfigError, RunConfig, check_input_width,
+from tripletkit.training import (ConfigError, RunConfig,
                                  default_benchmark_sets, train)
 
 
@@ -30,14 +28,8 @@ def test_run_config_rejects_unknown_metric():
         RunConfig(metric="cosine")
 
 
-def test_train_uses_widths_as_given():
+def test_train_takes_input_width_from_data():
     train_set, _ = default_benchmark_sets()
-    cfg = RunConfig(P=4, K=2, layer_widths=[16, 8, 4],
+    cfg = RunConfig(P=4, K=2, layer_widths=[999, 8, 4],
                     schedule=Schedule(1e-3, 2, 3))
-    check_input_width(cfg, train_set)
     assert train(cfg, train_set).params.layer_widths == [16, 8, 4]
-    cfg.layer_widths = [15, 8, 4]
-    with pytest.raises(SamplingError, match="--widths.* 15.* 16"):
-        check_input_width(cfg, train_set)
-    with pytest.raises(DimensionError):
-        train(cfg, train_set)
