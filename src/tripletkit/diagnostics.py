@@ -21,7 +21,7 @@ PERCENTILES = (0, 5, 50, 95, 100)
 # described qualitatively.
 COLLAPSE_DIST_RATIO = 1e-3
 COLLAPSE_ACTIVITY = 0.99
-DEFAULT_COLLAPSE_WINDOW = 200
+COLLAPSE_WINDOW = 200
 
 
 @dataclass
@@ -136,12 +136,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def collapse_alarm(history: list[TrainLogRecord],
-                   window: int = DEFAULT_COLLAPSE_WINDOW) -> bool:
+def collapse_alarm(history: list[TrainLogRecord]) -> bool:
     """True when the median pairwise distance has stayed below 1e-3 of its
-    initial value for a full window while nearly every term is active."""
-    if window < 2:
-        raise ValueError("window must be >= 2")
+    initial value for the last COLLAPSE_WINDOW records while nearly every
+    term is active."""
+    window = COLLAPSE_WINDOW
     if len(history) < window + 1:
         return False
     initial_median = history[0].pair_dist_percentiles[2]

@@ -176,13 +176,13 @@ def _masks(labels: BatchLabels, pk: bool = False) -> tuple[np.ndarray, np.ndarra
     return pos, ~same
 
 
-def triplet_differences(d: np.ndarray, ids: np.ndarray, lo: int = 0,
+def triplet_differences(d: np.ndarray, same: np.ndarray, lo: int = 0,
                         hi: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """xvals[a, p, n] = D(a,p) - D(a,n) for the anchors in rows lo..hi-1 of
     `d`, and the mask of valid triplets (p != a shares a's label, n does not).
+    `same` is the `same_label()` matrix of all the rows of `d`.
     """
-    rows = d[lo:hi]
-    same = ids[lo:lo + len(rows), None] == ids[None, :]
+    rows, same = d[lo:hi], same[lo:hi]
     pos = same & (np.arange(lo, lo + len(rows))[:, None] != np.arange(len(d)))
     return rows[:, :, None] - rows[:, None, :], pos[:, :, None] & ~same[:, None, :]
 
@@ -212,6 +212,33 @@ def _finish(loss: float, per_term: np.ndarray, coeff: np.ndarray,
                       dist)
 
 
+def _triplet_terms(x: np.ndarray, dist: DistanceMatrix, a: np.ndarray,
+                   p: np.ndarray, n: np.ndarray, mode: MarginMode,
+                   averaging: Literal["all", "nonzero"]) -> LossReport:
+    """The loss over the (a[i], p[i], n[i]) triplets of rows of `x`: the
+    margin of D(a,p) - D(a,n), averaged over every term or over the active
+    ones. No (a, p) or (a, n) pair occurs twice, so each coefficient is set
+    once and needs no accumulation."""
+    d = dist.values
+    xvals = d[a, p] - d[a, n]
+    per_term = margin_apply(xvals, mode)
+    g = margin_apply_grad(xvals, mode)
+    kept = per_term
+    divisor = len(per_term)
+    if averaging == "nonzero":
+        active = per_term > ACTIVE_THRESHOLD
+        divisor = int(np.count_nonzero(active))
+        g, kept = g * active, per_term * active
+    coeff = np.zeros((len(x), len(x)))
+    loss = 0.0
+    if divisor > 0:
+        g = g / divisor
+        coeff[a, p] = g
+        coeff[a, n] = -g
+        loss = kept.sum() / divisor
+    return _finish(loss, per_term, coeff, x, dist)
+
+
 def batch_hard_loss(embeddings: np.ndarray, labels: BatchLabels,
                     metric: Metric = "euclidean",
                     mode: MarginMode = MarginMode.hard(0.2),
@@ -225,33 +252,11 @@ def batch_hard_loss(embeddings: np.ndarray, labels: BatchLabels,
     x = np.asarray(embeddings, dtype=np.float64)
     dist = pairwise_distances(x, metric)
     d = dist.values
-    n = len(x)
-
-    dpos = np.where(pos, d, -np.inf)
-    dneg = np.where(neg, d, np.inf)
-    hardest_pos = dpos.argmax(axis=1)   # argmax/argmin take the first tie
-    hardest_neg = dneg.argmin(axis=1)
-    rows = np.arange(n)
-    xvals = d[rows, hardest_pos] - d[rows, hardest_neg]
-    per_term = margin_apply(xvals, mode)
-    g = margin_apply_grad(xvals, mode)
-    kept = per_term
-    if averaging == "nonzero":
-        active = per_term > ACTIVE_THRESHOLD
-        divisor = int(np.count_nonzero(active))
-        g, kept = g * active, per_term * active
-    else:
-        divisor = n
-    coeff = np.zeros((n, n))
-    if divisor > 0:
-        scale = g / divisor
-        # each (row, column) pair is set once, so no accumulation is needed
-        coeff[rows, hardest_pos] = scale
-        coeff[rows, hardest_neg] = -scale
-        loss = float(kept.sum() / divisor)
-    else:
-        loss = 0.0
-    return _finish(loss, per_term, coeff, x, dist)
+    # argmax/argmin take the first tie
+    hardest_pos = np.where(pos, d, -np.inf).argmax(axis=1)
+    hardest_neg = np.where(neg, d, np.inf).argmin(axis=1)
+    return _triplet_terms(x, dist, np.arange(len(x)), hardest_pos,
+                          hardest_neg, mode, averaging)
 
 
 def batch_all_loss(embeddings: np.ndarray, labels: BatchLabels,
@@ -259,13 +264,11 @@ def batch_all_loss(embeddings: np.ndarray, labels: BatchLabels,
                    mode: MarginMode = MarginMode.hard(0.2),
                    averaging: Literal["all", "nonzero"] = "all") -> LossReport:
     """Sum over every valid (a, p, n) triplet in the PK batch."""
-    pos, neg = _masks(labels, pk=True)
+    same = labels.same_label()
+    labels.validate_pk(same)
     x = np.asarray(embeddings, dtype=np.float64)
     dist = pairwise_distances(x, metric)
-    d = dist.values
-    n = len(x)
-    xvals = d[:, :, None] - d[:, None, :]       # as `triplet_differences`
-    valid = pos[:, :, None] & neg[:, None, :]
+    xvals, valid = triplet_differences(dist.values, same)
     applied = margin_apply(xvals, mode)
     per_term = applied[valid]
 
@@ -274,7 +277,7 @@ def batch_all_loss(embeddings: np.ndarray, labels: BatchLabels,
     else:
         divisor = len(per_term)
 
-    coeff = np.zeros((n, n))
+    coeff = np.zeros((len(x), len(x)))
     loss = 0.0
     if divisor > 0:
         g = margin_apply_grad(xvals, mode) * valid
@@ -297,19 +300,9 @@ def classic_triplet_loss(embeddings: np.ndarray,
     n = len(x)
     if n == 0 or n % 3 != 0:
         raise BatchContractError("row count must be a positive multiple of 3")
-    b = n // 3
-    dist = pairwise_distances(x, metric)
-    d = dist.values
-    a_idx = np.arange(0, n, 3)
-    p_idx = a_idx + 1
-    n_idx = a_idx + 2
-    xvals = d[a_idx, p_idx] - d[a_idx, n_idx]
-    per_term = margin_apply(xvals, mode)
-    g = margin_apply_grad(xvals, mode) / b
-    coeff = np.zeros((n, n))
-    coeff[a_idx, p_idx] = g         # the pairs are distinct
-    coeff[a_idx, n_idx] = -g
-    return _finish(_mean(per_term), per_term, coeff, x, dist)
+    a = np.arange(0, n, 3)
+    return _triplet_terms(x, pairwise_distances(x, metric), a, a + 1, a + 2,
+                          mode, "all")
 
 
 def lmnn_loss(embeddings: np.ndarray, labels: BatchLabels,

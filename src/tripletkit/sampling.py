@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import csv
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import (MarginMode, margin_apply, pairwise_distances,
-                     triplet_differences)
+from .losses import (BatchLabels, MarginMode, margin_apply,
+                     pairwise_distances, triplet_differences)
 from .numcore import MlpParams, mlp_forward
 
 
@@ -109,18 +109,6 @@ class PKBatch:
     K: int
 
 
-@dataclass
-class TripletSet:
-    triplets: list[tuple[int, int, int]] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.triplets)
-
-    def materialize_rows(self) -> np.ndarray:
-        """Flatten to 3B rows in (a, p, n) order."""
-        return np.array(self.triplets, dtype=np.int64).reshape(-1)
-
-
 def sample_pk_batch(dataset: LabeledDataset, P: int, K: int,
                     rng: np.random.Generator) -> PKBatch:
     """P identities uniform without replacement, K items each.
@@ -150,8 +138,9 @@ def sample_pk_batch(dataset: LabeledDataset, P: int, K: int,
 
 
 def sample_random_triplets(dataset: LabeledDataset, B: int,
-                           rng: np.random.Generator) -> TripletSet:
-    """B uniform triplets; anchors come only from identities with >= 2 items.
+                           rng: np.random.Generator) -> np.ndarray:
+    """B uniform triplets as a (B, 3) int64 array of (anchor, positive,
+    negative) rows; anchors come only from identities with >= 2 items.
 
     Each triplet takes three draws: the anchor from `anchor_rows`, then
     the positive from the anchor's other rows and the negative from the
@@ -163,8 +152,8 @@ def sample_random_triplets(dataset: LabeledDataset, B: int,
     if len(index) < 2 or len(anchor_pool) == 0:
         raise SamplingError("need >= 2 identities and one with >= 2 items")
     pids = dataset.pids
-    triplets = []
-    for _ in range(B):
+    triplets = np.empty((B, 3), dtype=np.int64)
+    for t in range(B):
         a = int(anchor_pool[rng.integers(0, len(anchor_pool))])
         same = index[int(pids[a])]
         # the k-th of the identity's rows other than a
@@ -177,16 +166,17 @@ def sample_random_triplets(dataset: LabeledDataset, B: int,
         # other identities before same[i]
         j = int(rng.integers(0, len(pids) - len(same)))
         n = j + int((same - np.arange(len(same))).searchsorted(j, "right"))
-        triplets.append((a, p, n))
-    return TripletSet(triplets)
+        triplets[t] = a, p, n
+    return triplets
 
 
 def mine_hard_offline(model: MlpParams, dataset: LabeledDataset,
                       sample_fraction: float, B: int,
                       margin_mode: MarginMode,
                       rng: np.random.Generator,
-                      metric: str = "euclidean") -> TripletSet:
-    """Embed a random subset and return the B highest-loss valid triplets.
+                      metric: str = "euclidean") -> np.ndarray:
+    """Embed a random subset and return the B highest-loss valid triplets,
+    as (anchor, positive, negative) rows of an int64 array.
 
     Returned indices refer to the full dataset. Ordering is by descending
     loss term, ties by subset (a, p, n) enumeration order. Terms are built
@@ -206,12 +196,12 @@ def mine_hard_offline(model: MlpParams, dataset: LabeledDataset,
 
     emb, _ = mlp_forward(model, dataset.features[rows])
     d = pairwise_distances(emb, metric).values
-    pids = dataset.pids[rows]
+    same = BatchLabels(dataset.pids[rows]).same_label()
     m = len(rows)
     step = max(1, _BLOCK_ELEMENTS // (m * m))
     found, keys = [], []
     for lo in range(0, m, step):
-        xvals, valid = triplet_differences(d, pids, lo, lo + step)
+        xvals, valid = triplet_differences(d, same, lo, lo + step)
         flat = np.flatnonzero(valid)
         key = -margin_apply(xvals.ravel()[flat], margin_mode)
         top = np.argsort(key, kind="stable")[:B]
@@ -223,8 +213,7 @@ def mine_hard_offline(model: MlpParams, dataset: LabeledDataset,
     # blocks are in anchor order and each keeps ties in enumeration order,
     # so one stable sort ranks the survivors as a sort of every triplet would
     best = found[np.argsort(keys, kind="stable")[:B]]
-    a, p, j = (rows[i].tolist() for i in np.unravel_index(best, (m, m, m)))
-    return TripletSet(list(zip(a, p, j)))
+    return rows[np.column_stack(np.unravel_index(best, (m, m, m)))]
 
 
 def write_dataset_csv(path, dataset: LabeledDataset) -> None:
@@ -242,33 +231,64 @@ def write_dataset_csv(path, dataset: LabeledDataset) -> None:
 
 def read_dataset_csv(path) -> LabeledDataset:
     """Read a dataset CSV; a file with only the header gives zero rows of
-    the header's feature width. Malformed rows and non-finite feature
-    values raise SamplingError naming the file and line."""
-    with open(path, encoding="utf-8") as f:
-        r = csv.reader(f)
-        header = next(r, [])
-        if header[:3] != ["item_id", "pid", "cam"]:
-            raise SamplingError(f"unexpected CSV header in {path}")
-        exp_cols = [f"f{i}" for i in range(len(header) - 3)]
-        if header[3:] != exp_cols:
-            raise SamplingError(f"unexpected feature columns in {path}")
-        item_ids, pids, cams, feats, lines = [], [], [], [], []
-        for row in r:
-            try:
-                if len(row) != len(header):
-                    raise ValueError(f"{len(row)} fields, header has "
-                                     f"{len(header)}")
-                item_ids.append(int(row[0]))
-                pids.append(int(row[1]))
-                cams.append(int(row[2]))
-                feats.append([float(v) for v in row[3:]])
-                lines.append(r.line_num)
-            except ValueError as exc:
-                raise SamplingError(f"{path}:{r.line_num}: {exc}") from None
+    the header's feature width. Bytes that are not UTF-8, malformed rows,
+    non-finite feature values, labels outside the int64 range and repeated
+    item_ids raise SamplingError naming the file and the first such line."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            r = csv.reader(f)
+            header = next(r, [])
+            if header[:3] != ["item_id", "pid", "cam"]:
+                raise SamplingError(f"unexpected CSV header in {path}")
+            exp_cols = [f"f{i}" for i in range(len(header) - 3)]
+            if header[3:] != exp_cols:
+                raise SamplingError(f"unexpected feature columns in {path}")
+            item_ids, pids, cams, feats, lines = [], [], [], [], []
+            for row in r:
+                try:
+                    if len(row) != len(header):
+                        raise ValueError(f"{len(row)} fields, header has "
+                                         f"{len(header)}")
+                    item_ids.append(int(row[0]))
+                    pids.append(int(row[1]))
+                    cams.append(int(row[2]))
+                    feats.append([float(v) for v in row[3:]])
+                    lines.append(r.line_num)
+                except ValueError as exc:
+                    raise SamplingError(f"{path}:{r.line_num}: {exc}") from None
+    except csv.Error as exc:
+        raise SamplingError(f"{path}:{r.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        raise SamplingError(f"{path}:{_undecodable_line(path)}: not UTF-8 "
+                            "text") from None
     features = np.asarray(feats, dtype=np.float64).reshape(
         len(feats), len(exp_cols))
     finite = np.isfinite(features).all(axis=1)
     if not finite.all():
         raise SamplingError(f"{path}:{lines[int(np.argmin(finite))]}: "
                             "non-finite feature value")
-    return LabeledDataset(features, pids, cams, item_ids)
+    try:
+        return LabeledDataset(features, pids, cams, item_ids)
+    except (OverflowError, ValueError):
+        # a label past int64 or a repeated item_id: name its first line
+        seen = set()
+        for line, labels in zip(lines, zip(item_ids, pids, cams)):
+            if not all(-2 ** 63 <= v < 2 ** 63 for v in labels):
+                raise SamplingError(f"{path}:{line}: label outside the int64 "
+                                    "range") from None
+            if labels[0] in seen:
+                raise SamplingError(f"{path}:{line}: repeated item_id "
+                                    f"{labels[0]}") from None
+            seen.add(labels[0])
+        raise
+
+
+def _undecodable_line(path) -> int:
+    """The line of the first byte of `path` that is not UTF-8."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start) + 1
+    return 0        # the file changed since it failed to decode

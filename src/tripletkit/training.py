@@ -80,7 +80,7 @@ def train(cfg: RunConfig, dataset: sampling.LabeledDataset,
     state = optim.AdamState.for_params(params)
     rng = np.random.default_rng(cfg.seed)
     history: list[diagnostics.TrainLogRecord] = []
-    mined: sampling.TripletSet | None = None
+    mined: np.ndarray | None = None
     grads = numcore.GradBundle(params.layers)   # mlp_backward's output buffer
     spec = losses.LOSSES[cfg.loss]
 
@@ -98,7 +98,7 @@ def train(cfg: RunConfig, dataset: sampling.LabeledDataset,
         else:
             triplets = mined if spec.batch == "mined" else \
                 sampling.sample_random_triplets(dataset, cfg.B, rng)
-            rows = triplets.materialize_rows()
+            rows = triplets.ravel()
             labels = losses.BatchLabels(dataset.pids[rows])
 
         # overflow and NaN from a diverging step are reported by the guard below

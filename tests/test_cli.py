@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from tripletkit import cli, optim, training
+from tripletkit import cli, numcore, optim, training
 from tripletkit.sampling import LabeledDataset, read_dataset_csv, write_dataset_csv
 
 
@@ -546,3 +546,46 @@ class TestBadCheckpoint:
         rc, ckpt = self.evaluate(tmp_path, text[:len(text) // 2])
         assert rc == cli.EXIT_DATA
         assert str(ckpt) in capsys.readouterr().err
+
+
+class TestBadDatasetCsv:
+    """Each defect on line 3 of a dataset CSV exits 3, naming the file and
+    the line, whichever command reads it."""
+
+    CASES = {
+        "item_id-past-int64": (0, b"%d" % 2 ** 70, "label outside the int64"),
+        "pid-past-int64": (1, b"%d" % 2 ** 70, "label outside the int64"),
+        "cam-below-int64": (2, b"%d" % -2 ** 70, "label outside the int64"),
+        "non-utf8": (4, b"0.5\xff", "not UTF-8 text"),
+        "duplicate-item_id": (0, None, "repeated item_id"),
+        "huge-field": (4, b"1" * 200_000, "field larger than field limit"),
+    }
+
+    def bad_csv(self, tmp_path, data, case):
+        field, value, _ = self.CASES[case]
+        with open(data, "rb") as f:
+            lines = f.read().splitlines()
+        fields = lines[2].split(b",")
+        fields[field] = lines[1].split(b",")[0] if value is None else value
+        lines[2] = b",".join(fields)
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\n".join(lines) + b"\n")
+        return str(bad)
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exits_3_naming_line(self, tmp_path, capsys, command, case):
+        data = make_data(tmp_path)
+        bad = self.bad_csv(tmp_path, data, case)
+        out = str(tmp_path / "out")
+        if command == "train":
+            rc, _ = quick_train(tmp_path, bad)
+        else:
+            ckpt = str(tmp_path / "init.json")
+            numcore.save_checkpoint(ckpt, numcore.init_params([5, 8, 4], 0))
+            rc = cli.main(["evaluate", "--checkpoint", ckpt, "--queries", data,
+                           "--gallery", bad, "-o", out])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_DATA
+        assert f"{bad}:3: {self.CASES[case][2]}" in err
+        assert "Traceback" not in err

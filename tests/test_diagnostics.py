@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from tripletkit import diagnostics
 from tripletkit.diagnostics import (LOG_HEADER, PERCENTILES, TrainLogRecord,
                                     TrainLogWriter, batch_stats,
                                     collapse_alarm, percentiles)
@@ -106,9 +107,10 @@ class TestBatchStats:
 
 class TestCollapseAlarm:
     @pytest.mark.parametrize("seed", range(20))
-    def test_matches_full_window_scan(self, seed):
+    def test_matches_full_window_scan(self, seed, monkeypatch):
         rng = np.random.default_rng(seed)
         window = int(rng.integers(2, 8))
+        monkeypatch.setattr(diagnostics, "COLLAPSE_WINDOW", window)
         history = [make_record(0, 1.0, 1.0)]
         for i in range(1, int(rng.integers(1, 20))):
             healthy = rng.random() < 0.15
@@ -119,29 +121,25 @@ class TestCollapseAlarm:
             want = end >= window + 1 and all(
                 r.pair_dist_percentiles[2] < 1e-3 and r.active_fraction > 0.99
                 for r in recent)
-            assert collapse_alarm(history[:end], window) == want
+            assert collapse_alarm(history[:end]) == want
 
     def test_healthy_history(self):
         history = [make_record(i, 1.0 + 0.01 * i, 0.5) for i in range(300)]
-        assert not collapse_alarm(history, window=200)
+        assert not collapse_alarm(history)
 
     def test_constructed_collapse(self):
         history = [make_record(0, 1.0, 1.0)]
         history += [make_record(i, 1e-5, 1.0) for i in range(1, 302)]
-        assert collapse_alarm(history, window=200)
+        assert collapse_alarm(history)
 
     def test_needs_saturated_activity(self):
         history = [make_record(0, 1.0, 1.0)]
         history += [make_record(i, 1e-5, 0.5) for i in range(1, 302)]
-        assert not collapse_alarm(history, window=200)
+        assert not collapse_alarm(history)
 
     def test_short_history_never_fires(self):
         history = [make_record(i, 1e-9, 1.0) for i in range(10)]
-        assert not collapse_alarm(history, window=200)
-
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            collapse_alarm([], window=1)
+        assert not collapse_alarm(history)
 
 
 class TestLogWriter:

@@ -250,7 +250,7 @@ def reference_train(cfg, dataset):
                 mined = sampling.mine_hard_offline(
                     numcore.MlpParams(layers), dataset,
                     cfg.ohm_sample_fraction, cfg.B, cfg.margin, rng, cfg.metric)
-            rows = mined.materialize_rows()
+            rows = mined.ravel()
             labels = losses.BatchLabels(dataset.pids[rows])
         elif spec.batch == "random":
             rows = reference_random_triplets(dataset, cfg.B, rng)
@@ -328,3 +328,24 @@ def test_from_dict_rejects_moments_of_different_layouts():
         numcore.init_params([2, 4], seed=0)).to_dict()["second_moment"]
     with pytest.raises(numcore.CheckpointError, match="layout"):
         AdamState.from_dict(doc)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("step_count", "x"), ("step_count", -5), ("step_count", 7.0),
+    ("step_count", True), ("step_count", None),
+    ("beta1", "x"), ("beta1", float("nan")), ("beta1", float("inf")),
+    ("beta1", True), ("beta1", 1.5), ("beta1", 1.0), ("beta1", -0.1),
+    ("beta1", 0)])
+def test_from_dict_rejects_bad_step_count_or_beta1(key, value):
+    doc = _state_doc()
+    doc[key] = value
+    with pytest.raises(numcore.CheckpointError, match=key):
+        AdamState.from_dict(doc)
+
+
+@pytest.mark.parametrize("steps, beta1", [(0, 0.0), (12, 0.5), (3, 0.9)])
+def test_from_dict_keeps_valid_step_count_and_beta1(steps, beta1):
+    doc = _state_doc()
+    doc["step_count"], doc["beta1"] = steps, beta1
+    state = AdamState.from_dict(doc)
+    assert (state.step_count, state.beta1) == (steps, beta1)

@@ -100,7 +100,7 @@ class TestRandomTriplets:
         ds = make_dataset(num_ids=2, per_id=2)
         rng = np.random.default_rng(6)
         ts = sample_random_triplets(ds, 50, rng)
-        for a, p, n in ts.triplets:
+        for a, p, n in ts:
             assert a != p
             assert ds.pids[a] == ds.pids[p]
             assert ds.pids[a] != ds.pids[n]
@@ -108,15 +108,15 @@ class TestRandomTriplets:
     def test_count_and_materialization(self):
         ds = make_dataset()
         ts = sample_random_triplets(ds, 42, np.random.default_rng(7))
-        assert len(ts) == 42
-        assert len(ts.materialize_rows()) == 126
+        assert ts.shape == (42, 3) and ts.dtype == np.int64
+        assert len(ts.ravel()) == 126
 
     def test_singleton_never_anchor(self):
         feats = np.zeros((5, 2))
         pids = np.array([0, 1, 1, 2, 2])
         ds = LabeledDataset(feats, pids, np.zeros(5), np.arange(5))
         ts = sample_random_triplets(ds, 100, np.random.default_rng(8))
-        assert all(a != 0 for a, _, _ in ts.triplets)
+        assert (ts[:, 0] != 0).all()
 
     def test_impossible_dataset(self):
         ds = LabeledDataset(np.zeros((2, 2)), [0, 1], [0, 0], [0, 1])
@@ -151,10 +151,10 @@ class TestOfflineHardMining:
         terms.sort(key=lambda t: -t[0])
         want = [t[1] for t in terms[:10]]
         got_losses = [float(margin_apply(d[a, p] - d[a, j], mode))
-                      for a, p, j in mined.triplets]
+                      for a, p, j in mined]
         want_losses = [t[0] for t in terms[:10]]
         assert got_losses == pytest.approx(want_losses, abs=1e-12)
-        assert mined.triplets[0] == want[0]
+        assert tuple(mined[0]) == want[0]
 
     def test_planted_impostor_tops_ranking(self):
         # 4 identities, two of them mapped nearly together in feature space
@@ -167,7 +167,7 @@ class TestOfflineHardMining:
         mined = mine_hard_offline(identity_embedding_model(2), ds, 1.0, B=1,
                                   margin_mode=MarginMode.hard(0.2),
                                   rng=np.random.default_rng(13))
-        a, p, n = mined.triplets[0]
+        a, p, n = mined[0]
         assert {int(ds.pids[a]), int(ds.pids[n])} == {0, 1}
 
     def test_separated_model_still_returns_b(self):
@@ -201,7 +201,7 @@ class TestOfflineHardMining:
         for B in (1, 7, 40, 333, 10 ** 6):
             mined = mine_hard_offline(identity_embedding_model(1), ds, 1.0,
                                       B, mode, np.random.default_rng(B))
-            assert mined.triplets == ranked[:B]
+            assert mined.tolist() == [list(t) for t in ranked[:B]]
 
     def test_bad_fraction(self):
         ds = make_dataset()

@@ -7,7 +7,10 @@ import inspect
 
 import pytest
 
-from tripletkit import datagen, evalkit, numcore, optim, training
+import numpy as np
+
+from tripletkit import (datagen, diagnostics, evalkit, losses, numcore, optim,
+                       sampling, training)
 
 FIELDS = {
     training.RunConfig: ["loss", "margin", "metric", "P", "K", "B",
@@ -30,6 +33,7 @@ SIGNATURES = {
     evalkit.rank_gallery: ["query_embedding", "gallery_embeddings"],
     training.validation_map: ["params", "val"],
     numcore.leaky_relu: ["x"],
+    diagnostics.collapse_alarm: ["history"],
 }
 
 
@@ -50,3 +54,18 @@ def test_derived_values_are_not_settable():
         p.layer_widths = [4, 6, 2]
     state = optim.AdamState.for_params(p).to_dict()
     assert (state["beta2"], state["eps_hat"]) == (optim.BETA2, optim.EPS_HAT)
+
+
+def test_samplers_return_triplet_rows():
+    """Sampled and mined triplets are (B, 3) int64 arrays of (anchor,
+    positive, negative) dataset rows."""
+    ds = datagen.generate(datagen.GenSpec(num_identities=4,
+                                          items_per_identity=3,
+                                          feature_dim=2, seed=0))
+    rng = np.random.default_rng(0)
+    sampled = sampling.sample_random_triplets(ds, 5, rng)
+    mined = sampling.mine_hard_offline(numcore.init_params([2, 3], seed=0),
+                                       ds, 1.0, 5, losses.MarginMode.soft(),
+                                       rng)
+    for triplets in (sampled, mined):
+        assert triplets.shape == (5, 3) and triplets.dtype == np.int64
