@@ -105,7 +105,11 @@ def _config_flags(path: str) -> list[str]:
     `per-id` is `--per-id`; `true` is a bare switch, a list comma-joined,
     `null` an error), for argparse to check as it checks the command line."""
     with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+        try:
+            doc = json.load(f)
+        except (ValueError, RecursionError) as exc:     # not UTF-8 JSON
+            raise ValueError(f"{path}: not a JSON config file: {exc}") \
+                from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: config file must hold a JSON object")
     flags = []

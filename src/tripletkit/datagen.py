@@ -15,6 +15,11 @@ import numpy as np
 from .sampling import LabeledDataset, write_dataset_csv
 
 
+# The most elements the generated (rows, feature_dim) matrix may hold,
+# checked before anything is allocated: 2**27 float64 values are 1 GiB.
+MAX_FEATURE_ELEMENTS = 2 ** 27
+
+
 @dataclass
 class GenSpec:
     num_identities: int = 32
@@ -40,6 +45,11 @@ class GenSpec:
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
+        if self.num_identities * self.items_per_identity * self.feature_dim \
+                > MAX_FEATURE_ELEMENTS:
+            raise ValueError("--ids/--per-id/--dim: num_identities * "
+                             "items_per_identity * feature_dim is past the "
+                             f"cap of {MAX_FEATURE_ELEMENTS} feature values")
 
 
 def generate(spec: GenSpec) -> LabeledDataset:

@@ -7,6 +7,7 @@ the final layer is linear with no output normalization.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -174,7 +175,17 @@ def layers_to_json(layers: Layers) -> list[dict]:
 
 def layers_from_json(items: list[dict]) -> Layers:
     """The pairs `layers_to_json` wrote; read inside `reading_checkpoint`."""
-    return [(np.asarray(l["weight"]), np.asarray(l["bias"])) for l in items]
+    return [(_json_floats(l["weight"]), _json_floats(l["bias"])) for l in items]
+
+
+def _json_floats(values) -> np.ndarray:
+    """A JSON list, or list of lists, of numbers as float64. NumPy would
+    also read true, false and numeric strings as numbers."""
+    a = np.asarray(values, dtype=np.float64)
+    items = itertools.chain.from_iterable(values) if a.ndim == 2 else values
+    if not set(map(type, items)) <= {float, int}:
+        raise CheckpointError("weights and biases must be numbers")
+    return a
 
 
 @contextlib.contextmanager
@@ -182,7 +193,8 @@ def reading_checkpoint(source):
     """Raise what reading a malformed document raises as CheckpointError."""
     try:
         yield
-    except (ValueError, KeyError, TypeError, IndexError) as exc:
+    except (ValueError, KeyError, TypeError, IndexError, OverflowError,
+            RecursionError) as exc:
         detail = f"no key {exc}" if isinstance(exc, KeyError) else exc
         raise CheckpointError(f"{source}: not a valid checkpoint: {detail}") \
             from None

@@ -24,21 +24,32 @@ class SamplingError(ValueError):
 class IdentityIndex(Mapping):
     """Read-only map from identity to its row indices, in stable row order.
 
-    Built from one stable argsort of the labels. `usable` lists, in
-    ascending order, the identities with at least 2 rows (the ones that
-    have a positive), and `anchor_rows` holds their rows, identity by
-    identity.
+    Built from one stable argsort of the labels, `order`, which lists the
+    rows identity by identity. `usable` lists, in ascending order, the
+    identities with at least 2 rows (the ones that have a positive), and
+    `anchor_rows` holds their rows, identity by identity. For the samplers,
+    `starts` and `counts` give where each usable identity's rows begin in
+    `order` and how many there are, `fewest` the smallest count, and
+    `anchor_ends` where they end in `anchor_rows`: O(identities) on top of
+    the rows.
     """
 
     def __init__(self, pids: np.ndarray):
         order = np.argsort(pids, kind="stable")
-        order.flags.writeable = False
+        order.flags.writeable = False       # and so the views into it
         keys, starts, counts = np.unique(pids[order], return_index=True,
                                          return_counts=True)
         self._rows = dict(zip(keys.tolist(), np.split(order, starts[1:])))
-        self.usable = tuple(keys[counts >= 2].tolist())
-        self.anchor_rows = order[np.repeat(counts >= 2, counts)]
-        self.anchor_rows.flags.writeable = False
+        ok = counts >= 2
+        self.usable = tuple(keys[ok].tolist())
+        self.order = order
+        self.anchor_rows = order[np.repeat(ok, counts)]
+        self.starts, self.counts = starts[ok], counts[ok]
+        self.fewest = int(self.counts.min(initial=len(pids)))
+        self.anchor_ends = np.cumsum(self.counts)
+        for a in (self.anchor_rows, self.starts, self.counts,
+                  self.anchor_ends):
+            a.flags.writeable = False
 
     def __getitem__(self, pid: int) -> np.ndarray:
         return self._rows[pid]
@@ -48,6 +59,18 @@ class IdentityIndex(Mapping):
 
     def __len__(self) -> int:
         return len(self._rows)
+
+
+def _scaled(u: np.ndarray, n) -> np.ndarray:
+    """floor(u * n) for uniforms u in [0, 1): an index below n.
+
+    It stays below n for integers n < 2**53. The largest u, 1 - 2**-53,
+    gives an exact product n * 2**-53 below n. That is more than half the
+    spacing of the doubles just below n, so the product rounds to one of
+    them; when n is a power of 2 it is exactly one spacing, a double
+    itself. A smaller u gives no larger product.
+    """
+    return (u * n).astype(np.int64)
 
 
 _LABEL_COLUMNS = ("pids", "cams", "item_ids")
@@ -116,25 +139,33 @@ def sample_pk_batch(dataset: LabeledDataset, P: int, K: int,
     Items are taken without replacement when the identity has at least K,
     otherwise every distinct item appears once before uniform replication.
     Identities with a single item are excluded (no positive exists).
+
+    At most three draws per batch, whatever P and K: one uniform key per
+    usable identity, the P smallest choosing the identities; a (P, width)
+    key matrix, whose row order puts each identity's rows in random order;
+    and, only if a chosen identity has fewer than K rows, one uniform per
+    replicated slot.
     """
     if P < 2 or K < 2:
         raise SamplingError("need P >= 2 and K >= 2")
     index = dataset.identity_index()
-    pids = index.usable
-    if len(pids) < P:
+    usable = len(index.usable)
+    if usable < P:
         raise SamplingError(
-            f"dataset has {len(pids)} usable identities, need {P}")
-    chosen = rng.choice(len(pids), size=P, replace=False)
-    all_rows = []
-    for c in chosen:
-        rows = index[pids[c]]
-        if len(rows) >= K:
-            picked = rng.choice(rows, size=K, replace=False)
-        else:
-            extra = rng.choice(rows, size=K - len(rows), replace=True)
-            picked = np.concatenate([rng.permutation(rows), extra])
-        all_rows.append(picked)
-    return PKBatch(np.concatenate(all_rows), P, K)
+            f"dataset has {usable} usable identities, need {P}")
+    chosen = rng.random(usable).argpartition(P - 1)[:P]
+    counts = index.counts[chosen, None]
+    width = max(K, *counts.ravel().tolist())    # cheaper than .max() here
+    keys = rng.random((P, width))
+    past = np.arange(width) >= counts
+    keys[past] = np.inf                 # an identity's own rows sort first
+    cols = keys.argsort(axis=1)[:, :K]
+    if K > index.fewest and past[:, K - 1].any():   # replicated slots
+        short = past[:, :K]
+        n = np.broadcast_to(counts, short.shape)[short]
+        cols[short] = _scaled(rng.random(len(n)), n)
+    cols += index.starts[chosen, None]
+    return PKBatch(index.order[cols.ravel()], P, K)
 
 
 def sample_random_triplets(dataset: LabeledDataset, B: int,
@@ -142,32 +173,25 @@ def sample_random_triplets(dataset: LabeledDataset, B: int,
     """B uniform triplets as a (B, 3) int64 array of (anchor, positive,
     negative) rows; anchors come only from identities with >= 2 items.
 
-    Each triplet takes three draws: the anchor from `anchor_rows`, then
-    the positive from the anchor's other rows and the negative from the
-    rows of other identities, both in row order. `arr[rng.integers(0,
-    len(arr))]` is the draw `rng.choice(arr)` makes.
+    One (3, B) uniform draw per batch, whatever B. Each triplet scales its
+    three uniforms to the anchor's place in `anchor_rows`, the positive's
+    among the anchor's other rows and the negative's among the rows of
+    other identities, both of these in `order`.
     """
     index = dataset.identity_index()
-    anchor_pool = index.anchor_rows
-    if len(index) < 2 or len(anchor_pool) == 0:
+    ends = index.anchor_ends
+    if len(index) < 2 or len(ends) == 0:
         raise SamplingError("need >= 2 identities and one with >= 2 items")
-    pids = dataset.pids
-    triplets = np.empty((B, 3), dtype=np.int64)
-    for t in range(B):
-        a = int(anchor_pool[rng.integers(0, len(anchor_pool))])
-        same = index[int(pids[a])]
-        # the k-th of the identity's rows other than a
-        k = int(rng.integers(0, len(same) - 1))
-        p = int(same[k])
-        if p >= a:
-            p = int(same[k + 1])
-        # the j-th row of another identity is j plus the number of the
-        # identity's rows at or before it: same[i] - i counts the rows of
-        # other identities before same[i]
-        j = int(rng.integers(0, len(pids) - len(same)))
-        n = j + int((same - np.arange(len(same))).searchsorted(j, "right"))
-        triplets[t] = a, p, n
-    return triplets
+    u = rng.random((3, B))
+    i = _scaled(u[0], ends[-1])
+    ident = ends.searchsorted(i, "right")
+    start, count = index.starts[ident], index.counts[ident]
+    a = i - ends[ident] + count                 # the anchor within its identity
+    k = _scaled(u[1], count - 1)
+    p = k + (k >= a)                            # skipping the anchor
+    n = _scaled(u[2], len(index.order) - count)
+    n += count * (n >= start)                   # skipping the identity's rows
+    return index.order[np.column_stack([start + a, start + p, n])]
 
 
 def mine_hard_offline(model: MlpParams, dataset: LabeledDataset,

@@ -25,6 +25,16 @@ class NonFiniteLossError(CollapseError):
 
 ConfigError = numcore.ConfigError      # an inconsistent run configuration
 
+# The most elements a training step's largest array may hold, checked
+# before anything is allocated: 2**27 float64 values are 1 GiB. For a PK
+# batch of n = P*K rows that array is at most batch-all's (n, n, n) cube
+# of triplet terms, so n <= 512; for B triplets it is the (3B, 3B)
+# distance matrix, so B <= 3861. Both are checked whatever the loss, so
+# `bench-losses` rejects a count before its first cell. Each layer width
+# past the input's is capped by the (width, width) weight it could take:
+# at most 11585.
+MAX_STEP_ELEMENTS = 2 ** 27
+
 
 @dataclass
 class RunConfig:
@@ -51,11 +61,21 @@ class RunConfig:
             raise ConfigError("PK losses need P >= 2 and K >= 2")
         if batch != "pk" and self.B < 1:
             raise ConfigError("triplet losses need B >= 1")
+        for flags, rows, dims in (("--P/--K", self.P * self.K, 3),
+                                  ("--B", 3 * self.B, 2)):
+            if rows ** dims > MAX_STEP_ELEMENTS:
+                raise ConfigError(f"{flags}: {rows} batch rows need a step "
+                                  f"array of {rows}**{dims} elements, past "
+                                  f"the cap of {MAX_STEP_ELEMENTS}")
         if batch == "mined" and not 0.0 < self.ohm_sample_fraction <= 1.0:
             raise ConfigError("ohm_sample_fraction must be in (0, 1]")
         if len(self.layer_widths) < 2 or min(self.layer_widths) < 1:
             raise ConfigError("layer_widths needs input and output widths, "
                               f"all >= 1, got {self.layer_widths}")
+        widest = max(self.layer_widths[1:])
+        if widest ** 2 > MAX_STEP_ELEMENTS:
+            raise ConfigError(f"--widths: a layer {widest} wide is past the "
+                              f"cap of {MAX_STEP_ELEMENTS} weights")
         if self.ohm_refresh_every < 1:
             raise ConfigError("ohm_refresh_every must be >= 1")
 

@@ -501,6 +501,33 @@ def test_non_integer_cmc_rank_exits_2_naming_flag(tmp_path, capsys):
     assert "--cmc-ranks" in capsys.readouterr().err
 
 
+class TestCountCaps:
+    """Counts past the caps exit 2 naming the flag, before any data is
+    read or generated, so these huge values allocate nothing."""
+
+    @pytest.mark.parametrize("command", ["train", "bench-losses"])
+    @pytest.mark.parametrize("flag", ["--P", "--K", "--B", "--widths"])
+    def test_batch_count_exits_2(self, tmp_path, capsys, command, flag):
+        missing = str(tmp_path / "missing.csv")
+        value = "16,%d" % 10 ** 12 if flag == "--widths" else str(10 ** 12)
+        rc = cli.main([command, "--data", missing, flag, value,
+                       "-o", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_USAGE
+        assert flag in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--ids", "--per-id", "--dim"])
+    def test_datagen_count_exits_2(self, tmp_path, capsys, flag):
+        counts = {"--ids": "4", "--per-id": "3", "--dim": "5",
+                  flag: str(10 ** 12)}
+        rc = cli.main(["datagen", *[a for kv in counts.items() for a in kv],
+                       "-o", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_USAGE
+        assert flag in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestBadCheckpoint:
     def evaluate(self, tmp_path, text):
         data = make_data(tmp_path)
@@ -530,8 +557,10 @@ class TestBadCheckpoint:
         lambda d: d.update(slope=1.5),
         lambda d: d["layers"][0].update(weight=[1.0, 2.0]),
         lambda d: d["layers"].pop(0),
+        lambda d: d["layers"][0]["weight"][0].__setitem__(0, True),
+        lambda d: d["layers"][-1]["bias"].__setitem__(0, False),
     ], ids=["no-slope", "no-widths", "widths-disagree", "bad-slope",
-            "flat-weight", "unchained-layers"])
+            "flat-weight", "unchained-layers", "true-weight", "false-bias"])
     def test_damaged_checkpoint_exits_3(self, tmp_path, capsys, edit):
         doc = json.loads(self.good_doc(tmp_path))
         edit(doc)

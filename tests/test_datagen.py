@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from tripletkit.datagen import GenSpec, generate, write_generated
+from tripletkit.datagen import (MAX_FEATURE_ELEMENTS, GenSpec, generate,
+                                write_generated)
 from tripletkit.sampling import read_dataset_csv
 
 
@@ -67,6 +68,16 @@ class TestGenerate:
             GenSpec(num_cameras=0)
         with pytest.raises(ValueError, match="feature_dim"):
             GenSpec(feature_dim=0)
+
+    def test_feature_matrix_is_capped(self):
+        # a spec is checked, not generated: these allocate nothing
+        GenSpec(num_identities=MAX_FEATURE_ELEMENTS // 4,
+                items_per_identity=2, feature_dim=2)
+        for counts in ((MAX_FEATURE_ELEMENTS // 4 + 1, 2, 2), (10 ** 12, 1, 1),
+                       (1, 10 ** 12, 1), (1, 1, 10 ** 12)):
+            with pytest.raises(ValueError, match="--ids/--per-id/--dim"):
+                GenSpec(num_identities=counts[0],
+                        items_per_identity=counts[1], feature_dim=counts[2])
 
     @pytest.mark.parametrize("spec, digest", [
         (GenSpec(seed=7),

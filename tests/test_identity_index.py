@@ -13,7 +13,8 @@ from tripletkit.diagnostics import (LOG_HEADER, PERCENTILES, TrainLogRecord,
                                     TrainLogWriter, batch_stats)
 from tripletkit.losses import BatchLabels, MarginMode, batch_hard_loss
 from tripletkit.sampling import (LabeledDataset, PKBatch, SamplingError,
-                                 sample_pk_batch, sample_random_triplets)
+                                 _scaled, sample_pk_batch,
+                                 sample_random_triplets)
 
 
 def dataset_with(pids):
@@ -25,8 +26,8 @@ def brute_index(pids):
     return {int(p): np.flatnonzero(pids == p) for p in np.unique(pids)}
 
 
-# Reference copies of the samplers as they were before the index was cached:
-# the index is rebuilt from the labels on every call.
+# Replays of the samplers' per-batch draws, identity by identity and triplet
+# by triplet, from an index rebuilt from the labels on every call.
 
 def reference_pk_batch(dataset, P, K, rng):
     index = {pid: rows for pid, rows in brute_index(dataset.pids).items()
@@ -34,30 +35,34 @@ def reference_pk_batch(dataset, P, K, rng):
     if len(index) < P:
         raise SamplingError("too few usable identities")
     pids = sorted(index)
-    chosen = rng.choice(len(pids), size=P, replace=False)
-    all_rows = []
-    for c in chosen:
-        rows = index[pids[c]]
-        if len(rows) >= K:
-            picked = rng.choice(rows, size=K, replace=False)
-        else:
-            extra = rng.choice(rows, size=K - len(rows), replace=True)
-            picked = np.concatenate([rng.permutation(rows), extra])
-        all_rows.append(picked)
-    return PKBatch(np.concatenate(all_rows), P, K)
+    chosen = np.argpartition(rng.random(len(pids)), P - 1)[:P]
+    groups = [index[pids[c]] for c in chosen]
+    keys = rng.random((P, max(K, *map(len, groups))))
+    picked = [list(rows[np.argsort(keys[i, :len(rows)])[:K]])
+              for i, rows in enumerate(groups)]
+    replicated = sum(K - len(p) for p in picked)
+    if replicated:
+        fill = iter(rng.random(replicated))
+        for p, rows in zip(picked, groups):
+            while len(p) < K:
+                p.append(rows[int(next(fill) * len(rows))])
+    return PKBatch(np.array(picked, dtype=np.int64).ravel(), P, K)
 
 
 def reference_random_triplets(dataset, B, rng):
-    index = brute_index(dataset.pids)
+    pids = dataset.pids
+    index = brute_index(pids)
     anchor_pool = np.concatenate(
         [rows for rows in index.values() if len(rows) >= 2])
     triplets = []
-    for _ in range(B):
-        a = int(rng.choice(anchor_pool))
-        same = index[int(dataset.pids[a])]
-        p = int(rng.choice(same[same != a]))
-        n = int(rng.choice(np.flatnonzero(dataset.pids != dataset.pids[a])))
-        triplets.append((a, p, n))
+    for ua, up, un in rng.random((3, B)).T:
+        a = anchor_pool[int(ua * len(anchor_pool))]
+        same = index[int(pids[a])]
+        same = same[same != a]
+        other = np.concatenate([rows for pid, rows in index.items()
+                                if pid != pids[a]])
+        triplets.append((a, same[int(up * len(same))],
+                         other[int(un * len(other))]))
     return np.array(triplets, dtype=np.int64).reshape(-1, 3)
 
 
@@ -119,7 +124,8 @@ class TestIdentityIndex:
 
 class TestSamplersMatchReference:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_pk_batch(self, seed):
+    @pytest.mark.parametrize("P, K", [(3, 4), (2, 2), (5, 9)])
+    def test_pk_batch(self, seed, P, K):
         gen = np.random.default_rng(seed)
         # gaps, negative pids, singletons and identities shorter than K
         pids = gen.choice([-7, -1, 0, 2, 3, 9, 10, 11, 40], size=50)
@@ -127,8 +133,8 @@ class TestSamplersMatchReference:
         ds = dataset_with(pids)
         ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(300):
-            a = sample_pk_batch(ds, 3, 4, ours)
-            b = reference_pk_batch(ds, 3, 4, ref)
+            a = sample_pk_batch(ds, P, K, ours)
+            b = reference_pk_batch(ds, P, K, ref)
             assert np.array_equal(a.rows, b.rows)
         assert ours.random() == ref.random()
 
@@ -139,11 +145,68 @@ class TestSamplersMatchReference:
         pids[0] = 99                                  # one singleton
         ds = dataset_with(pids)
         ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(100):
-            a = sample_random_triplets(ds, 7, ours)
-            b = reference_random_triplets(ds, 7, ref)
+        for B in [7] * 100 + [1, 0, 250]:
+            a = sample_random_triplets(ds, B, ours)
+            b = reference_random_triplets(ds, B, ref)
             assert np.array_equal(a, b)
         assert ours.random() == ref.random()
+
+
+class CountingGenerator:
+    """A Generator that counts the calls made to its methods."""
+
+    def __init__(self, seed):
+        self._gen = np.random.default_rng(seed)
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self._gen, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+        return counted
+
+
+class TestDrawsPerBatch:
+    """The samplers draw per batch, not per identity, row or triplet."""
+
+    # 30 usable identities of 2 to 11 rows, and two singletons
+    pids = np.concatenate([np.repeat(np.arange(30), np.arange(30) % 10 + 2),
+                           [100, 101]])
+
+    @pytest.mark.parametrize("P", [2, 18])
+    @pytest.mark.parametrize("K", [2, 4, 9])
+    def test_pk_batch_at_most_three_calls(self, P, K):
+        ds = dataset_with(self.pids)
+        rng = CountingGenerator(P * K)
+        seen = set()
+        for _ in range(50):
+            rng.calls = 0
+            sample_pk_batch(ds, P, K, rng)
+            seen.add(rng.calls)
+        assert seen <= {2, 3}
+        if K > 2:           # some chosen identity has fewer than K rows
+            assert 3 in seen
+
+    @pytest.mark.parametrize("B", [1, 3, 12])
+    def test_random_triplets_one_call(self, B):
+        ds = dataset_with(self.pids)
+        rng = CountingGenerator(B)
+        for _ in range(20):
+            rng.calls = 0
+            sample_random_triplets(ds, B, rng)
+            assert rng.calls == 1
+
+
+def test_scaled_uniform_stays_below_n():
+    # the largest double below 1 and the integers, powers of 2 among them
+    top = np.nextafter(1.0, 0.0)
+    n = np.concatenate([np.arange(1, 200_001), 2 ** np.arange(54),
+                        2 ** np.arange(1, 54) - 1, 2 ** np.arange(1, 53) + 1,
+                        np.random.default_rng(0).integers(1, 2 ** 53, 10_000)])
+    assert np.array_equal(_scaled(np.full(len(n), top), n), n - 1)
+    assert not _scaled(np.zeros(len(n)), n).any()
 
 
 def record(iteration):

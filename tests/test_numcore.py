@@ -161,6 +161,23 @@ def test_load_rejects_another_slope(tmp_path, slope):
         numcore.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("value", [True, False, 10 ** 400, "1.0"])
+@pytest.mark.parametrize("where", ["weight", "bias"])
+def test_load_rejects_non_numbers(tmp_path, where, value):
+    # JSON true/false would otherwise read as 1.0/0.0
+    path = tmp_path / "ckpt.json"
+    numcore.save_checkpoint(path, init_params([4, 3], seed=0))
+    doc = json.loads(path.read_text())
+    layer = doc["layers"][0]
+    if where == "weight":
+        layer["weight"][1][2] = value
+    else:
+        layer["bias"][0] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(numcore.CheckpointError, match=str(path)):
+        numcore.load_checkpoint(path)
+
+
 def test_params_reject_broken_chain():
     with pytest.raises(ConfigError):
         MlpParams([(np.zeros((3, 4)), np.zeros(4)),

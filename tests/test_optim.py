@@ -213,25 +213,6 @@ def reference_row(emb, report, t, lr):
         tuple(np.percentile(dists, diagnostics.PERCENTILES)), lr).to_row()
 
 
-def reference_random_triplets(dataset, B, rng):
-    """Rows of B triplets drawn as the sampler drew them before its draws
-    became index arithmetic: `rng.choice` over the anchor rows (identity
-    by identity), over the anchor's other rows and over every row of
-    another identity."""
-    pids = dataset.pids
-    ids, counts = np.unique(pids, return_counts=True)
-    anchor_pool = np.concatenate([np.flatnonzero(pids == i)
-                                  for i in ids[counts >= 2]])
-    rows = []
-    for _ in range(B):
-        a = int(rng.choice(anchor_pool))
-        same = np.flatnonzero(pids == pids[a])
-        p = int(rng.choice(same[same != a]))
-        n = int(rng.choice(np.flatnonzero(pids != pids[a])))
-        rows += [a, p, n]
-    return np.array(rows)
-
-
 def reference_train(cfg, dataset):
     init = numcore.init_params([dataset.feature_dim, *cfg.layer_widths[1:]],
                                cfg.seed)
@@ -253,7 +234,7 @@ def reference_train(cfg, dataset):
             rows = mined.ravel()
             labels = losses.BatchLabels(dataset.pids[rows])
         elif spec.batch == "random":
-            rows = reference_random_triplets(dataset, cfg.B, rng)
+            rows = sampling.sample_random_triplets(dataset, cfg.B, rng).ravel()
             labels = losses.BatchLabels(dataset.pids[rows])
         else:
             rows = sampling.sample_pk_batch(dataset, cfg.P, cfg.K, rng).rows

@@ -236,9 +236,10 @@ class TestCsvRoundTrip:
             read_dataset_csv(path)
 
 
-# Property-based invariants of the PK sampler (needs hypothesis, see the
-# `test` extra): identity-blocked layout, no single-row identity, and draws
-# without replacement when an identity has at least K rows.
+# Property-based invariants of the samplers (needs hypothesis, see the
+# `test` extra): identity-blocked layout, no single-row identity, every
+# distinct row before any repeat, and uniform rows within an identity; for
+# random triplets, the labels of positives and negatives and uniform draws.
 
 
 @st.composite
@@ -273,7 +274,69 @@ class TestPKBatchProperties:
         for block, pid in zip(blocks, block_pids[:, 0]):
             own = np.flatnonzero(pids == pid)
             assert len(own) >= 2            # no single-row identity
-            if len(own) >= K:               # drawn without replacement
-                assert len(set(block.tolist())) == K
-            else:                           # every row, then repeats
-                assert set(block.tolist()) == set(own.tolist())
+            distinct = min(len(own), K)     # every distinct row first,
+            assert len(set(block[:distinct].tolist())) == distinct
+            assert set(block.tolist()) <= set(own.tolist())  # then repeats
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(st.integers(2, 7), st.integers(2, 6), st.integers(0, 2**32 - 1))
+    def test_rows_uniform_within_identity(self, size, K, seed):
+        # identity 0 has `size` rows; P=2 of three identities, so it is
+        # chosen in about 2/3 of the batches
+        pids = np.repeat([0, 1, 2], [size, 3, 5])
+        n = len(pids)
+        ds = LabeledDataset(np.zeros((n, 2)), pids, np.zeros(n), np.arange(n))
+        rng = np.random.default_rng(seed)
+        blocks = np.concatenate([sample_pk_batch(ds, 2, K, rng).rows
+                                 for _ in range(2000)]).reshape(-1, K)
+        own = blocks[pids[blocks[:, 0]] == 0]
+        # its first slot, and (when short) its replicated slots
+        for slots in (own[:, :1], own[:, size:]):
+            if slots.size:
+                counts = np.bincount(slots.ravel(), minlength=size)
+                assert len(counts) == size
+                assert_uniform(counts)
+
+
+@st.composite
+def triplet_cases(draw):
+    """A label column with two identities or more, one of them usable."""
+    sizes = draw(st.lists(st.integers(1, 7), min_size=2, max_size=10))
+    if max(sizes) < 2:
+        sizes[0] = 2
+    pids = np.repeat(draw(st.permutations(range(len(sizes)))), sizes)
+    pids = draw(st.permutations(pids.tolist()))
+    return np.array(pids), draw(st.integers(0, 2**32 - 1))
+
+
+def assert_uniform(counts):
+    """Counts of equally likely outcomes pass a chi-square test."""
+    assert len(counts) == 1 or chisquare(counts).pvalue > 0.001, counts
+
+
+class TestRandomTripletProperties:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(triplet_cases())
+    def test_labels_and_uniformity(self, case):
+        pids, seed = case
+        n = len(pids)
+        ds = LabeledDataset(np.zeros((n, 2)), pids, np.zeros(n), np.arange(n))
+        a, p, neg = sample_random_triplets(
+            ds, 20_000, np.random.default_rng(seed)).T
+        assert (a != p).all() and (pids[a] == pids[p]).all()
+        assert (pids[a] != pids[neg]).all()
+        sizes = np.bincount(pids)
+        anchors = np.flatnonzero(sizes[pids] >= 2)
+        counts = np.bincount(a, minlength=n)
+        assert not counts[sizes[pids] < 2].any()    # no singleton anchors
+        assert_uniform(counts[anchors])
+        # given the anchor's identity: ordered (anchor, positive) pairs
+        # and negatives, each uniform
+        ident = pids[a[0]]
+        own = np.flatnonzero(pids == ident)
+        mine = pids[a] == ident
+        pairs = np.bincount(a[mine] * n + p[mine], minlength=n * n)
+        pairs = pairs.reshape(n, n)[np.ix_(own, own)]
+        assert_uniform(pairs[~np.eye(len(own), dtype=bool)])
+        others = np.bincount(neg[mine], minlength=n)[pids != ident]
+        assert_uniform(others)

@@ -1,7 +1,7 @@
 import pytest
 
 from tripletkit.optim import Schedule
-from tripletkit.training import (ConfigError, RunConfig,
+from tripletkit.training import (MAX_STEP_ELEMENTS, ConfigError, RunConfig,
                                  default_benchmark_sets, train)
 
 
@@ -15,6 +15,23 @@ def test_run_config_rejects_out_of_range_counts(field, value):
 
 def test_run_config_accepts_smallest_valid_counts():
     assert RunConfig(ohm_refresh_every=1).ohm_refresh_every == 1
+
+
+def test_batch_counts_are_capped_at_the_step_array():
+    # the caps admit batch-all on 512 rows and 3861 triplets, no more
+    assert MAX_STEP_ELEMENTS == 512 ** 3
+    RunConfig(loss="batch_all", P=128, K=4)
+    RunConfig(loss="triplet", B=3861)
+    for fields in (dict(P=128, K=5), dict(P=10 ** 12), dict(K=10 ** 12)):
+        with pytest.raises(ConfigError, match="--P/--K"):
+            RunConfig(**fields)
+    for B in (3862, 10 ** 12):
+        with pytest.raises(ConfigError, match="--B"):
+            RunConfig(loss="triplet", B=B)
+    RunConfig(layer_widths=[10 ** 12, 11585, 11585])   # the input is the data's
+    for widths in ([16, 11586], [16, 8, 10 ** 12]):
+        with pytest.raises(ConfigError, match="--widths"):
+            RunConfig(layer_widths=widths)
 
 
 @pytest.mark.parametrize("widths", [[], [16], [16, 0, 8], [16, 32, -1]])
