@@ -85,16 +85,16 @@ class AdamState:
     @classmethod
     def from_dict(cls, doc: dict) -> "AdamState":
         """The state `to_dict` wrote; anything else, other beta2 or eps_hat
-        values, a step count that is not an int >= 0 or a beta1 that is
-        not a float in [0, 1) included, raises CheckpointError."""
+        values, a step count that is not an int in [0, 2**63) or a beta1
+        that is not a float in [0, 1) included, raises CheckpointError."""
         with reading_checkpoint("Adam state"):
             if (doc["beta2"], doc["eps_hat"]) != (BETA2, EPS_HAT):
                 raise CheckpointError(f"Adam beta2 and eps_hat must be "
                                       f"{BETA2} and {EPS_HAT}")
             steps, beta1 = doc["step_count"], doc["beta1"]
-            if type(steps) is not int or steps < 0:
-                raise CheckpointError(f"Adam step_count must be an int >= 0, "
-                                      f"got {steps!r}")
+            if type(steps) is not int or not 0 <= steps < 2 ** 63:
+                raise CheckpointError(f"Adam step_count must be an int in "
+                                      f"[0, 2**63), got {steps!r}")
             if type(beta1) is not float or not 0.0 <= beta1 < 1.0:
                 raise CheckpointError(f"Adam beta1 must be a float in [0, 1), "
                                       f"got {beta1!r}")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from collections.abc import Mapping
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,17 +21,16 @@ class SamplingError(ValueError):
     """Dataset cannot support the requested sampling."""
 
 
-class IdentityIndex(Mapping):
-    """Read-only map from identity to its row indices, in stable row order.
+class IdentityIndex:
+    """Where each identity's rows sit in one stable argsort of the labels.
 
-    Built from one stable argsort of the labels, `order`, which lists the
-    rows identity by identity. `usable` lists, in ascending order, the
-    identities with at least 2 rows (the ones that have a positive), and
-    `anchor_rows` holds their rows, identity by identity. For the samplers,
-    `starts` and `counts` give where each usable identity's rows begin in
-    `order` and how many there are, `fewest` the smallest count, and
-    `anchor_ends` where they end in `anchor_rows`: O(identities) on top of
-    the rows.
+    `order` lists the rows identity by identity, in stable row order, and
+    `identities` counts the distinct labels. `usable` lists, in ascending
+    order, the identities with at least 2 rows (the ones that have a
+    positive). For the samplers, `starts` and `counts` give where each
+    usable identity's rows begin in `order` and how many there are,
+    `fewest` the smallest count, and `anchor_ends` the running total of the
+    counts: O(identities) on top of the rows.
     """
 
     def __init__(self, pids: np.ndarray):
@@ -39,26 +38,15 @@ class IdentityIndex(Mapping):
         order.flags.writeable = False       # and so the views into it
         keys, starts, counts = np.unique(pids[order], return_index=True,
                                          return_counts=True)
-        self._rows = dict(zip(keys.tolist(), np.split(order, starts[1:])))
         ok = counts >= 2
-        self.usable = tuple(keys[ok].tolist())
         self.order = order
-        self.anchor_rows = order[np.repeat(ok, counts)]
+        self.identities = len(keys)
+        self.usable = tuple(keys[ok].tolist())
         self.starts, self.counts = starts[ok], counts[ok]
         self.fewest = int(self.counts.min(initial=len(pids)))
         self.anchor_ends = np.cumsum(self.counts)
-        for a in (self.anchor_rows, self.starts, self.counts,
-                  self.anchor_ends):
+        for a in (self.starts, self.counts, self.anchor_ends):
             a.flags.writeable = False
-
-    def __getitem__(self, pid: int) -> np.ndarray:
-        return self._rows[pid]
-
-    def __iter__(self):
-        return iter(self._rows)
-
-    def __len__(self) -> int:
-        return len(self._rows)
 
 
 def _scaled(u: np.ndarray, n) -> np.ndarray:
@@ -174,13 +162,13 @@ def sample_random_triplets(dataset: LabeledDataset, B: int,
     negative) rows; anchors come only from identities with >= 2 items.
 
     One (3, B) uniform draw per batch, whatever B. Each triplet scales its
-    three uniforms to the anchor's place in `anchor_rows`, the positive's
-    among the anchor's other rows and the negative's among the rows of
-    other identities, both of these in `order`.
+    three uniforms to the anchor's place among the rows of usable
+    identities, the positive's among the anchor's other rows and the
+    negative's among the rows of other identities, all of these in `order`.
     """
     index = dataset.identity_index()
     ends = index.anchor_ends
-    if len(index) < 2 or len(ends) == 0:
+    if index.identities < 2 or len(ends) == 0:
         raise SamplingError("need >= 2 identities and one with >= 2 items")
     u = rng.random((3, B))
     i = _scaled(u[0], ends[-1])
@@ -253,11 +241,75 @@ def write_dataset_csv(path, dataset: LabeledDataset) -> None:
                        + [repr(float(v)) for v in dataset.features[i]])
 
 
+# The characters of the numbers that int() and float() read, commas and
+# ASCII whitespace: the only ones `_bulk_rows` hands to np.loadtxt. NumPy's
+# integer parser reads other characters as digits ("\u01fe1" gives 4621)
+# and can crash on them, and it skips U+001C..U+001F around a number,
+# which int() and float() refuse.
+_PLAIN = b"0123456789+-.eEnNaAiIfFtTyY, \t\x0b\x0c\n"
+
+
+class _LineByLine(ValueError):
+    """Input that np.loadtxt might read differently from the csv module."""
+
+
 def read_dataset_csv(path) -> LabeledDataset:
     """Read a dataset CSV; a file with only the header gives zero rows of
     the header's feature width. Bytes that are not UTF-8, malformed rows,
     non-finite feature values, labels outside the int64 range and repeated
-    item_ids raise SamplingError naming the file and the first such line."""
+    item_ids raise SamplingError naming the file and the first such line.
+
+    The rows after the header are parsed by one np.loadtxt call on the open
+    file. A file it refuses, might read differently from the csv module or
+    that fails a check is read again line by line, which returns the same
+    dataset or names the line at fault.
+    """
+    try:
+        with open(path, encoding="utf-8") as f:
+            header = next(csv.reader(f), [])
+            width = len(header) - 3
+            if header == ["item_id", "pid", "cam",
+                          *(f"f{i}" for i in range(width))]:
+                return _bulk_rows(f, width)
+    except (ValueError, csv.Error):
+        pass
+    return _read_lines(path)
+
+
+def _bulk_rows(f, width: int) -> LabeledDataset:
+    """The rows left in `f`, parsed by one np.loadtxt call. Raises
+    ValueError wherever `_read_lines` might read them differently: a line
+    that is blank, holds a character outside `_PLAIN` or is longer than the
+    csv module's field limit, a header-only file (loadtxt warns on it), a
+    line loadtxt skipped and a dataset that fails a check."""
+    limit = csv.field_size_limit()
+    count = 0
+
+    def plain_lines():
+        nonlocal count
+        for line in f:
+            if (line == "\n" or len(line) > limit
+                    or line.encode("ascii").translate(None, _PLAIN)):
+                raise _LineByLine
+            count += 1
+            yield line
+
+    lines = plain_lines()
+    first = next(lines, None)
+    if first is None:
+        raise _LineByLine
+    dtype = [("item_id", "i8"), ("pid", "i8"), ("cam", "i8"),
+             ("f", "f8", (width,))]
+    rows = np.loadtxt(itertools.chain([first], lines), dtype=dtype,
+                      delimiter=",", comments=None, ndmin=1)
+    features = np.ascontiguousarray(rows["f"])
+    if len(rows) != count or not np.isfinite(features).all():
+        raise _LineByLine
+    return LabeledDataset(features, rows["pid"], rows["cam"], rows["item_id"])
+
+
+def _read_lines(path) -> LabeledDataset:
+    """`read_dataset_csv`, one csv row at a time."""
     try:
         with open(path, encoding="utf-8") as f:
             r = csv.reader(f)

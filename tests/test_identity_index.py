@@ -69,6 +69,13 @@ def reference_random_triplets(dataset, B, rng):
 labels = st.lists(st.integers(-5, 40), min_size=0, max_size=60)
 
 
+def rows_of(index, pid):
+    """The rows of usable identity `pid`, read from `order`, `starts` and
+    `counts`."""
+    i = index.usable.index(pid)
+    return index.order[index.starts[i]:index.starts[i] + index.counts[i]]
+
+
 class TestIdentityIndex:
     @settings(max_examples=200, deadline=None)
     @given(labels)
@@ -76,13 +83,15 @@ class TestIdentityIndex:
         pids = np.array(pid_list, dtype=np.int64)
         index = dataset_with(pids).identity_index()
         want = brute_index(pids)
-        assert list(index) == list(want)
-        for pid, rows in want.items():
-            assert np.array_equal(index[pid], rows)
+        assert np.array_equal(index.order, np.concatenate(
+            [*want.values(), np.array([], int)]))
+        assert index.identities == len(want)
         assert list(index.usable) == [p for p, r in want.items()
                                       if len(r) >= 2]
-        assert np.array_equal(index.anchor_rows, np.concatenate(
-            [r for r in want.values() if len(r) >= 2] + [np.array([], int)]))
+        for pid in index.usable:
+            assert np.array_equal(rows_of(index, pid), want[pid])
+        assert np.array_equal(index.anchor_ends, np.cumsum(index.counts))
+        assert index.fewest == min(index.counts, default=len(pids))
 
     def test_built_once(self):
         ds = dataset_with(np.array([3, 1, 3, 1]))
@@ -94,9 +103,9 @@ class TestIdentityIndex:
         ds.pids = np.array([5, 6, 6, 5])
         after = ds.identity_index()
         assert after is not before
-        assert list(after) == [5, 6]
-        assert np.array_equal(after[5], [0, 3])
-        assert np.array_equal(after[6], [1, 2])
+        assert after.usable == (5, 6)
+        assert np.array_equal(rows_of(after, 5), [0, 3])
+        assert np.array_equal(rows_of(after, 6), [1, 2])
 
     def test_labels_cannot_be_written_in_place(self):
         ds = dataset_with(np.array([0, 0, 1, 1]))
@@ -109,17 +118,15 @@ class TestIdentityIndex:
         ds = dataset_with(pids)
         ds.identity_index()
         pids[0] = 1
-        assert np.array_equal(ds.identity_index()[0], [0, 1])
+        assert np.array_equal(rows_of(ds.identity_index(), 0), [0, 1])
         assert pids.flags.writeable
 
     def test_index_is_read_only(self):
         index = dataset_with(np.array([0, 0, 1, 1])).identity_index()
-        with pytest.raises(TypeError):
-            index[2] = np.array([0])
-        with pytest.raises(ValueError):
-            index[0][0] = 3
-        with pytest.raises(ValueError):
-            index.anchor_rows[0] = 3
+        for column in (index.order, index.starts, index.counts,
+                       index.anchor_ends, rows_of(index, 0)):
+            with pytest.raises(ValueError):
+                column[0] = 3
 
 
 class TestSamplersMatchReference:
