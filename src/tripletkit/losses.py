@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal, get_args
 
 import numpy as np
@@ -115,27 +116,49 @@ def _chain_through_metric(embeddings: np.ndarray, dist: DistanceMatrix,
     return k.sum(axis=1)[:, None] * x - k @ x
 
 
-@dataclass
+def _read_only(*arrays: np.ndarray) -> None:
+    """Make arrays that are cached and shared refuse writes."""
+    for a in arrays:
+        a.flags.writeable = False
+
+
+@dataclass(frozen=True, eq=False)
 class BatchLabels:
-    """Per-row identity labels, optionally carrying the (P, K) structure."""
+    """Per-row identity labels, optionally carrying the (P, K) structure.
+
+    An immutable value: `identities` is a read-only copy, and each
+    structure the losses derive from it is built on first use and kept,
+    read-only. A training run whose batches share one label layout builds
+    one object and derives its masks, pairs and targets once.
+    """
 
     identities: np.ndarray
     P: int | None = None
     K: int | None = None
 
     def __post_init__(self):
-        self.identities = np.asarray(self.identities)
+        identities = np.array(self.identities)
+        _read_only(identities)
+        object.__setattr__(self, "identities", identities)
 
     def same_label(self) -> np.ndarray:
         """same[i, j] is True when rows i and j carry one identity."""
-        return self.identities[:, None] == self.identities[None, :]
+        return self._same
 
-    def validate_pk(self, same: np.ndarray | None = None) -> tuple[int, int]:
-        """(P, K) of a PK batch, or BatchContractError. `same` is the
-        batch's `same_label()` matrix, when the caller already has it."""
-        if same is None:
-            same = self.same_label()
-        counts = same.sum(axis=1).tolist()  # rows sharing each row's identity
+    @cached_property
+    def _same(self) -> np.ndarray:
+        same = self.identities[:, None] == self.identities[None, :]
+        _read_only(same)
+        return same
+
+    def validate_pk(self) -> tuple[int, int]:
+        """(P, K) of a PK batch, or BatchContractError."""
+        return self._pk
+
+    @cached_property
+    def _pk(self) -> tuple[int, int]:
+        # rows sharing each row's identity
+        counts = self.same_label().sum(axis=1).tolist()
         n = len(counts)
         if n == 0 or counts[0] == n:
             raise BatchContractError("PK batch needs at least 2 identities")
@@ -150,6 +173,47 @@ class BatchLabels:
             raise BatchContractError(f"declared K={self.K}, found {k}")
         return p, k
 
+    @cached_property
+    def masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Positive (same identity, other row) and negative masks."""
+        same = self.same_label()
+        pos = same.copy()
+        pos.flat[::len(pos) + 1] = False
+        neg = ~same
+        _read_only(pos, neg)
+        return pos, neg
+
+    @cached_property
+    def valid_triplets(self) -> np.ndarray:
+        """valid[a, p, n]: p != a shares a's identity, n does not."""
+        pos, neg = self.masks
+        valid = pos[:, :, None] & neg[:, None, :]
+        _read_only(valid)
+        return valid
+
+    @cached_property
+    def lifted_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every same-identity pair (a, p) with a < p, in row-major order,
+        and the `_lifted_negatives` mask of those pairs."""
+        pos, _ = self.masks
+        pairs = np.argwhere(pos)
+        pairs = pairs[pairs[:, 0] < pairs[:, 1]]
+        negative = _lifted_negatives(pairs, len(pos))
+        _read_only(pairs, negative)
+        return pairs, negative
+
+    @cached_property
+    def lmnn_targets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The anchors that have a same-identity row, in row order, the
+        first such row of each (its target neighbor), and the mask of
+        each anchor's differently labeled rows."""
+        pos, _ = self.masks
+        anchors = np.flatnonzero(pos.any(axis=1))
+        targets = pos.argmax(axis=1)[anchors]
+        push = _push_pairs(self.identities, anchors)
+        _read_only(anchors, targets, push)
+        return anchors, targets, push
+
 
 @dataclass
 class LossReport:
@@ -163,17 +227,6 @@ class LossReport:
     @property
     def active_fraction(self) -> float:
         return self.num_active / self.num_terms if self.num_terms else 0.0
-
-
-def _masks(labels: BatchLabels, pk: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Positive (same identity, other row) and negative masks; with `pk`,
-    the batch is first checked to be a PK batch."""
-    same = labels.same_label()
-    if pk:
-        labels.validate_pk(same)
-    pos = same.copy()
-    pos.flat[::len(pos) + 1] = False
-    return pos, ~same
 
 
 def triplet_differences(d: np.ndarray, same: np.ndarray, lo: int = 0,
@@ -248,7 +301,8 @@ def batch_hard_loss(embeddings: np.ndarray, labels: BatchLabels,
     Ties in the max/min are broken toward the lowest row index so the
     gradient is deterministic.
     """
-    pos, neg = _masks(labels, pk=True)
+    labels.validate_pk()
+    pos, neg = labels.masks
     x = np.asarray(embeddings, dtype=np.float64)
     dist = pairwise_distances(x, metric)
     d = dist.values
@@ -264,11 +318,12 @@ def batch_all_loss(embeddings: np.ndarray, labels: BatchLabels,
                    mode: MarginMode = MarginMode.hard(0.2),
                    averaging: Literal["all", "nonzero"] = "all") -> LossReport:
     """Sum over every valid (a, p, n) triplet in the PK batch."""
-    same = labels.same_label()
-    labels.validate_pk(same)
+    labels.validate_pk()
+    valid = labels.valid_triplets
     x = np.asarray(embeddings, dtype=np.float64)
     dist = pairwise_distances(x, metric)
-    xvals, valid = triplet_differences(dist.values, same)
+    d = dist.values
+    xvals = d[:, :, None] - d[:, None, :]   # D(a,p) - D(a,n)
     applied = margin_apply(xvals, mode)
     per_term = applied[valid]
 
@@ -305,11 +360,18 @@ def classic_triplet_loss(embeddings: np.ndarray,
                           mode, "all")
 
 
+def _push_pairs(identities: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """push[i, j]: row j's identity differs from that of row anchors[i]."""
+    return identities[anchors, None] != identities[None, :]
+
+
 def lmnn_loss(embeddings: np.ndarray, labels: BatchLabels,
-              target_neighbors: dict[int, int], mu: float = 0.5,
+              target_neighbors: dict[int, int] | None = None, mu: float = 0.5,
               m: float = 0.2, metric: Metric = "euclidean") -> LossReport:
     """Pull toward fixed target neighbors, push differently labeled points.
 
+    `target_neighbors` maps anchors to distinct same-class rows; None
+    takes each row's first same-class row, derived once per `labels`.
     Pull and push sums are normalized by their own term counts before the
     (1-mu)/mu weighting. Pull terms come in anchor order, then the push
     terms of each anchor in row order.
@@ -317,20 +379,17 @@ def lmnn_loss(embeddings: np.ndarray, labels: BatchLabels,
     if not 0.0 <= mu <= 1.0:
         raise ValueError("mu must be in [0, 1]")
     x = np.asarray(embeddings, dtype=np.float64)
-    ids = labels.identities
     n = len(x)
     dist = pairwise_distances(x, metric)
     d = dist.values
-    if not target_neighbors:
-        raise BatchContractError("need at least one target neighbor")
-    anchors, targets = np.array(sorted(target_neighbors.items()),
-                                dtype=np.intp).T
-    bad = (ids[anchors] != ids[targets]) | (anchors == targets)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise BatchContractError(
-            f"target neighbor {targets[i]} of anchor {anchors[i]} must be a "
-            "distinct same-class item")
+    if target_neighbors is None:
+        anchors, targets, push_pairs = labels.lmnn_targets
+        if len(anchors) == 0:
+            raise BatchContractError("need at least one target neighbor")
+    else:
+        anchors, targets = _checked_targets(labels.identities,
+                                            target_neighbors)
+        push_pairs = _push_pairs(labels.identities, anchors)
 
     coeff = np.zeros((n, n))
     pull_terms = d[anchors, targets]
@@ -338,7 +397,6 @@ def lmnn_loss(embeddings: np.ndarray, labels: BatchLabels,
     coeff[anchors, targets] = (1 - mu) / n_pull
 
     # push term over (a, n) pairs with differing labels
-    push_pairs = ids[anchors, None] != ids[None, :]
     v = m + pull_terms[:, None] - d[anchors]
     push_terms = np.maximum(0.0, v[push_pairs])
     n_push = max(len(push_terms), 1)    # no push pairs: the push sum is 0
@@ -351,22 +409,86 @@ def lmnn_loss(embeddings: np.ndarray, labels: BatchLabels,
                    dist)
 
 
-def lifted_loss(embeddings: np.ndarray, pairing: np.ndarray | list,
+def _checked_targets(ids: np.ndarray, target_neighbors: dict[int, int]
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Anchors in ascending order and their target neighbors, each a
+    distinct row of the anchor's identity, or BatchContractError."""
+    if not target_neighbors:
+        raise BatchContractError("need at least one target neighbor")
+    anchors, targets = np.array(sorted(target_neighbors.items()),
+                                dtype=np.intp).T
+    bad = (ids[anchors] != ids[targets]) | (anchors == targets)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise BatchContractError(
+            f"target neighbor {targets[i]} of anchor {anchors[i]} must be a "
+            "distinct same-class item")
+    return anchors, targets
+
+
+def _lifted_negatives(pairs: np.ndarray, n: int) -> np.ndarray:
+    """(len(pairs), 2n) mask: row i holds every row but a_i and p_i, once
+    for the a_i half of the lifted terms and once for the p_i half."""
+    terms = np.arange(len(pairs))
+    negative = np.ones((len(pairs), n), dtype=bool)
+    negative[terms, pairs[:, 0]] = negative[terms, pairs[:, 1]] = False
+    return np.concatenate((negative, negative), axis=1)
+
+
+def lifted_loss(embeddings: np.ndarray,
+                pairing: np.ndarray | list | None = None,
                 metric: Metric = "euclidean", m: float = 0.2,
                 mode: MarginMode = MarginMode.hard(0.0),
                 labels: BatchLabels | None = None) -> LossReport:
     """One-positive lifted loss: every non-pair row is a negative for both ends.
 
-    `pairing` lists (anchor, positive) pairs, as tuples or an (n, 2) array.
-    `mode` selects the outer clamp only (plain hinge or softplus); the margin
-    m lives inside the exponentials. When labels are given the same-class
-    pairing precondition is checked.
+    `pairing` lists (anchor, positive) pairs, as tuples or an (n, 2) array;
+    None takes every same-class pair (a, p) with a < p of `labels`, derived
+    once per `labels`. `mode` selects the outer clamp only (plain hinge or
+    softplus); the margin m lives inside the exponentials. When both
+    `pairing` and labels are given the same-class precondition is checked.
     """
     x = np.asarray(embeddings, dtype=np.float64)
     n = len(x)
-    pairs = np.asarray(pairing, dtype=np.intp).reshape(-1, 2)
+    if pairing is None:
+        if labels is None:
+            raise BatchContractError("lifted loss needs a pairing or labels")
+        pairs, negative = labels.lifted_pairs
+    else:
+        pairs = _checked_pairs(pairing, labels)
+        negative = None
     if len(pairs) == 0:
         raise BatchContractError("need at least one (anchor, positive) pair")
+    if n < 3:
+        raise BatchContractError("lifted loss needs at least one negative")
+    if negative is None:
+        negative = _lifted_negatives(pairs, n)
+    a, p = pairs.T
+    dist = pairwise_distances(x, metric)
+    d = dist.values
+    outer = MarginMode.hard(0.0) if mode.kind == "hard" else mode
+
+    # row i: m - D(a_i, .) then m - D(p_i, .), both ends of the pair masked
+    exps = np.where(negative, m - np.concatenate((d[a], d[p]), axis=1),
+                    -np.inf)
+    lse, weights = _logsumexp_softmax(exps)
+    inner = d[a, p] + lse
+    per_term = margin_apply(inner, outer)
+    g = margin_apply_grad(inner, outer) / len(pairs)
+    # d/dD(a_i, .) then d/dD(p_i, .); the a_i half also holds +g at p_i.
+    # Reshaped, the rows go a_0, p_0, a_1, p_1, ... as `pairs.ravel()`.
+    rows = -g[:, None] * weights
+    rows[np.arange(len(pairs)), p] += g
+    coeff = np.zeros((n, n))
+    np.add.at(coeff, pairs.ravel(), rows.reshape(-1, n))
+    return _finish(_mean(per_term), per_term, coeff, x, dist)
+
+
+def _checked_pairs(pairing: np.ndarray | list,
+                   labels: BatchLabels | None) -> np.ndarray:
+    """`pairing` as an (n, 2) index array, or BatchContractError if a pair
+    repeats a row or, when `labels` are given, spans two identities."""
+    pairs = np.asarray(pairing, dtype=np.intp).reshape(-1, 2)
     a, p = pairs.T
     if (a == p).any():
         raise BatchContractError("anchor and positive must differ")
@@ -375,36 +497,15 @@ def lifted_loss(embeddings: np.ndarray, pairing: np.ndarray | list,
         if cross.any():
             i = cross.argmax()
             raise BatchContractError(f"pair ({a[i]}, {p[i]}) is not same-class")
-    if n < 3:
-        raise BatchContractError("lifted loss needs at least one negative")
-    dist = pairwise_distances(x, metric)
-    d = dist.values
-    outer = MarginMode.hard(0.0) if mode.kind == "hard" else mode
-
-    # row i: m - D(a_i, .) then m - D(p_i, .), both ends of the pair masked
-    terms = np.arange(len(pairs))
-    negative = np.ones((len(pairs), n), dtype=bool)
-    negative[terms, a] = negative[terms, p] = False
-    exps = np.where(np.concatenate((negative, negative), axis=1),
-                    m - np.concatenate((d[a], d[p]), axis=1), -np.inf)
-    lse, weights = _logsumexp_softmax(exps)
-    inner = d[a, p] + lse
-    per_term = margin_apply(inner, outer)
-    g = margin_apply_grad(inner, outer) / len(pairs)
-    # d/dD(a_i, .) then d/dD(p_i, .); the a_i half also holds +g at p_i.
-    # Reshaped, the rows go a_0, p_0, a_1, p_1, ... as `pairs.ravel()`.
-    rows = -g[:, None] * weights
-    rows[terms, p] += g
-    coeff = np.zeros((n, n))
-    np.add.at(coeff, pairs.ravel(), rows.reshape(-1, n))
-    return _finish(_mean(per_term), per_term, coeff, x, dist)
+    return pairs
 
 
 def lifted_generalized_loss(embeddings: np.ndarray, labels: BatchLabels,
                             metric: Metric = "euclidean", m: float = 0.2,
                             mode: MarginMode = MarginMode.hard(0.0)) -> LossReport:
     """PK generalization of the lifted loss using all positives per anchor."""
-    pos, neg = _masks(labels, pk=True)
+    labels.validate_pk()
+    pos, neg = labels.masks
     x = np.asarray(embeddings, dtype=np.float64)
     n = len(x)
     dist = pairwise_distances(x, metric)
@@ -439,22 +540,6 @@ def _inner_margin(cfg, soft_m: float) -> float:
     return cfg.margin.m if cfg.margin.kind == "hard" else soft_m
 
 
-def _lifted(emb, labels, cfg):
-    pos, _ = _masks(labels)
-    pairs = np.argwhere(pos)        # row-major, as argwhere(triu(pos))
-    return lifted_loss(emb, pairs[pairs[:, 0] < pairs[:, 1]], cfg.metric,
-                       _inner_margin(cfg, 1.0), cfg.margin, labels)
-
-
-def _lmnn(emb, labels, cfg):
-    # the target neighbor of each anchor is its first same-class row
-    pos, _ = _masks(labels)
-    anchors = np.flatnonzero(pos.any(axis=1))
-    targets = dict(zip(anchors.tolist(), pos.argmax(axis=1)[anchors].tolist()))
-    return lmnn_loss(emb, labels, targets, m=_inner_margin(cfg, 0.2),
-                     metric=cfg.metric)
-
-
 # Closed loss enumeration for the trainer, the CLI and the benchmark grid.
 # Entries call the losses through the module globals, so that a wrapper
 # put in their place (a tracer, a test double) is what runs.
@@ -471,11 +556,14 @@ LOSSES = {spec.name: spec for spec in (
         emb, labels, cfg.metric, cfg.margin)),
     LossSpec("batch_all_nnz", "pk", lambda emb, labels, cfg: batch_all_loss(
         emb, labels, cfg.metric, cfg.margin, "nonzero")),
-    LossSpec("lifted", "pk", _lifted),
+    LossSpec("lifted", "pk", lambda emb, labels, cfg: lifted_loss(
+        emb, metric=cfg.metric, m=_inner_margin(cfg, 1.0), mode=cfg.margin,
+        labels=labels)),
     LossSpec("lifted_gen", "pk", lambda emb, labels, cfg:
              lifted_generalized_loss(emb, labels, cfg.metric,
                                      _inner_margin(cfg, 1.0), cfg.margin)),
-    LossSpec("lmnn", "pk", _lmnn),
+    LossSpec("lmnn", "pk", lambda emb, labels, cfg: lmnn_loss(
+        emb, labels, m=_inner_margin(cfg, 0.2), metric=cfg.metric)),
 )}
 LOSS_NAMES = tuple(LOSSES)
 

@@ -226,7 +226,11 @@ def load_checkpoint(path) -> tuple[MlpParams, dict | None]:
             doc = json.load(f)
         if doc["slope"] != SLOPE:
             raise CheckpointError(f"slope must be {SLOPE}, got {doc['slope']}")
-        params = MlpParams(layers_from_json(doc["layers"]), seed=doc.get("seed"))
+        seed = doc.get("seed")
+        if seed is not None and type(seed) is not int:
+            raise CheckpointError(f"seed must be an integer or null, got "
+                                  f"{seed!r}")
+        params = MlpParams(layers_from_json(doc["layers"]), seed=seed)
         if doc["layer_widths"] != params.layer_widths:
             raise CheckpointError(f"layer_widths {doc['layer_widths']} do "
                                   f"not match the layers' {params.layer_widths}")

@@ -103,6 +103,11 @@ def train(cfg: RunConfig, dataset: sampling.LabeledDataset,
     mined: np.ndarray | None = None
     grads = numcore.GradBundle(params.layers)   # mlp_backward's output buffer
     spec = losses.LOSSES[cfg.loss]
+    # every PK batch holds P distinct identities, K rows each, in identity
+    # blocks, so one labels object serves every step; the triplet losses
+    # read no labels
+    labels = losses.BatchLabels(np.repeat(np.arange(cfg.P), cfg.K),
+                                cfg.P, cfg.K) if spec.batch == "pk" else None
 
     for t in range(1, cfg.schedule.t1 + 1):
         lr = optim.lr_at(cfg.schedule, t)
@@ -114,12 +119,10 @@ def train(cfg: RunConfig, dataset: sampling.LabeledDataset,
                 rng, cfg.metric)
         if spec.batch == "pk":
             rows = sampling.sample_pk_batch(dataset, cfg.P, cfg.K, rng).rows
-            labels = losses.BatchLabels(dataset.pids[rows], cfg.P, cfg.K)
         else:
             triplets = mined if spec.batch == "mined" else \
                 sampling.sample_random_triplets(dataset, cfg.B, rng)
             rows = triplets.ravel()
-            labels = losses.BatchLabels(dataset.pids[rows])
 
         # overflow and NaN from a diverging step are reported by the guard below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -204,8 +207,12 @@ def ohm_stress_config(loss: str, seed: int) -> RunConfig:
 
 def embed_dataset(params: numcore.MlpParams,
                   dataset: sampling.LabeledDataset) -> sampling.LabeledDataset:
-    """Map a feature dataset through the model into embedding space."""
-    emb, _ = numcore.mlp_forward(params, dataset.features)
+    """Map a feature dataset through the model into embedding space.
+
+    A model with huge but finite weights can overflow; that shows as
+    non-finite embeddings, which `evalkit.evaluate` refuses."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        emb, _ = numcore.mlp_forward(params, dataset.features)
     return sampling.LabeledDataset(emb, dataset.pids, dataset.cams,
                                    dataset.item_ids)
 

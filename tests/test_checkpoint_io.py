@@ -90,8 +90,8 @@ def valid(tmp_path_factory):
 
 def sites(node, path=()):
     """The path of every value in a checkpoint document, the document
-    itself included, but not the seed: it is informational, and read
-    back whatever it holds."""
+    itself included, but not the seed: unlike every other number in it,
+    it may be any integer or null, so its mutations are tested apart."""
     yield path
     items = node.items() if isinstance(node, dict) else (
         enumerate(node) if isinstance(node, list) else ())
@@ -153,6 +153,18 @@ def mutations(draw, doc):
     return path, doc
 
 
+def evaluate(d, ckpt, *extra):
+    """`tripletkit evaluate` of `ckpt` on the DIM-wide data in `d`:
+    (exit code, stderr)."""
+    err = io.StringIO()
+    data = str(d / "data.csv")
+    with contextlib.redirect_stderr(err):
+        rc = cli.main(["evaluate", "--checkpoint", str(ckpt), "--queries",
+                       data, "--gallery", data, "-o", str(d / "out"),
+                       *extra])
+    return rc, err.getvalue()
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_mutated_checkpoint_exits_3_without_traceback(valid, data):
@@ -164,19 +176,15 @@ def test_mutated_checkpoint_exits_3_without_traceback(valid, data):
     path, doc = data.draw(mutations(good))
     ckpt = d / "bad.json"
     ckpt.write_text(json.dumps(doc))
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        rc = cli.main(["evaluate", "--checkpoint", str(ckpt), "--queries",
-                       str(d / "data.csv"), "--gallery", str(d / "data.csv"),
-                       "-o", str(d / "out")])
-    assert "Traceback" not in err.getvalue()
+    rc, err = evaluate(d, ckpt)
+    assert "Traceback" not in err
     if path[:1] == ("optim",):
-        assert rc == cli.EXIT_OK, err.getvalue()
+        assert rc == cli.EXIT_OK, err
         with pytest.raises(numcore.CheckpointError):
             AdamState.from_dict(doc["optim"])
     else:
-        assert rc == cli.EXIT_DATA, (path, err.getvalue())
-        assert err.getvalue().startswith(f"error: {ckpt}")
+        assert rc == cli.EXIT_DATA, (path, err)
+        assert err.startswith(f"error: {ckpt}")
 
 
 @pytest.mark.parametrize("key", ["step_count", "beta1"])
@@ -189,3 +197,51 @@ def test_adam_scalars_of_wrong_type_or_size_refused(valid, key, value):
     doc[key] = value
     with pytest.raises(numcore.CheckpointError, match=key):
         AdamState.from_dict(doc)
+
+
+@pytest.mark.parametrize("seed", ["abc", "7", 1.5, 7.0, True, False, [],
+                                  [7], {}, {"seed": 7}])
+def test_seed_that_is_not_an_integer_or_null_exits_3(valid, seed):
+    d, good = valid
+    doc = copy.deepcopy(good)
+    doc["seed"] = seed
+    ckpt = d / "bad_seed.json"
+    ckpt.write_text(json.dumps(doc))
+    with pytest.raises(numcore.CheckpointError, match="seed"):
+        numcore.load_checkpoint(ckpt)
+    rc, err = evaluate(d, ckpt)
+    assert rc == cli.EXIT_DATA
+    assert err.startswith(f"error: {ckpt}") and "seed" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", [None, 0, -3, 2 ** 70, "missing"])
+def test_integer_null_or_missing_seed_loads(valid, tmp_path, seed):
+    doc = copy.deepcopy(valid[1])
+    if seed == "missing":
+        del doc["seed"]
+        seed = None
+    else:
+        doc["seed"] = seed
+    ckpt = tmp_path / "seed.json"
+    ckpt.write_text(json.dumps(doc))
+    params, _ = numcore.load_checkpoint(ckpt)
+    assert params.seed == seed
+
+
+@pytest.mark.parametrize("extra", [(), ("--distractors",)])
+def test_huge_finite_weights_exit_3_without_warning(valid, extra):
+    """Weights near the float64 maximum overflow in the forward pass; the
+    suite turns any RuntimeWarning into an error, so this also checks
+    that none is emitted."""
+    d, good = valid
+    doc = copy.deepcopy(good)
+    doc["layers"][0]["weight"][0][0] = 1e308
+    doc["layers"][0]["weight"][1][1] = -1e308
+    ckpt = d / "huge.json"
+    ckpt.write_text(json.dumps(doc))
+    if extra:
+        extra = (*extra, str(d / "data.csv"))
+    rc, err = evaluate(d, ckpt, *extra)
+    assert rc == cli.EXIT_DATA
+    assert err == "error: embeddings are not finite\n"

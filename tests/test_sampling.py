@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from tripletkit import sampling
-from tripletkit.losses import MarginMode, margin_apply, pairwise_distances
+from tripletkit.losses import (BatchLabels, MarginMode, margin_apply,
+                               pairwise_distances)
 from tripletkit.numcore import MlpParams, init_params, mlp_forward
 from tripletkit.sampling import (LabeledDataset, SamplingError,
                                  mine_hard_offline, read_dataset_csv,
@@ -244,8 +245,12 @@ class TestCsvRoundTrip:
 
 @st.composite
 def pk_cases(draw):
-    """A label column, P and K with at least P identities of >= 2 rows."""
+    """A label column, P and K with at least P identities of >= 2 rows;
+    when K > 2, one of them has fewer than K rows."""
+    K = draw(st.integers(2, 6))
     sizes = draw(st.lists(st.integers(1, 7), min_size=2, max_size=12))
+    if K > 2:
+        sizes.append(draw(st.integers(2, K - 1)))
     usable = sum(s >= 2 for s in sizes)
     if usable < 2:
         sizes += [2, 2]
@@ -253,7 +258,6 @@ def pk_cases(draw):
     pids = np.repeat(draw(st.permutations(range(len(sizes)))), sizes)
     pids = draw(st.permutations(pids.tolist()))
     P = draw(st.integers(2, usable))
-    K = draw(st.integers(2, 6))
     seed = draw(st.integers(0, 2**32 - 1))
     return np.array(pids), P, K, seed
 
@@ -271,6 +275,10 @@ class TestPKBatchProperties:
         # identity-blocked: each block is one identity, and no identity twice
         assert (block_pids == block_pids[:, :1]).all()
         assert len(set(block_pids[:, 0].tolist())) == P
+        # so the labels `train` builds once per run fit every batch
+        run_labels = BatchLabels(np.repeat(np.arange(P), K), P, K)
+        assert (BatchLabels(block_pids.ravel()).same_label()
+                == run_labels.same_label()).all()
         for block, pid in zip(blocks, block_pids[:, 0]):
             own = np.flatnonzero(pids == pid)
             assert len(own) >= 2            # no single-row identity

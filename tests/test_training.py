@@ -1,5 +1,9 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
+from tripletkit import losses, sampling
 from tripletkit.optim import Schedule
 from tripletkit.training import (MAX_STEP_ELEMENTS, ConfigError, RunConfig,
                                  default_benchmark_sets, train)
@@ -50,3 +54,35 @@ def test_train_takes_input_width_from_data():
     cfg = RunConfig(P=4, K=2, layer_widths=[999, 8, 4],
                     schedule=Schedule(1e-3, 2, 3))
     assert train(cfg, train_set).params.layer_widths == [16, 8, 4]
+
+
+@pytest.mark.parametrize("loss", [name for name in losses.LOSS_NAMES
+                                  if losses.LOSSES[name].batch == "pk"])
+def test_run_labels_stand_for_every_batch(monkeypatch, loss):
+    """`train` builds a PK run's labels once; at every step the loss must
+    report, bit for bit, what labels taken from the batch's rows give."""
+    train_set, _ = default_benchmark_sets()
+    cfg = RunConfig(loss=loss, P=5, K=3, layer_widths=[16, 8, 4],
+                    schedule=Schedule(1e-3, 10, 20))
+    sample, spec, steps = sampling.sample_pk_batch, losses.LOSSES[loss], []
+
+    def sample_and_keep(*args):
+        batch = sample(*args)
+        steps.append(batch.rows)
+        return batch
+
+    def apply_both(emb, labels, cfg):
+        got = spec.apply(emb, labels, cfg)
+        fresh = losses.BatchLabels(train_set.pids[steps[-1]], cfg.P, cfg.K)
+        want = spec.apply(emb, fresh, cfg)
+        assert np.float64(got.loss).tobytes() == \
+            np.float64(want.loss).tobytes()
+        assert got.grad_embeddings.tobytes() == want.grad_embeddings.tobytes()
+        assert got.per_term.tobytes() == want.per_term.tobytes()
+        return got
+
+    monkeypatch.setattr(sampling, "sample_pk_batch", sample_and_keep)
+    monkeypatch.setitem(losses.LOSSES, loss,
+                        dataclasses.replace(spec, apply=apply_both))
+    train(cfg, train_set)
+    assert len(steps) == 20
