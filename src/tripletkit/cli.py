@@ -185,19 +185,21 @@ def cmd_evaluate(args) -> int:
     except evalkit.ProtocolError as exc:     # a bad flag, not bad data
         raise ValueError(f"--cmc-ranks: {exc}") from None
     params, _ = numcore.load_checkpoint(args.checkpoint)
-    queries = sampling.read_dataset_csv(args.queries)
-    gallery = sampling.read_dataset_csv(args.gallery)
-    if queries.feature_dim != params.input_dim or \
-            gallery.feature_dim != params.input_dim:
-        raise evalkit.ProtocolError(
-            "dataset feature width does not match checkpoint")
-    q_emb = training.embed_dataset(params, queries)
-    g_emb = training.embed_dataset(params, gallery)
+    paths = {"queries": args.queries, "gallery": args.gallery,
+             "distractors": args.distractors}
+    data = {name: sampling.read_dataset_csv(path)
+            for name, path in paths.items() if path}
+    for name, dataset in data.items():
+        if dataset.feature_dim != params.input_dim:
+            raise evalkit.ProtocolError(
+                f"{name} feature width {dataset.feature_dim} does not match "
+                f"checkpoint input width {params.input_dim}")
+    q_emb = training.embed_dataset(params, data["queries"])
+    g_emb = training.embed_dataset(params, data["gallery"])
     result = evalkit.evaluate(q_emb, g_emb, protocol)
     doc = result.to_dict(protocol)
     if args.distractors:
-        distractors = sampling.read_dataset_csv(args.distractors)
-        d_emb = training.embed_dataset(params, distractors)
+        d_emb = training.embed_dataset(params, data["distractors"])
         injected = evalkit.inject_distractors(g_emb, d_emb, q_emb.pids)
         after = evalkit.evaluate(q_emb, injected, protocol)
         doc["with_distractors"] = after.to_dict()

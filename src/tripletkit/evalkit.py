@@ -3,6 +3,10 @@ and distractor injection."""
 
 from __future__ import annotations
 
+import functools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -132,6 +136,87 @@ def _relevant_ranks(dist: np.ndarray,
     return rows, ranks[order]
 
 
+def _block_scores(q: np.ndarray, g: np.ndarray, query_sq: np.ndarray,
+                  gallery_sq: np.ndarray, queries: LabeledDataset,
+                  gallery: LabeledDataset, exclude_same_camera: bool,
+                  rows: slice) -> tuple[list[float], list[int]]:
+    """AP and first-hit rank of each answered query in one block of
+    `evaluate`: `q` and `g` are the shifted embeddings, `query_sq` and
+    `gallery_sq` their squared norms."""
+    dist = (-2.0 * q[rows]) @ g.T
+    dist += query_sq[rows, None]
+    dist += gallery_sq
+    np.maximum(dist, 0.0, out=dist)
+    np.sqrt(dist, out=dist)
+    relevant = queries.pids[rows, None] == gallery.pids
+    if exclude_same_camera:
+        excluded = relevant & (queries.cams[rows, None] == gallery.cams)
+        dist[excluded] = np.inf
+        relevant &= ~excluded
+    query, ranks = _relevant_ranks(dist, relevant)
+    num_rel = np.bincount(query, minlength=len(dist))
+    # k-th closest relevant row at rank r: precision k / r
+    k = np.arange(1, len(ranks) + 1) - np.repeat(
+        np.cumsum(num_rel) - num_rel, num_rel)
+    answered = num_rel > 0
+    precision = np.bincount(query, weights=k / ranks, minlength=len(dist))
+    return ((precision[answered] / num_rel[answered]).tolist(),
+            ranks[k == 1].tolist())
+
+
+@functools.cache
+def _available_cpus() -> int:
+    """CPUs this process may run on, or 1 if it runs threads that Python
+    did not start, or where that cannot be told.
+
+    Such threads are a multithreaded BLAS's pool, which starts when NumPy
+    loads and spins on the spare CPUs after every product. Helper threads
+    next to that pool made `evaluate` 30-50% slower than one thread
+    (2 CPUs, OpenBLAS with 2 threads). The pool lives as long as the
+    process, so this is asked once, before `evaluate` has started helper
+    threads of its own: a helper that has been joined but not yet left
+    the OS's thread list would count as a foreign thread.
+    """
+    try:
+        others = len(os.listdir("/proc/self/task")) - threading.active_count()
+        cpus = len(os.sched_getaffinity(0))
+    except (OSError, AttributeError):   # not Linux
+        return 1
+    return cpus if others <= 0 else 1
+
+
+def _run_blocks(score, blocks: list, workers: int) -> list:
+    """`[score(b) for b in blocks]`, computed by `workers` threads: the
+    calling thread takes blocks 0::workers and a pool of workers - 1
+    threads the rest. The first block to raise stops the blocks not yet
+    begun, and its exception is raised."""
+    if workers == 1:
+        return [score(b) for b in blocks]
+    stop = threading.Event()
+
+    def guarded(block):
+        if stop.is_set():       # another block raised: skip this one
+            return None
+        try:
+            return score(block)
+        except BaseException:
+            stop.set()
+            raise
+
+    results = [None] * len(blocks)
+    pool = ThreadPoolExecutor(workers - 1)
+    try:
+        futures = [(i, pool.submit(guarded, b)) for i, b in enumerate(blocks)
+                   if i % workers]
+        for i in range(0, len(blocks), workers):
+            results[i] = guarded(blocks[i])
+        for i, future in futures:
+            results[i] = future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return results
+
+
 def evaluate(queries: LabeledDataset, gallery: LabeledDataset,
              protocol: EvalProtocol = EvalProtocol()) -> EvalResult:
     """mAP and CMC over all queries, ranked by Euclidean distance;
@@ -144,6 +229,13 @@ def evaluate(queries: LabeledDataset, gallery: LabeledDataset,
     O((G + R) log G), however large R is. Only a query whose relevant row
     is exactly as close as another row falls back to a stable argsort of
     its distances, the tie rule of `rank_gallery`.
+
+    Blocks run on every CPU the process may use: the calling thread and
+    one helper thread per further CPU, when there are at least two
+    full-size blocks. Each query's result depends on its own row only and
+    blocks are joined in query order, so the result does not depend on
+    the CPU count. While a multithreaded BLAS runs its own threads on
+    those CPUs, the loop stays serial (see `_available_cpus`).
     """
     if queries.feature_dim != gallery.feature_dim:
         raise ProtocolError("query/gallery embedding widths differ")
@@ -167,29 +259,31 @@ def evaluate(queries: LabeledDataset, gallery: LabeledDataset,
     if max(query_sq.max(initial=0.0), gallery_sq.max(initial=0.0)) > \
             np.finfo(np.float64).max / 4:
         raise ProtocolError("embeddings too large: distances overflow")
-    block = max(1, _BLOCK_ELEMENTS // max(len(gallery), 1))
+    # w workers share the element budget, so the temporaries in flight stay
+    # as large as one worker's; fewer than two full-size blocks, or one
+    # CPU, leave the serial loop
+    n, cols = len(queries), max(len(gallery), 1)
+    full_blocks = n // max(1, _BLOCK_ELEMENTS // cols)
+    workers = min(_available_cpus(), full_blocks) if full_blocks > 1 else 1
+    # No block has one row unless there is one query: NumPy computes a
+    # one-row product with BLAS gemv, which rounds differently from the
+    # gemm of larger blocks, and a query's distances must not depend on
+    # how the queries are split. A one-row tail joins the block before it.
+    block = max(2, _BLOCK_ELEMENTS // workers // cols)
+    edges = [*range(0, n, block), n]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    blocks = [slice(*ends) for ends in zip(edges, edges[1:])]
+
+    # a module-level block function: as a closure over these names it made
+    # loss_grid's serial 80-row calls 8% slower
+    score = functools.partial(_block_scores, q, g, query_sq, gallery_sq,
+                              queries, gallery,
+                              protocol.exclude_same_camera_same_id)
     aps, first_correct = [], []
-    for start in range(0, len(queries), block):
-        rows = slice(start, start + block)
-        dist = (-2.0 * q[rows]) @ g.T
-        dist += query_sq[rows, None]
-        dist += gallery_sq
-        np.maximum(dist, 0.0, out=dist)
-        np.sqrt(dist, out=dist)
-        relevant = queries.pids[rows, None] == gallery.pids
-        if protocol.exclude_same_camera_same_id:
-            excluded = relevant & (queries.cams[rows, None] == gallery.cams)
-            dist[excluded] = np.inf
-            relevant &= ~excluded
-        query, ranks = _relevant_ranks(dist, relevant)
-        num_rel = np.bincount(query, minlength=len(dist))
-        # k-th closest relevant row at rank r: precision k / r
-        k = np.arange(1, len(ranks) + 1) - np.repeat(
-            np.cumsum(num_rel) - num_rel, num_rel)
-        answered = num_rel > 0
-        precision = np.bincount(query, weights=k / ranks, minlength=len(dist))
-        aps.extend((precision[answered] / num_rel[answered]).tolist())
-        first_correct.extend(ranks[k == 1].tolist())
+    for block_aps, block_first in _run_blocks(score, blocks, workers):
+        aps += block_aps
+        first_correct += block_first
 
     if not aps:
         raise ProtocolError("every query was skipped; nothing to evaluate")

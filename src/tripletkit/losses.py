@@ -388,7 +388,7 @@ def lmnn_loss(embeddings: np.ndarray, labels: BatchLabels,
             raise BatchContractError("need at least one target neighbor")
     else:
         anchors, targets = _checked_targets(labels.identities,
-                                            target_neighbors)
+                                            target_neighbors, n)
         push_pairs = _push_pairs(labels.identities, anchors)
 
     coeff = np.zeros((n, n))
@@ -409,14 +409,24 @@ def lmnn_loss(embeddings: np.ndarray, labels: BatchLabels,
                    dist)
 
 
-def _checked_targets(ids: np.ndarray, target_neighbors: dict[int, int]
-                     ) -> tuple[np.ndarray, np.ndarray]:
+def _check_rows(index: np.ndarray, n: int) -> None:
+    """BatchContractError unless every entry is a row of an n-row batch:
+    NumPy would raise IndexError past the end and wrap negatives."""
+    outside = (index < 0) | (index >= n)
+    if outside.any():
+        raise BatchContractError(
+            f"index {index[outside][0]} is not a row of the {n}-row batch")
+
+
+def _checked_targets(ids: np.ndarray, target_neighbors: dict[int, int],
+                     n: int) -> tuple[np.ndarray, np.ndarray]:
     """Anchors in ascending order and their target neighbors, each a
     distinct row of the anchor's identity, or BatchContractError."""
     if not target_neighbors:
         raise BatchContractError("need at least one target neighbor")
-    anchors, targets = np.array(sorted(target_neighbors.items()),
-                                dtype=np.intp).T
+    pairs = np.array(sorted(target_neighbors.items()), dtype=np.intp)
+    _check_rows(pairs, n)
+    anchors, targets = pairs.T
     bad = (ids[anchors] != ids[targets]) | (anchors == targets)
     if bad.any():
         i = int(np.argmax(bad))
@@ -455,7 +465,7 @@ def lifted_loss(embeddings: np.ndarray,
             raise BatchContractError("lifted loss needs a pairing or labels")
         pairs, negative = labels.lifted_pairs
     else:
-        pairs = _checked_pairs(pairing, labels)
+        pairs = _checked_pairs(pairing, labels, n)
         negative = None
     if len(pairs) == 0:
         raise BatchContractError("need at least one (anchor, positive) pair")
@@ -484,11 +494,13 @@ def lifted_loss(embeddings: np.ndarray,
     return _finish(_mean(per_term), per_term, coeff, x, dist)
 
 
-def _checked_pairs(pairing: np.ndarray | list,
-                   labels: BatchLabels | None) -> np.ndarray:
-    """`pairing` as an (n, 2) index array, or BatchContractError if a pair
-    repeats a row or, when `labels` are given, spans two identities."""
+def _checked_pairs(pairing: np.ndarray | list, labels: BatchLabels | None,
+                   n: int) -> np.ndarray:
+    """`pairing` as a (pairs, 2) index array, or BatchContractError if an
+    index is not a row of the n-row batch, a pair repeats a row or, when
+    `labels` are given, a pair spans two identities."""
     pairs = np.asarray(pairing, dtype=np.intp).reshape(-1, 2)
+    _check_rows(pairs, n)
     a, p = pairs.T
     if (a == p).any():
         raise BatchContractError("anchor and positive must differ")

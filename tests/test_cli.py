@@ -284,6 +284,24 @@ class TestEvaluate:
                        "--queries", other, "--gallery", other, "-o", out])
         assert rc == cli.EXIT_DATA
 
+    @pytest.mark.parametrize("wide", ["gallery", "distractors"])
+    def test_dim_mismatch_exits_3_naming_the_csv(self, tmp_path, capsys,
+                                                 wide):
+        data = make_data(tmp_path)
+        rc, out = quick_train(tmp_path, data)
+        other = make_data(tmp_path, name="wide", dim=7, ids=8, seed=99)
+        paths = {"gallery": data, "distractors": data, wide: other}
+        capsys.readouterr()
+        rc = cli.main(["evaluate",
+                       "--checkpoint", os.path.join(out, "checkpoint.json"),
+                       "--queries", data, "--gallery", paths["gallery"],
+                       "--distractors", paths["distractors"], "-o", out])
+        assert rc == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: {wide} feature width 7 does not match checkpoint "
+            "input width 5\n")
+        assert not os.path.exists(os.path.join(out, "eval_report.json"))
+
     def test_distractors_reported(self, tmp_path):
         data = make_data(tmp_path)
         rc, out = quick_train(tmp_path, data)

@@ -1,9 +1,15 @@
+import dataclasses
 import itertools
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from tripletkit import evalkit
 from tripletkit.evalkit import (EvalProtocol, EvalResult, ProtocolError,
                                 average_precision, combine_embeddings_max,
                                 combine_embeddings_mean, evaluate,
@@ -177,6 +183,159 @@ class TestEvaluateMemory:
             tracemalloc.stop()
         assert res.num_queries == 2000
         assert peak < 32 * 2**20, peak
+
+
+def threaded_gallery():
+    """900 queries against 1000 gallery rows: at the default block size
+    that is three full blocks and a shorter tail. The last 100 gallery rows
+    repeat rows 0-99 (identities 0-19); half of the copies keep their
+    identity and half take another, so exact ties send those identities'
+    queries to the tie fallback."""
+    rng = np.random.default_rng(11)
+    feats = rng.standard_normal((900, 6))
+    pids = np.arange(900) % 20 + 20 * (np.arange(900) // 180)
+    copies = np.where(np.arange(100) % 2, pids[:100], (pids[:100] + 1) % 20)
+    gallery = embset(np.concatenate([feats, feats[:100]]),
+                     np.concatenate([pids, copies]), cams=np.arange(1000) % 3)
+    # every fifth query sits exactly on a gallery row; identities 100-109
+    # have no gallery rows, so their queries are skipped
+    q_feats = rng.standard_normal((900, 6))
+    q_feats[::5] = feats[rng.integers(0, 900, 180)]
+    queries = embset(q_feats, np.arange(900) % 110, cams=np.arange(900) % 4)
+    return queries, gallery
+
+
+class TestWorkerCount:
+    PROTOCOLS = [EvalProtocol(),
+                 EvalProtocol(exclude_same_camera_same_id=False),
+                 EvalProtocol(mode="multi_query"),
+                 EvalProtocol(mode="multi_query",
+                              exclude_same_camera_same_id=False)]
+
+    @staticmethod
+    def run(monkeypatch, workers, block_elements, *args):
+        monkeypatch.setattr(evalkit, "_available_cpus", lambda: workers)
+        monkeypatch.setattr(evalkit, "_BLOCK_ELEMENTS", block_elements)
+        return evaluate(*args)
+
+    @pytest.mark.parametrize("block_elements", [1, 17, 1 << 18])
+    def test_results_do_not_depend_on_workers(self, monkeypatch,
+                                              block_elements):
+        queries, gallery = threaded_gallery()
+        switch = sys.getswitchinterval()
+        for protocol in self.PROTOCOLS:
+            args = (queries, gallery, protocol)
+            want = dataclasses.astuple(
+                self.run(monkeypatch, 1, block_elements, *args))
+            assert 0 < want[3] < 900      # num_queries: some answered
+            for workers in (2, 3):
+                # more workers than this suite may have CPUs, switching often
+                sys.setswitchinterval(1e-5)
+                try:
+                    got = self.run(monkeypatch, workers, block_elements, *args)
+                finally:
+                    sys.setswitchinterval(switch)
+                assert dataclasses.astuple(got) == want, (protocol, workers)
+
+    def test_default_blocks_use_every_worker(self, monkeypatch):
+        """The calling thread and workers - 1 others each rank a share of
+        the blocks, and fewer than two full-size blocks stay serial."""
+        queries, gallery = threaded_gallery()
+        seen = []
+        relevant_ranks = evalkit._relevant_ranks
+
+        def recording(dist, relevant):
+            seen.append((threading.get_ident(), len(dist)))
+            return relevant_ranks(dist, relevant)
+
+        monkeypatch.setattr(evalkit, "_relevant_ranks", recording)
+        for workers in (1, 2, 3):
+            seen.clear()
+            self.run(monkeypatch, workers, 1 << 18, queries, gallery,
+                     EvalProtocol())
+            threads = {ident for ident, _ in seen}
+            assert len(threads) == workers
+            assert threading.get_ident() in threads
+            # the element budget is shared: 262, 131 or 87 rows per block
+            assert max(rows for _, rows in seen) == \
+                (1 << 18) // workers // 1000
+        seen.clear()
+        self.run(monkeypatch, 8, 1 << 18, queries.subset(np.arange(400)),
+                 gallery, EvalProtocol())
+        assert {ident for ident, _ in seen} == {threading.get_ident()}
+
+    @pytest.mark.parametrize("num_queries", [525, 787, 900])
+    def test_distances_do_not_depend_on_the_split(self, monkeypatch,
+                                                  num_queries):
+        """Bitwise-equal distance rows for any worker count. 525 and 787
+        queries leave one query over at 1 and 2 workers; a one-row block
+        would take another BLAS routine and round differently."""
+        queries, gallery = threaded_gallery()
+        queries = queries.subset(np.arange(num_queries))
+        rows = []
+        relevant_ranks = evalkit._relevant_ranks
+
+        def recording(dist, relevant):
+            rows.extend(row.tobytes() for row in dist)
+            assert len(dist) > 1
+            return relevant_ranks(dist, relevant)
+
+        monkeypatch.setattr(evalkit, "_relevant_ranks", recording)
+        seen = []
+        for workers in (1, 2, 3):
+            rows.clear()
+            self.run(monkeypatch, workers, 1 << 18, queries, gallery,
+                     EvalProtocol())
+            assert len(rows) == num_queries
+            seen.append(sorted(rows))
+        assert seen[0] == seen[1] == seen[2]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                        reason="CPU affinity and /proc/self/task are Linux's")
+    def test_threads_python_did_not_start_keep_one_worker(self):
+        """Every CPU while only Python's threads run; one while another
+        thread runs, as a multithreaded BLAS's pool would."""
+        script = (
+            "import _thread, os\n"
+            "from tripletkit import evalkit\n"
+            "print(evalkit._available_cpus(), len(os.sched_getaffinity(0)))\n"
+            "lock = _thread.allocate_lock()\n"
+            "lock.acquire()\n"
+            "_thread.start_new_thread(lock.acquire, ())\n"
+            "evalkit._available_cpus.cache_clear()\n"
+            "print(evalkit._available_cpus())\n"
+            "lock.release()\n")
+        one_blas_thread = {var: "1" for var in (
+            "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        src = os.path.join(os.path.dirname(evalkit.__file__), os.pardir)
+        out = subprocess.run(
+            [sys.executable, "-c", script], check=True, capture_output=True,
+            text=True, timeout=60,
+            env={**os.environ, **one_blas_thread, "PYTHONPATH": src}).stdout
+        (workers, cpus), (with_other,) = (map(int, line.split())
+                                          for line in out.splitlines())
+        assert (workers, with_other) == (cpus, 1)
+
+    @pytest.mark.parametrize("failing", ["calling", "helper"])
+    def test_failing_block_stops_the_rest(self, monkeypatch, failing):
+        queries, gallery = threaded_gallery()
+        main = threading.get_ident()
+        calls = []
+        relevant_ranks = evalkit._relevant_ranks
+
+        def failing_ranks(dist, relevant):
+            calls.append(1)
+            if (threading.get_ident() == main) == (failing == "calling"):
+                raise MemoryError("block failed")
+            return relevant_ranks(dist, relevant)
+
+        monkeypatch.setattr(evalkit, "_relevant_ranks", failing_ranks)
+        before = threading.active_count()
+        # two-row blocks: 450 of them
+        with pytest.raises(MemoryError, match="block failed"):
+            self.run(monkeypatch, 2, 1, queries, gallery, EvalProtocol())
+        assert len(calls) < 100
+        assert threading.active_count() == before   # the helper was joined
 
 
 class TestCombine:

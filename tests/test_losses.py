@@ -173,6 +173,24 @@ class TestHandComputedCells:
         with pytest.raises(BatchContractError):
             lmnn_loss(np.zeros((2, 2)), labels, {0: 1})
 
+    # past the batch NumPy raises IndexError; a negative index wraps to a
+    # valid row (-1 is row 3, which shares row 2's identity)
+    @pytest.mark.parametrize("pairing", [[(0, 9)], [(9, 0)], [(0, 4)],
+                                         [(2, -1)], [(-4, 1)],
+                                         [(0, 1), (4, 5)]])
+    def test_lifted_rejects_pair_outside_batch(self, pairing):
+        with pytest.raises(BatchContractError, match="not a row of the 4-row"):
+            lifted_loss(np.zeros((4, 2)), pairing)
+        with pytest.raises(BatchContractError, match="not a row of the 4-row"):
+            lifted_loss(np.zeros((4, 2)), pairing,
+                        labels=BatchLabels([0, 0, 1, 1]))
+
+    @pytest.mark.parametrize("targets", [{0: 9}, {9: 0}, {0: 4}, {2: -1},
+                                         {-1: 2}, {0: 1, 4: 5}])
+    def test_lmnn_rejects_target_outside_batch(self, targets):
+        with pytest.raises(BatchContractError, match="not a row of the 4-row"):
+            lmnn_loss(np.zeros((4, 2)), BatchLabels([0, 0, 1, 1]), targets)
+
 
 class TestBatchContracts:
     def test_k1_rejected(self):

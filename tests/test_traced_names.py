@@ -5,18 +5,25 @@ layers. A function that drops off the training path leaves its layer
 reading 0 without any error, so this trains three steps of every loss
 under the tracer and checks that each layer's function is still called,
 and the distance kernel exactly once per step outside offline mining.
+
+The tracer keeps one span stack for all threads, so the query blocks that
+`evalkit.evaluate` hands to helper threads must call no traced function.
 """
 
 import collections
 import sys
+import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from tkbench import tracing  # noqa: E402
-from tripletkit import diagnostics, losses, optim, training  # noqa: E402
+from tripletkit import (diagnostics, evalkit, losses, optim,  # noqa: E402
+                        training)
+from tripletkit.sampling import LabeledDataset  # noqa: E402
 
 LOSS_SPAN = {
     "triplet": "classic_triplet_loss", "triplet_ohm": "classic_triplet_loss",
@@ -80,3 +87,29 @@ def test_traced_names_stay_on_the_training_path(loss, tmp_path):
                 _ancestor(spans, i, "sampling.mine") is None:
             per_step[_ancestor(spans, i, tracing.STEP)] += 1
     assert list(per_step.values()) == [1] * STEPS
+
+
+def test_evaluate_blocks_on_helper_threads_record_no_span(monkeypatch):
+    rng = np.random.default_rng(5)
+    queries = LabeledDataset(rng.standard_normal((300, 4)),
+                             np.arange(300) % 30, np.arange(300) % 3,
+                             np.arange(300))
+    gallery = LabeledDataset(rng.standard_normal((200, 4)),
+                             np.arange(200) % 30, np.arange(200) % 2,
+                             np.arange(200))
+    monkeypatch.setattr(evalkit, "_available_cpus", lambda: 2)
+    # 2000-element blocks: 5 rows each, 60 blocks
+    monkeypatch.setattr(evalkit, "_BLOCK_ELEMENTS", 2000)
+    threads = set()
+    relevant_ranks = evalkit._relevant_ranks
+
+    def recording(dist, relevant):
+        threads.add(threading.get_ident())
+        return relevant_ranks(dist, relevant)
+
+    monkeypatch.setattr(evalkit, "_relevant_ranks", recording)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        evalkit.evaluate(queries, gallery)
+    assert len(threads) == 2
+    assert [s[tracing.NAME] for s in tracer.spans] == ["evalkit.evaluate"]
