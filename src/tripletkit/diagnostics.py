@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import functools
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,19 +137,18 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def collapse_alarm(history: list[TrainLogRecord]) -> bool:
-    """True when the median pairwise distance has stayed below 1e-3 of its
-    initial value for the last COLLAPSE_WINDOW records while nearly every
-    term is active."""
+def collapse_alarm(initial_median: float, recent: Sequence) -> bool:
+    """True when the last COLLAPSE_WINDOW of `recent`, the records after
+    the first in order, all have a median pairwise distance below 1e-3 of
+    the first's (`initial_median`) and nearly every term active."""
     window = COLLAPSE_WINDOW
-    if len(history) < window + 1:
+    if len(recent) < window:
         return False
-    initial_median = history[0].pair_dist_percentiles[2]
     threshold = COLLAPSE_DIST_RATIO * initial_median
     # newest first, so a healthy run stops at its last record
     return all(r.pair_dist_percentiles[2] < threshold
                and r.active_fraction > COLLAPSE_ACTIVITY
-               for r in itertools.islice(reversed(history), window))
+               for r in itertools.islice(reversed(recent), window))
 
 
 class TrainLogWriter:

@@ -219,18 +219,21 @@ class BatchLabels:
 class LossReport:
     loss: float
     grad_embeddings: np.ndarray
-    num_terms: int
     num_active: int
     per_term: np.ndarray
     distances: DistanceMatrix   # the matrix the loss was computed from
+
+    @property
+    def num_terms(self) -> int:
+        return len(self.per_term)
 
     @property
     def active_fraction(self) -> float:
         return self.num_active / self.num_terms if self.num_terms else 0.0
 
 
-def triplet_differences(d: np.ndarray, same: np.ndarray, lo: int = 0,
-                        hi: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def triplet_differences(d: np.ndarray, same: np.ndarray, lo: int,
+                        hi: int) -> tuple[np.ndarray, np.ndarray]:
     """xvals[a, p, n] = D(a,p) - D(a,n) for the anchors in rows lo..hi-1 of
     `d`, and the mask of valid triplets (p != a shares a's label, n does not).
     `same` is the `same_label()` matrix of all the rows of `d`.
@@ -261,8 +264,7 @@ def _finish(loss: float, per_term: np.ndarray, coeff: np.ndarray,
     """The report of a loss whose float64 `per_term` is built."""
     grad = _chain_through_metric(embeddings, dist, coeff)
     num_active = int(np.count_nonzero(per_term > ACTIVE_THRESHOLD))
-    return LossReport(float(loss), grad, len(per_term), num_active, per_term,
-                      dist)
+    return LossReport(float(loss), grad, num_active, per_term, dist)
 
 
 def _triplet_terms(x: np.ndarray, dist: DistanceMatrix, a: np.ndarray,
@@ -304,6 +306,7 @@ def batch_hard_loss(embeddings: np.ndarray, labels: BatchLabels,
     labels.validate_pk()
     pos, neg = labels.masks
     x = np.asarray(embeddings, dtype=np.float64)
+    _check_labels(labels, len(x))
     dist = pairwise_distances(x, metric)
     d = dist.values
     # argmax/argmin take the first tie
@@ -321,6 +324,7 @@ def batch_all_loss(embeddings: np.ndarray, labels: BatchLabels,
     labels.validate_pk()
     valid = labels.valid_triplets
     x = np.asarray(embeddings, dtype=np.float64)
+    _check_labels(labels, len(x))
     dist = pairwise_distances(x, metric)
     d = dist.values
     xvals = d[:, :, None] - d[:, None, :]   # D(a,p) - D(a,n)
@@ -380,6 +384,7 @@ def lmnn_loss(embeddings: np.ndarray, labels: BatchLabels,
         raise ValueError("mu must be in [0, 1]")
     x = np.asarray(embeddings, dtype=np.float64)
     n = len(x)
+    _check_labels(labels, n)
     dist = pairwise_distances(x, metric)
     d = dist.values
     if target_neighbors is None:
@@ -409,13 +414,27 @@ def lmnn_loss(embeddings: np.ndarray, labels: BatchLabels,
                    dist)
 
 
-def _check_rows(index: np.ndarray, n: int) -> None:
-    """BatchContractError unless every entry is a row of an n-row batch:
-    NumPy would raise IndexError past the end and wrap negatives."""
+def _check_labels(labels: BatchLabels, n: int) -> None:
+    """BatchContractError unless `labels` has one entry per embedding row."""
+    if len(labels.identities) != n:
+        raise BatchContractError(f"{len(labels.identities)} labels for the "
+                                 f"{n} rows of the batch")
+
+
+def _rows(index, n: int) -> np.ndarray:
+    """`index` as an intp array, or BatchContractError unless every entry
+    is an integer row of an n-row batch: NumPy would truncate a float,
+    raise IndexError past the end and wrap a negative."""
+    index = np.asarray(index)
+    if index.size and index.dtype.kind not in "iu":
+        raise BatchContractError(
+            f"row indices must be integers, got {index.dtype} values")
+    index = index.astype(np.intp)
     outside = (index < 0) | (index >= n)
     if outside.any():
         raise BatchContractError(
             f"index {index[outside][0]} is not a row of the {n}-row batch")
+    return index
 
 
 def _checked_targets(ids: np.ndarray, target_neighbors: dict[int, int],
@@ -424,8 +443,7 @@ def _checked_targets(ids: np.ndarray, target_neighbors: dict[int, int],
     distinct row of the anchor's identity, or BatchContractError."""
     if not target_neighbors:
         raise BatchContractError("need at least one target neighbor")
-    pairs = np.array(sorted(target_neighbors.items()), dtype=np.intp)
-    _check_rows(pairs, n)
+    pairs = _rows(sorted(target_neighbors.items()), n)
     anchors, targets = pairs.T
     bad = (ids[anchors] != ids[targets]) | (anchors == targets)
     if bad.any():
@@ -460,6 +478,8 @@ def lifted_loss(embeddings: np.ndarray,
     """
     x = np.asarray(embeddings, dtype=np.float64)
     n = len(x)
+    if labels is not None:
+        _check_labels(labels, n)
     if pairing is None:
         if labels is None:
             raise BatchContractError("lifted loss needs a pairing or labels")
@@ -499,8 +519,7 @@ def _checked_pairs(pairing: np.ndarray | list, labels: BatchLabels | None,
     """`pairing` as a (pairs, 2) index array, or BatchContractError if an
     index is not a row of the n-row batch, a pair repeats a row or, when
     `labels` are given, a pair spans two identities."""
-    pairs = np.asarray(pairing, dtype=np.intp).reshape(-1, 2)
-    _check_rows(pairs, n)
+    pairs = _rows(pairing, n).reshape(-1, 2)
     a, p = pairs.T
     if (a == p).any():
         raise BatchContractError("anchor and positive must differ")
@@ -520,6 +539,7 @@ def lifted_generalized_loss(embeddings: np.ndarray, labels: BatchLabels,
     pos, neg = labels.masks
     x = np.asarray(embeddings, dtype=np.float64)
     n = len(x)
+    _check_labels(labels, n)
     dist = pairwise_distances(x, metric)
     d = dist.values
     outer = MarginMode.hard(0.0) if mode.kind == "hard" else mode

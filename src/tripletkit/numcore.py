@@ -124,46 +124,41 @@ def init_params(layer_widths: list[int], seed: int) -> MlpParams:
     return MlpParams(layers, seed=seed)
 
 
-@dataclass
-class ForwardCache:
-    activations: list[np.ndarray]       # layer inputs, including the batch itself
-
-
-def mlp_forward(params: MlpParams, inputs: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Forward pass; returns embeddings and the cache needed for backward."""
+def mlp_forward(params: MlpParams, inputs: np.ndarray) -> tuple[np.ndarray, list]:
+    """Forward pass; returns embeddings and the layer inputs backward needs."""
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise DimensionError(
             f"expected input shape (B, {params.input_dim}), got {x.shape}")
-    cache = ForwardCache([x])
+    activations = [x]
     for i, (w, b) in enumerate(params.layers):
         if i:       # leaky ReLU after every hidden layer
-            cache.activations.append(leaky_relu(z))
-        z = cache.activations[-1] @ w
+            activations.append(leaky_relu(z))
+        z = activations[-1] @ w
         z += b
-    return z, cache
+    return z, activations
 
 
-def mlp_backward(params: MlpParams, cache: ForwardCache, upstream: np.ndarray,
+def mlp_backward(params: MlpParams, activations: list, upstream: np.ndarray,
                  out: GradBundle | None = None) -> GradBundle:
-    """Gradients of sum(embeddings * upstream) w.r.t. all parameters,
-    written into `out` (a new bundle when None), which is returned."""
+    """Gradients of sum(embeddings * upstream) w.r.t. all parameters from
+    `mlp_forward`'s layer inputs; fills and returns `out` (new if None)."""
     delta = np.asarray(upstream, dtype=np.float64)
     n = len(params.layers)
-    if len(cache.activations) != n:
-        raise DimensionError("cache does not match parameter layer count")
-    if delta.shape != (len(cache.activations[0]), params.layers[-1][1].size):
+    if len(activations) != n:
+        raise DimensionError("activations do not match parameter layer count")
+    if delta.shape != (len(activations[0]), params.layers[-1][1].size):
         raise DimensionError("upstream shape does not match embeddings")
     # a copy of params has the layout; every value of it is overwritten
     grads = GradBundle(params.layers) if out is None else out
     for i in range(n - 1, -1, -1):
         dw, db = grads.layers[i]
-        np.matmul(cache.activations[i].T, delta, out=dw)
+        np.matmul(activations[i].T, delta, out=dw)
         delta.sum(axis=0, out=db)
         if i > 0:   # through the leaky ReLU, whose derivative at 0 is SLOPE
             delta = delta @ params.layers[i][0].T
             # 1 where the layer input max(p, SLOPE*p) > 0, i.e. where p > 0
-            np.multiply(delta, np.maximum(cache.activations[i] > 0.0, SLOPE),
+            np.multiply(delta, np.maximum(activations[i] > 0.0, SLOPE),
                         out=delta)
     return grads
 

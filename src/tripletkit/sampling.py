@@ -25,12 +25,11 @@ class IdentityIndex:
     """Where each identity's rows sit in one stable argsort of the labels.
 
     `order` lists the rows identity by identity, in stable row order, and
-    `identities` counts the distinct labels. `usable` lists, in ascending
-    order, the identities with at least 2 rows (the ones that have a
-    positive). For the samplers, `starts` and `counts` give where each
-    usable identity's rows begin in `order` and how many there are,
-    `fewest` the smallest count, and `anchor_ends` the running total of the
-    counts: O(identities) on top of the rows.
+    `identities` counts the distinct labels. For the samplers, `starts` and
+    `counts` give where the rows of each usable identity (one with at least
+    2 rows, so with a positive), in ascending label order, begin in `order`
+    and how many there are, `fewest` the smallest count, and `anchor_ends`
+    the running total of the counts: O(identities) on top of the rows.
     """
 
     def __init__(self, pids: np.ndarray):
@@ -41,7 +40,6 @@ class IdentityIndex:
         ok = counts >= 2
         self.order = order
         self.identities = len(keys)
-        self.usable = tuple(keys[ok].tolist())
         self.starts, self.counts = starts[ok], counts[ok]
         self.fewest = int(self.counts.min(initial=len(pids)))
         self.anchor_ends = np.cumsum(self.counts)
@@ -137,7 +135,7 @@ def sample_pk_batch(dataset: LabeledDataset, P: int, K: int,
     if P < 2 or K < 2:
         raise SamplingError("need P >= 2 and K >= 2")
     index = dataset.identity_index()
-    usable = len(index.usable)
+    usable = len(index.counts)
     if usable < P:
         raise SamplingError(
             f"dataset has {usable} usable identities, need {P}")

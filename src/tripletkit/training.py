@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 from dataclasses import dataclass, field
@@ -84,7 +85,6 @@ class RunConfig:
 class TrainResult:
     params: numcore.MlpParams
     state: optim.AdamState
-    history: list[diagnostics.TrainLogRecord]
 
 
 def train(cfg: RunConfig, dataset: sampling.LabeledDataset,
@@ -92,14 +92,14 @@ def train(cfg: RunConfig, dataset: sampling.LabeledDataset,
     """Run the full schedule; raises CollapseError if the alarm fires, or
     its subclass NonFiniteLossError, before the update, on a NaN/inf loss.
 
-    The exception carries only the iteration. The in-memory history is
-    lost with it; only the log rows `log_writer` has already written survive.
+    The exception carries only the iteration; the log has every row up to it.
     """
     widths = [dataset.feature_dim, *cfg.layer_widths[1:]]
     params = numcore.init_params(widths, cfg.seed)
     state = optim.AdamState.for_params(params)
     rng = np.random.default_rng(cfg.seed)
-    history: list[diagnostics.TrainLogRecord] = []
+    # the alarm's state: the first median, set at t = 1, and the window after it
+    recent = collections.deque(maxlen=diagnostics.COLLAPSE_WINDOW)
     mined: np.ndarray | None = None
     grads = numcore.GradBundle(params.layers)   # mlp_backward's output buffer
     spec = losses.LOSSES[cfg.loss]
@@ -126,21 +126,24 @@ def train(cfg: RunConfig, dataset: sampling.LabeledDataset,
 
         # overflow and NaN from a diverging step are reported by the guard below
         with np.errstate(over="ignore", invalid="ignore"):
-            emb, cache = numcore.mlp_forward(params, dataset.features[rows])
+            emb, acts = numcore.mlp_forward(params, dataset.features[rows])
             report = spec.apply(emb, labels, cfg)
         if not math.isfinite(report.loss):
             raise NonFiniteLossError(t, "non-finite loss")
-        numcore.mlp_backward(params, cache, report.grad_embeddings, grads)
+        numcore.mlp_backward(params, acts, report.grad_embeddings, grads)
         optim.adam_step(params, grads, state, lr)
 
         record = diagnostics.batch_stats(emb, report, t, lr)
-        history.append(record)
         if log_writer is not None:
             log_writer.append(record)
-        if diagnostics.collapse_alarm(history):
+        if t == 1:
+            initial_median = record.pair_dist_percentiles[2]
+        else:
+            recent.append(record)
+        if diagnostics.collapse_alarm(initial_median, recent):
             raise CollapseError(t)
 
-    return TrainResult(params, state, history)
+    return TrainResult(params, state)
 
 
 BENCHMARK_SEED = 7

@@ -1,4 +1,5 @@
 import csv
+from collections import deque
 
 import numpy as np
 import pytest
@@ -116,30 +117,32 @@ class TestCollapseAlarm:
             healthy = rng.random() < 0.15
             history.append(make_record(i, 1.0 if healthy else 1e-5,
                                        0.5 if rng.random() < 0.1 else 1.0))
-        for end in range(len(history) + 1):
+        for end in range(1, len(history) + 1):
             recent = history[:end][-window:]
             want = end >= window + 1 and all(
                 r.pair_dist_percentiles[2] < 1e-3 and r.active_fraction > 0.99
                 for r in recent)
-            assert collapse_alarm(history[:end]) == want
+            # the whole tail after the first record, and only the window
+            # that `train` keeps of it
+            for kept in (history[1:end], deque(history[1:end], window)):
+                assert collapse_alarm(1.0, kept) == want
 
     def test_healthy_history(self):
         history = [make_record(i, 1.0 + 0.01 * i, 0.5) for i in range(300)]
-        assert not collapse_alarm(history)
+        assert not collapse_alarm(1.0, history[1:])
 
     def test_constructed_collapse(self):
-        history = [make_record(0, 1.0, 1.0)]
-        history += [make_record(i, 1e-5, 1.0) for i in range(1, 302)]
-        assert collapse_alarm(history)
+        recent = [make_record(i, 1e-5, 1.0) for i in range(1, 302)]
+        assert collapse_alarm(1.0, recent)
 
     def test_needs_saturated_activity(self):
-        history = [make_record(0, 1.0, 1.0)]
-        history += [make_record(i, 1e-5, 0.5) for i in range(1, 302)]
-        assert not collapse_alarm(history)
+        recent = [make_record(i, 1e-5, 0.5) for i in range(1, 302)]
+        assert not collapse_alarm(1.0, recent)
 
     def test_short_history_never_fires(self):
         history = [make_record(i, 1e-9, 1.0) for i in range(10)]
-        assert not collapse_alarm(history)
+        assert not collapse_alarm(history[0].pair_dist_percentiles[2],
+                                  history[1:])
 
 
 class TestLogWriter:

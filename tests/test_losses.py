@@ -206,6 +206,36 @@ class TestBatchContracts:
             batch_all_loss(np.zeros((5, 2)),
                            BatchLabels(np.array([0, 0, 0, 1, 1])))
 
+    # With 3 or 5 rows against 4 labels NumPy raised ValueError or
+    # IndexError; a float index was truncated to a row and accepted.
+    @pytest.mark.parametrize("call, rows, match", [
+        *((call, rows, f"4 labels for the {rows} rows")
+          for call in ("batch_hard", "batch_all", "lifted_gen", "lmnn",
+                       "lmnn_targets", "lifted", "lifted_pairing")
+          for rows in (3, 5)),
+        *((call, 4, "must be integers")
+          for call in ("lmnn_float_target", "lmnn_float_anchor",
+                       "lifted_float_pairing")),
+    ])
+    def test_labels_and_indices_must_fit_the_batch(self, call, rows, match):
+        calls = {
+            "batch_hard": lambda x, lab: batch_hard_loss(x, lab),
+            "batch_all": lambda x, lab: batch_all_loss(x, lab),
+            "lifted_gen": lambda x, lab: lifted_generalized_loss(x, lab),
+            "lmnn": lambda x, lab: lmnn_loss(x, lab),
+            "lmnn_targets": lambda x, lab: lmnn_loss(x, lab, {0: 1, 2: 3}),
+            "lifted": lambda x, lab: lifted_loss(x, labels=lab),
+            "lifted_pairing": lambda x, lab: lifted_loss(x, [(0, 1)],
+                                                         labels=lab),
+            "lmnn_float_target": lambda x, lab: lmnn_loss(x, lab, {0: 1.7}),
+            "lmnn_float_anchor": lambda x, lab: lmnn_loss(x, lab, {0.0: 1}),
+            "lifted_float_pairing": lambda x, lab: lifted_loss(
+                x, [(0, 1.0)], labels=lab),
+        }
+        x = np.random.default_rng(rows).standard_normal((rows, 2))
+        with pytest.raises(BatchContractError, match=match):
+            calls[call](x, BatchLabels([0, 0, 1, 1]))
+
 
 MODES = [MarginMode.hard(0.1), MarginMode.hard(0.2), MarginMode.hard(0.5),
          MarginMode.hard(1.0), MarginMode.soft()]

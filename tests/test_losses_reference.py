@@ -101,7 +101,7 @@ def _logsumexp_softmax(a):
 def _finish(loss, per_term, coeff, embeddings, dist):
     grad = _chain_through_metric(embeddings, dist, coeff)
     num_active = int(np.sum(np.asarray(per_term) > ACTIVE_THRESHOLD))
-    return LossReport(float(loss), grad, len(per_term), num_active,
+    return LossReport(float(loss), grad, num_active,
                       np.asarray(per_term, dtype=np.float64), dist)
 
 

@@ -77,8 +77,8 @@ def test_forward_rejects_width_mismatch():
 def test_backward_zero_upstream():
     p = init_params([4, 5, 3], seed=2)
     x = np.random.default_rng(2).standard_normal((6, 4))
-    _, cache = mlp_forward(p, x)
-    g = mlp_backward(p, cache, np.zeros((6, 3)))
+    _, acts = mlp_forward(p, x)
+    g = mlp_backward(p, acts, np.zeros((6, 3)))
     for dw, db in g.layers:
         assert np.all(dw == 0)
         assert np.all(db == 0)
@@ -89,8 +89,8 @@ def test_backward_linear_closed_form():
                     np.zeros(2))])
     x = np.random.default_rng(5).standard_normal((7, 3))
     up = np.random.default_rng(6).standard_normal((7, 2))
-    _, cache = mlp_forward(p, x)
-    g = mlp_backward(p, cache, up)
+    _, acts = mlp_forward(p, x)
+    g = mlp_backward(p, acts, up)
     assert np.allclose(g.layers[0][0], x.T @ up, atol=1e-12)
     assert np.allclose(g.layers[0][1], up.sum(axis=0), atol=1e-12)
 
@@ -102,15 +102,15 @@ def test_backward_matches_finite_differences():
     up = rng.standard_normal((4, 3))
 
     # keep hidden pre-activations clear of the leaky-ReLU kink
-    _, cache = mlp_forward(p, x)
+    _, acts = mlp_forward(p, x)
     assert all(np.min(np.abs(a @ w + b)) > 1e-3
-               for a, (w, b) in zip(cache.activations, p.layers[:-1]))
+               for a, (w, b) in zip(acts, p.layers[:-1]))
 
     def scalar(params):
         emb, _ = mlp_forward(params, x)
         return float(np.sum(emb * up))
 
-    g = mlp_backward(p, cache, up)
+    g = mlp_backward(p, acts, up)
     step = 1e-4
     for li, (w, b) in enumerate(p.layers):
         for arr_i, arr in enumerate((w, b)):
@@ -216,12 +216,12 @@ class TestFlatLayout:
         p = init_params([4, 5, 3], seed=2)
         x = np.random.default_rng(2).standard_normal((6, 4))
         up = np.random.default_rng(3).standard_normal((6, 3))
-        _, cache = mlp_forward(p, x)
+        _, acts = mlp_forward(p, x)
         out = numcore.GradBundle(p.layers)
         buf = out.flat
-        assert mlp_backward(p, cache, up, out) is out
+        assert mlp_backward(p, acts, up, out) is out
         assert out.flat is buf
-        fresh = mlp_backward(p, cache, up)
+        fresh = mlp_backward(p, acts, up)
         assert fresh.flat.tobytes() == out.flat.tobytes()
 
     def test_hand_written_checkpoint_loads_and_resaves_byte_stable(self, tmp_path):
@@ -243,12 +243,12 @@ class TestFlatLayout:
         assert again.read_bytes() == path.read_bytes()
 
 
-def masked_backward(params, pre_activations, cache, upstream):
+def masked_backward(params, pre_activations, acts, upstream):
     """The backward pass with the leaky-ReLU derivative applied as a masked
     multiply: SLOPE where the pre-activation is not > 0, untouched elsewhere."""
     grads, delta = [], upstream.copy()
     for i in range(len(params.layers) - 1, -1, -1):
-        grads.insert(0, (cache.activations[i].T @ delta, delta.sum(axis=0)))
+        grads.insert(0, (acts[i].T @ delta, delta.sum(axis=0)))
         if i > 0:
             delta = delta @ params.layers[i][0].T
             np.multiply(delta, SLOPE, out=delta,
@@ -275,9 +275,9 @@ class TestBackwardDerivative:
         p = MlpParams([(np.ones((2, 8)), np.zeros(8)),
                        (column[:, None], np.zeros(1))])
         pre = SPECIAL[None, :]
-        cache = numcore.ForwardCache([np.ones((1, 2)), leaky_relu(pre)])
-        got = mlp_backward(p, cache, np.ones((1, 1)))
-        want = masked_backward(p, [pre], cache, np.ones((1, 1)))
+        acts = [np.ones((1, 2)), leaky_relu(pre)]
+        got = mlp_backward(p, acts, np.ones((1, 1)))
+        want = masked_backward(p, [pre], acts, np.ones((1, 1)))
         assert got.flat.tobytes() == want.flat.tobytes()
         delta = (np.ones((1, 1)) @ p.layers[1][0].T)[0]
         expected = np.where(pre[0] > 0, delta, SLOPE * delta)
@@ -289,12 +289,11 @@ class TestBackwardDerivative:
         p = init_params([3, 8, 6, 2], seed=5)
         pres = [rng.choice(SPECIAL, size=(7, 8)),
                 rng.choice(SPECIAL, size=(7, 6))]
-        cache = numcore.ForwardCache([rng.standard_normal((7, 3)),
-                                      *map(leaky_relu, pres)])
+        acts = [rng.standard_normal((7, 3)), *map(leaky_relu, pres)]
         up = rng.standard_normal((7, 2))
         up[0, 0] = -0.0
         # inf and NaN inputs give NaN weight gradients in both passes
         with np.errstate(invalid="ignore"):
-            got = mlp_backward(p, cache, up)
-            want = masked_backward(p, pres, cache, up)
+            got = mlp_backward(p, acts, up)
+            want = masked_backward(p, pres, acts, up)
         assert got.flat.tobytes() == want.flat.tobytes()

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -248,13 +250,14 @@ def reference_train(cfg, dataset):
 
 
 @pytest.mark.parametrize("loss", ["batch_hard", "triplet_ohm", "triplet"])
-def test_train_matches_per_layer_reference(loss):
+def test_train_matches_per_layer_reference(loss, tmp_path):
     train_set, _ = training.default_benchmark_sets(3)
     cfg = training.benchmark_config(loss, losses.MarginMode.soft(), seed=3)
     # 50 steps crossing the beta1 drop at t0, with an OHM refresh at t=26
     cfg.schedule = Schedule(1e-3, 30, 50)
     cfg.ohm_refresh_every = 25
-    result = training.train(cfg, train_set)
+    with diagnostics.TrainLogWriter(tmp_path / "train_log.csv") as writer:
+        result = training.train(cfg, train_set, writer)
     layers, m, v, b1, rows = reference_train(cfg, train_set)
 
     def raw(pairs):
@@ -264,7 +267,10 @@ def test_train_matches_per_layer_reference(loss):
     assert raw(result.state.first_moment) == raw(m)
     assert raw(result.state.second_moment) == raw(v)
     assert (result.state.step_count, result.state.beta1) == (50, b1)
-    assert [r.to_row() for r in result.history] == rows
+    with open(tmp_path / "train_log.csv", newline="") as f:
+        written = list(csv.reader(f))
+    assert written == [diagnostics.LOG_HEADER,
+                       *([str(v) for v in row] for row in rows)]
 
 
 @pytest.mark.parametrize("key, value", [("beta2", 0.99), ("eps_hat", 1e-6)])

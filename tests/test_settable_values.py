@@ -23,8 +23,10 @@ FIELDS = {
     evalkit.EvalProtocol: ["mode", "exclude_same_camera_same_id",
                            "cmc_ranks"],
     numcore.MlpParams: ["layers", "seed"],
-    numcore.ForwardCache: ["activations"],
     optim.AdamState: ["first_moment", "second_moment", "step_count", "beta1"],
+    training.TrainResult: ["params", "state"],
+    losses.LossReport: ["loss", "grad_embeddings", "num_active", "per_term",
+                        "distances"],
 }
 
 SIGNATURES = {
@@ -33,7 +35,7 @@ SIGNATURES = {
     evalkit.rank_gallery: ["query_embedding", "gallery_embeddings"],
     training.validation_map: ["params", "val"],
     numcore.leaky_relu: ["x"],
-    diagnostics.collapse_alarm: ["history"],
+    diagnostics.collapse_alarm: ["initial_median", "recent"],
 }
 
 

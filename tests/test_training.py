@@ -1,12 +1,15 @@
+import csv
 import dataclasses
 
 import numpy as np
 import pytest
 
-from tripletkit import losses, sampling
+from tripletkit import diagnostics, losses, sampling
 from tripletkit.optim import Schedule
-from tripletkit.training import (MAX_STEP_ELEMENTS, ConfigError, RunConfig,
-                                 default_benchmark_sets, train)
+from tripletkit.training import (MAX_STEP_ELEMENTS, OHM_STRESS_SEEDS,
+                                 CollapseError, ConfigError, RunConfig,
+                                 default_benchmark_sets, ohm_stress_config,
+                                 ohm_stress_dataset, train)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -86,3 +89,35 @@ def test_run_labels_stand_for_every_batch(monkeypatch, loss):
                         dataclasses.replace(spec, apply=apply_both))
     train(cfg, train_set)
     assert len(steps) == 20
+
+
+def first_alarm(rows: list[dict], window: int) -> int | None:
+    """The first iteration at which the median distances and active
+    fractions of the last `window` log rows, the first row excluded, all
+    pass the alarm's thresholds, scanning the whole log each time."""
+    threshold = diagnostics.COLLAPSE_DIST_RATIO * float(rows[0]["dist_p50"])
+    for end in range(window + 1, len(rows) + 1):
+        if all(float(r["dist_p50"]) < threshold and
+               float(r["active_frac"]) > diagnostics.COLLAPSE_ACTIVITY
+               for r in rows[end - window:end]):
+            return int(rows[end - 1]["iter"])
+    return None
+
+
+@pytest.mark.parametrize("seed, window", [(OHM_STRESS_SEEDS[2], 3),
+                                          (OHM_STRESS_SEEDS[2], 17),
+                                          (OHM_STRESS_SEEDS[1], 40)])
+def test_alarm_window_fires_where_a_full_log_scan_does(monkeypatch, tmp_path,
+                                                      seed, window):
+    """`train` keeps only the first median and a window of records; the
+    alarm must still fire at the first iteration a scan of every row it
+    wrote finds, and that row must be the log's last."""
+    monkeypatch.setattr(diagnostics, "COLLAPSE_WINDOW", window)
+    path = tmp_path / "train_log.csv"
+    with diagnostics.TrainLogWriter(path) as writer, \
+            pytest.raises(CollapseError) as fired:
+        train(ohm_stress_config("triplet_ohm", seed), ohm_stress_dataset(),
+              writer)
+    with open(path, newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert fired.value.iteration == first_alarm(rows, window) == len(rows)
