@@ -215,11 +215,26 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+def _cell_config(loss_name: str, margin_text: str,
+                 base_cfg: training.RunConfig) -> training.RunConfig:
+    return dataclasses.replace(base_cfg, loss=loss_name,
+                               margin=losses.parse_margin(margin_text))
+
+
+def _run_reads(cfg: training.RunConfig) -> tuple:
+    """What a grid cell's run reads of its loss and margin: the loss, the
+    values it takes from `cfg` and, for mined triplets, the miner's margin.
+    Cells of one grid share every other field, so equal values mean the
+    same run."""
+    spec = losses.LOSSES[cfg.loss]
+    return (cfg.loss, spec.reads(cfg),
+            cfg.margin if spec.batch == "mined" else None)
+
+
 def run_bench_cell(loss_name: str, margin_text: str, train_set, val_set,
                    base_cfg: training.RunConfig) -> dict:
     """Train and evaluate one grid cell; failures are reported, not raised."""
-    cfg = dataclasses.replace(base_cfg, loss=loss_name,
-                              margin=losses.parse_margin(margin_text))
+    cfg = _cell_config(loss_name, margin_text, base_cfg)
     cell = {"loss": loss_name, "margin": margin_text,
             "map": "", "rank1": "", "status": "ok"}
     try:
@@ -253,8 +268,14 @@ def cmd_bench_losses(args) -> int:
     train_set, val_set = training.identity_disjoint_split(
         dataset, args.val_fraction, args.seed)
 
-    cells = [run_bench_cell(ln, mt, train_set, val_set, base)
-             for ln in loss_names for mt in margins]
+    # a cell whose run another cell already trained reports that run
+    trained, cells = {}, []
+    for ln in loss_names:
+        for mt in margins:
+            key = repr(_run_reads(_cell_config(ln, mt, base)))
+            if key not in trained:
+                trained[key] = run_bench_cell(ln, mt, train_set, val_set, base)
+            cells.append({**trained[key], "loss": ln, "margin": mt})
 
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "bench_losses.csv")

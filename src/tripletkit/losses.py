@@ -184,12 +184,16 @@ class BatchLabels:
         return pos, neg
 
     @cached_property
-    def valid_triplets(self) -> np.ndarray:
-        """valid[a, p, n]: p != a shares a's identity, n does not."""
-        pos, neg = self.masks
-        valid = pos[:, :, None] & neg[:, None, :]
-        _read_only(valid)
-        return valid
+    def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every valid triplet (a, p, q), p != a sharing a's identity and q
+        not, in ascending order: its flat index a*n*n + p*n + q into an
+        (n, n, n) cube, then those of D(a, p) and of D(a, q) in the (n, n)
+        distances. Three int64 arrays of n(K-1)(n-K) entries for P x K."""
+        n = len(self.identities)
+        ap, aq = valid_triplets(self.same_label(), 0, n)
+        cube = ap * n + aq % n
+        _read_only(cube, ap, aq)
+        return cube, ap, aq
 
     @cached_property
     def lifted_pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -232,15 +236,30 @@ class LossReport:
         return self.num_active / self.num_terms if self.num_terms else 0.0
 
 
-def triplet_differences(d: np.ndarray, same: np.ndarray, lo: int,
-                        hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """xvals[a, p, n] = D(a,p) - D(a,n) for the anchors in rows lo..hi-1 of
-    `d`, and the mask of valid triplets (p != a shares a's label, n does not).
-    `same` is the `same_label()` matrix of all the rows of `d`.
+def valid_triplets(same: np.ndarray, lo: int,
+                   hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every valid (a, p, q) triplet whose anchor a is one of rows lo..hi-1:
+    p != a shares a's label and q does not. `same` is the `same_label()`
+    matrix of all n rows. Returns the flat indices a*n + p and a*n + q of
+    D(a, p) and D(a, q) in the (n, n) distances, in ascending (a, p, q)
+    order: each anchor's positives in turn, each with all its negatives.
+    Builds O(triplets) integers and no (a, p, q) mask.
     """
-    rows, same = d[lo:hi], same[lo:hi]
-    pos = same & (np.arange(lo, lo + len(rows))[:, None] != np.arange(len(d)))
-    return rows[:, :, None] - rows[:, None, :], pos[:, :, None] & ~same[:, None, :]
+    n = len(same)
+    rows = same[lo:hi]
+    positive = rows.copy()
+    positive[np.arange(len(rows)), np.arange(lo, lo + len(rows))] = False
+    negative = ~rows
+    ap = np.flatnonzero(positive) + lo * n
+    aq = np.flatnonzero(negative) + lo * n
+    negatives = np.count_nonzero(negative, axis=1)
+    pairs = np.count_nonzero(positive, axis=1)
+    # pair j repeats its anchor's negatives, which begin at first[j] in aq
+    reps = np.repeat(negatives, pairs)
+    first = np.repeat(np.cumsum(negatives) - negatives, pairs)
+    at = np.repeat(first - np.cumsum(reps) + reps, reps)
+    at += np.arange(len(at))
+    return np.repeat(ap, reps), aq[at]
 
 
 def _logsumexp_softmax(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -320,34 +339,43 @@ def batch_all_loss(embeddings: np.ndarray, labels: BatchLabels,
                    metric: Metric = "euclidean",
                    mode: MarginMode = MarginMode.hard(0.2),
                    averaging: Literal["all", "nonzero"] = "all") -> LossReport:
-    """Sum over every valid (a, p, n) triplet in the PK batch."""
+    """Sum over every valid (a, p, n) triplet in the PK batch.
+
+    The terms are computed at the valid triplets only. Their gradient is
+    scattered into an (n, n, n) cube and summed along its axes, so the
+    coefficients are added up in the order a sum over the whole cube takes.
+    """
     labels.validate_pk()
-    valid = labels.valid_triplets
+    cube, ap, an = labels.triplets
     x = np.asarray(embeddings, dtype=np.float64)
     _check_labels(labels, len(x))
     dist = pairwise_distances(x, metric)
-    d = dist.values
-    xvals = d[:, :, None] - d[:, None, :]   # D(a,p) - D(a,n)
-    applied = margin_apply(xvals, mode)
-    per_term = applied[valid]
+    d = dist.values.ravel()
+    xvals = d[ap] - d[an]               # D(a,p) - D(a,n)
+    per_term = margin_apply(xvals, mode)
 
     if averaging == "nonzero":
-        divisor = int(np.count_nonzero(per_term > ACTIVE_THRESHOLD))
+        active = per_term > ACTIVE_THRESHOLD
+        divisor = int(np.count_nonzero(active))
     else:
         divisor = len(per_term)
 
-    coeff = np.zeros((len(x), len(x)))
+    n = len(x)
+    coeff = np.zeros((n, n))
     loss = 0.0
     if divisor > 0:
-        g = margin_apply_grad(xvals, mode) * valid
+        g = margin_apply_grad(xvals, mode)
         if averaging == "nonzero":
-            g = g * (applied > ACTIVE_THRESHOLD)
-            loss = float(per_term[per_term > ACTIVE_THRESHOLD].sum() / divisor)
+            g *= active
+            loss = float(per_term[active].sum() / divisor)
         else:
             loss = float(per_term.sum() / divisor)
-        g = g / divisor
-        coeff += g.sum(axis=2)          # d/dD(a,p)
-        coeff -= g.sum(axis=1)          # d/dD(a,n)
+        g /= divisor
+        grid = np.zeros(n ** 3)
+        grid[cube] = g
+        grid = grid.reshape(n, n, n)
+        coeff += grid.sum(axis=2)       # d/dD(a,p)
+        coeff -= grid.sum(axis=1)       # d/dD(a,n)
     return _finish(loss, per_term, coeff, x, dist)
 
 
@@ -558,12 +586,24 @@ def lifted_generalized_loss(embeddings: np.ndarray, labels: BatchLabels,
 @dataclass(frozen=True)
 class LossSpec:
     """One registry entry: the batch the trainer feeds the loss ("random"
-    or offline-"mined" triplets, or a "pk" batch), and `apply(embeddings,
-    labels, cfg)`, which calls the loss as a `training.RunConfig` asks."""
+    or offline-"mined" triplets, or a "pk" batch), `reads(cfg)`, the values
+    the loss takes from a `training.RunConfig`, and `call(embeddings,
+    labels, *values)`, which calls the loss with them. Two configurations
+    whose values are equal give the loss the same arguments."""
 
     name: str
     batch: Literal["random", "mined", "pk"]
-    apply: Callable[..., LossReport]
+    reads: Callable[..., tuple]
+    call: Callable[..., LossReport]
+
+    def apply(self, embeddings: np.ndarray, labels: BatchLabels | None,
+              cfg) -> LossReport:
+        """The loss of one batch as `cfg` asks for it."""
+        return self.call(embeddings, labels, *self.reads(cfg))
+
+
+def _metric_margin(cfg) -> tuple[str, MarginMode]:
+    return cfg.metric, cfg.margin
 
 
 def _inner_margin(cfg, soft_m: float) -> float:
@@ -572,30 +612,40 @@ def _inner_margin(cfg, soft_m: float) -> float:
     return cfg.margin.m if cfg.margin.kind == "hard" else soft_m
 
 
+def _lifted_reads(cfg) -> tuple[str, float, MarginMode]:
+    """The metric, the inner margin and the outer clamp, which is all the
+    lifted losses read of the margin mode: its kind."""
+    return cfg.metric, _inner_margin(cfg, 1.0), MarginMode(cfg.margin.kind)
+
+
+def _classic(emb, labels, metric, mode):
+    return classic_triplet_loss(emb, metric, mode)
+
+
 # Closed loss enumeration for the trainer, the CLI and the benchmark grid.
 # Entries call the losses through the module globals, so that a wrapper
 # put in their place (a tracer, a test double) is what runs.
 LOSSES = {spec.name: spec for spec in (
-    LossSpec("triplet", "random", lambda emb, labels, cfg:
-             classic_triplet_loss(emb, cfg.metric, cfg.margin)),
-    LossSpec("triplet_ohm", "mined", lambda emb, labels, cfg:
-             classic_triplet_loss(emb, cfg.metric, cfg.margin)),
-    LossSpec("batch_hard", "pk", lambda emb, labels, cfg: batch_hard_loss(
-        emb, labels, cfg.metric, cfg.margin)),
-    LossSpec("batch_hard_nnz", "pk", lambda emb, labels, cfg: batch_hard_loss(
-        emb, labels, cfg.metric, cfg.margin, "nonzero")),
-    LossSpec("batch_all", "pk", lambda emb, labels, cfg: batch_all_loss(
-        emb, labels, cfg.metric, cfg.margin)),
-    LossSpec("batch_all_nnz", "pk", lambda emb, labels, cfg: batch_all_loss(
-        emb, labels, cfg.metric, cfg.margin, "nonzero")),
-    LossSpec("lifted", "pk", lambda emb, labels, cfg: lifted_loss(
-        emb, metric=cfg.metric, m=_inner_margin(cfg, 1.0), mode=cfg.margin,
-        labels=labels)),
-    LossSpec("lifted_gen", "pk", lambda emb, labels, cfg:
-             lifted_generalized_loss(emb, labels, cfg.metric,
-                                     _inner_margin(cfg, 1.0), cfg.margin)),
-    LossSpec("lmnn", "pk", lambda emb, labels, cfg: lmnn_loss(
-        emb, labels, m=_inner_margin(cfg, 0.2), metric=cfg.metric)),
+    LossSpec("triplet", "random", _metric_margin, _classic),
+    LossSpec("triplet_ohm", "mined", _metric_margin, _classic),
+    LossSpec("batch_hard", "pk", _metric_margin, lambda emb, labels, metric,
+             mode: batch_hard_loss(emb, labels, metric, mode)),
+    LossSpec("batch_hard_nnz", "pk", _metric_margin, lambda emb, labels,
+             metric, mode: batch_hard_loss(emb, labels, metric, mode,
+                                           "nonzero")),
+    LossSpec("batch_all", "pk", _metric_margin, lambda emb, labels, metric,
+             mode: batch_all_loss(emb, labels, metric, mode)),
+    LossSpec("batch_all_nnz", "pk", _metric_margin, lambda emb, labels,
+             metric, mode: batch_all_loss(emb, labels, metric, mode,
+                                          "nonzero")),
+    LossSpec("lifted", "pk", _lifted_reads, lambda emb, labels, metric, m,
+             mode: lifted_loss(emb, metric=metric, m=m, mode=mode,
+                               labels=labels)),
+    LossSpec("lifted_gen", "pk", _lifted_reads, lambda emb, labels, metric, m,
+             mode: lifted_generalized_loss(emb, labels, metric, m, mode)),
+    LossSpec("lmnn", "pk", lambda cfg: (cfg.metric, _inner_margin(cfg, 0.2)),
+             lambda emb, labels, metric, m: lmnn_loss(emb, labels, m=m,
+                                                      metric=metric)),
 )}
 LOSS_NAMES = tuple(LOSSES)
 

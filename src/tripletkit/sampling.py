@@ -9,12 +9,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import (BatchLabels, MarginMode, margin_apply,
-                     pairwise_distances, triplet_differences)
+                     pairwise_distances, valid_triplets)
 from .numcore import MlpParams, mlp_forward
 
 
-# Cap on the (anchor, positive, negative) elements one mining block holds.
-_BLOCK_ELEMENTS = 2 ** 18
+# Cap on the valid (anchor, positive, negative) triplets one mining block
+# holds; each block's temporaries are a few arrays of that length.
+_BLOCK_ELEMENTS = 2 ** 14
 
 
 class SamplingError(ValueError):
@@ -164,6 +165,8 @@ def sample_random_triplets(dataset: LabeledDataset, B: int,
     identities, the positive's among the anchor's other rows and the
     negative's among the rows of other identities, all of these in `order`.
     """
+    if B < 1:
+        raise SamplingError("B must be >= 1")
     index = dataset.identity_index()
     ends = index.anchor_ends
     if index.identities < 2 or len(ends) == 0:
@@ -189,11 +192,16 @@ def mine_hard_offline(model: MlpParams, dataset: LabeledDataset,
     as (anchor, positive, negative) rows of an int64 array.
 
     Returned indices refer to the full dataset. Ordering is by descending
-    loss term, ties by subset (a, p, n) enumeration order. Terms are built
-    in blocks of anchors, about `_BLOCK_ELEMENTS` triplets at a time.
+    loss term, ties by subset (a, p, n) enumeration order. Only the valid
+    triplets are built (`losses.valid_triplets`), a block of anchors at a
+    time, each block at most `_BLOCK_ELEMENTS` triplets or one anchor's.
+    Each block keeps its B highest terms and the survivors are ranked once
+    more, which picks what one stable sort of every valid triplet would.
     """
     if not 0.0 < sample_fraction <= 1.0:
         raise SamplingError("sample_fraction must be in (0, 1]")
+    if B < 1:
+        raise SamplingError("B must be >= 1")
     n = len(dataset)
     size = max(2, int(round(sample_fraction * n)))
 
@@ -205,25 +213,38 @@ def mine_hard_offline(model: MlpParams, dataset: LabeledDataset,
         raise SamplingError("mined subset degenerated to one identity")
 
     emb, _ = mlp_forward(model, dataset.features[rows])
-    d = pairwise_distances(emb, metric).values
+    d = pairwise_distances(emb, metric).values.ravel()
     same = BatchLabels(dataset.pids[rows]).same_label()
     m = len(rows)
-    step = max(1, _BLOCK_ELEMENTS // (m * m))
+    # an anchor whose identity has c of the m rows has (c - 1)(m - c) triplets
+    sizes = same.sum(axis=1)
+    most = int(((sizes - 1) * (m - sizes)).max())
+    step = max(1, _BLOCK_ELEMENTS // max(1, most))
     found, keys = [], []
     for lo in range(0, m, step):
-        xvals, valid = triplet_differences(d, same, lo, lo + step)
-        flat = np.flatnonzero(valid)
-        key = -margin_apply(xvals.ravel()[flat], margin_mode)
-        top = np.argsort(key, kind="stable")[:B]
-        found.append(flat[top] + lo * m * m)
+        ap, an = valid_triplets(same, lo, lo + step)
+        key = margin_apply(d[ap] - d[an], margin_mode)
+        np.negative(key, out=key)
+        top = _smallest(key, B)
+        found.append(ap[top] * m + an[top] % m)
         keys.append(key[top])
     found, keys = np.concatenate(found), np.concatenate(keys)
     if len(found) == 0:
         raise SamplingError("subset contains no valid triplet")
     # blocks are in anchor order and each keeps ties in enumeration order,
     # so one stable sort ranks the survivors as a sort of every triplet would
-    best = found[np.argsort(keys, kind="stable")[:B]]
+    best = found[_smallest(keys, B)]
     return rows[np.column_stack(np.unravel_index(best, (m, m, m)))]
+
+
+def _smallest(key: np.ndarray, B: int) -> np.ndarray:
+    """`np.argsort(key, kind="stable")[:B]`, sorting only the keys at or
+    below the B-th smallest (all of them if that one is NaN)."""
+    if len(key) > B:
+        kth = key[np.argpartition(key, B - 1)[B - 1]]
+        kept = np.flatnonzero(~(key > kth))
+        return kept[np.argsort(key[kept], kind="stable")[:B]]
+    return np.argsort(key, kind="stable")
 
 
 def write_dataset_csv(path, dataset: LabeledDataset) -> None:

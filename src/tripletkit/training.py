@@ -28,12 +28,12 @@ ConfigError = numcore.ConfigError      # an inconsistent run configuration
 
 # The most elements a training step's largest array may hold, checked
 # before anything is allocated: 2**27 float64 values are 1 GiB. For a PK
-# batch of n = P*K rows that array is at most batch-all's (n, n, n) cube
-# of triplet terms, so n <= 512; for B triplets it is the (3B, 3B)
-# distance matrix, so B <= 3861. Both are checked whatever the loss, so
-# `bench-losses` rejects a count before its first cell. Each layer width
-# past the input's is capped by the (width, width) weight it could take:
-# at most 11585.
+# batch of n = P*K rows that array is at most the (n, n, n) cube that
+# batch-all scatters its valid triplets' gradient into, so n <= 512; for B
+# triplets it is the (3B, 3B) distance matrix, so B <= 3861. Both are
+# checked whatever the loss, so `bench-losses` rejects a count before its
+# first cell. Each layer width past the input's is capped by the (width,
+# width) weight it could take: at most 11585.
 MAX_STEP_ELEMENTS = 2 ** 27
 
 
@@ -103,6 +103,7 @@ def train(cfg: RunConfig, dataset: sampling.LabeledDataset,
     mined: np.ndarray | None = None
     grads = numcore.GradBundle(params.layers)   # mlp_backward's output buffer
     spec = losses.LOSSES[cfg.loss]
+    values = spec.reads(cfg)
     # every PK batch holds P distinct identities, K rows each, in identity
     # blocks, so one labels object serves every step; the triplet losses
     # read no labels
@@ -127,7 +128,7 @@ def train(cfg: RunConfig, dataset: sampling.LabeledDataset,
         # overflow and NaN from a diverging step are reported by the guard below
         with np.errstate(over="ignore", invalid="ignore"):
             emb, acts = numcore.mlp_forward(params, dataset.features[rows])
-            report = spec.apply(emb, labels, cfg)
+            report = spec.call(emb, labels, *values)
         if not math.isfinite(report.loss):
             raise NonFiniteLossError(t, "non-finite loss")
         numcore.mlp_backward(params, acts, report.grad_embeddings, grads)

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from tripletkit import cli, numcore, optim, training
+from tripletkit import cli, losses, numcore, optim, training
 from tripletkit.sampling import LabeledDataset, read_dataset_csv, write_dataset_csv
 
 
@@ -397,6 +397,42 @@ class TestBenchLosses:
         assert len(rows) == 5
         for row in rows[1:]:
             assert row.endswith(",ok")
+
+    def test_each_distinct_run_trains_once(self, tmp_path, monkeypatch):
+        # lmnn reads only the inner margin, which is 0.2 under soft as
+        # under hinge 0.2; the lifted losses read the outer clamp too, and
+        # the mined triplets' miner reads the whole margin
+        data = make_data(tmp_path, ids=8)
+        trained = []
+        real_train = training.train
+
+        def counted(cfg, *args, **kwargs):
+            trained.append((cfg.loss, cfg.margin))
+            return real_train(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(training, "train", counted)
+        out = tmp_path / "bench"
+        rc = cli.main(["bench-losses", "--data", data,
+                       "--losses", "lmnn,lifted,triplet_ohm,batch_hard",
+                       "--margins", "0.2,soft,0.20,1.0", "--widths", "5,8,4",
+                       "--P", "3", "--K", "2", "--B", "4",
+                       "--t0", "4", "--t1", "8", "-o", str(out)])
+        assert rc == cli.EXIT_OK
+        hard, soft = losses.MarginMode.hard, losses.MarginMode.soft
+        assert trained == [
+            ("lmnn", hard(0.2)), ("lmnn", hard(1.0)),
+            ("lifted", hard(0.2)), ("lifted", soft()), ("lifted", hard(1.0)),
+            ("triplet_ohm", hard(0.2)), ("triplet_ohm", soft()),
+            ("triplet_ohm", hard(1.0)),
+            ("batch_hard", hard(0.2)), ("batch_hard", soft()),
+            ("batch_hard", hard(1.0))]
+        rows = (out / "bench_losses.csv").read_text().splitlines()
+        assert len(rows) == 17
+        by_cell = {tuple(r.split(",")[:2]): r.split(",")[2:] for r in rows[1:]}
+        for loss in ("lmnn", "lifted", "triplet_ohm", "batch_hard"):
+            assert by_cell[loss, "0.20"] == by_cell[loss, "0.2"]
+        assert by_cell["lmnn", "soft"] == by_cell["lmnn", "0.2"]
+        assert all(status == "ok" for *_, status in by_cell.values())
 
     def test_unknown_loss_exits_2(self, tmp_path):
         data = make_data(tmp_path)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +126,24 @@ class TestHandComputedCells:
         r = batch_all_loss(x, ONE_D_LABELS, "euclidean", HARD02, "nonzero")
         assert r.loss == 0.0
         assert np.all(r.grad_embeddings == 0)
+
+    @pytest.mark.parametrize("averaging", ["all", "nonzero"])
+    @pytest.mark.parametrize("mode", [SOFT, HARD02], ids=["soft", "hinge"])
+    def test_batch_all_holds_one_cube(self, mode, averaging):
+        # the paper's P=18, K=4: only the gradient's scatter target is an
+        # (n, n, n) array; every term array has the valid triplets' length
+        n = 72
+        labels = BatchLabels(np.repeat(np.arange(18), 4), 18, 4)
+        x = np.random.default_rng(3).standard_normal((n, 128))
+        batch_all_loss(x, labels, "euclidean", mode, averaging)
+        tracemalloc.start()
+        try:
+            report = batch_all_loss(x, labels, "euclidean", mode, averaging)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.num_terms == n * 3 * (n - 4)
+        assert peak < 2 * n ** 3 * 8
 
     def test_classic_triplet_cells(self):
         # rows (a, p, n); distances are 1-D gaps

@@ -66,7 +66,7 @@ def test_labels_are_an_immutable_copy():
     ids[0] = 1
     assert labels.identities.tolist() == [3, 3, 1, 1]
     derived = [labels.identities, labels.same_label(), *labels.masks,
-               labels.valid_triplets, *labels.lifted_pairs,
+               *labels.triplets, *labels.lifted_pairs,
                *labels.lmnn_targets]
     for a in derived:
         with pytest.raises(ValueError, match="read-only"):

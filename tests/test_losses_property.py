@@ -1,15 +1,18 @@
 """Property tests: the masked lifted, generalized lifted and LMNN losses
-against the brute-force oracles and central finite differences."""
+against the brute-force oracles and central finite differences, and
+batch-all, computed at its valid triplets only, against the frozen
+whole-cube copy in `test_losses_reference.py`, bit for bit."""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from tripletkit.losses import (BatchLabels, MarginMode,
-                               lifted_generalized_loss, lifted_loss,
-                               lmnn_loss, pairwise_distances)
+from tripletkit.losses import (METRICS, BatchLabels, MarginMode,
+                               batch_all_loss, lifted_generalized_loss,
+                               lifted_loss, lmnn_loss, pairwise_distances)
 
+import test_losses_reference as reference
 from oracles import fd_gradient, oracle_lifted, oracle_lifted_gen, oracle_lmnn
 
 SETTINGS = settings(max_examples=40, deadline=None,
@@ -94,3 +97,41 @@ def test_lmnn_matches_oracle(case, mu):
     assume(np.all(np.abs(hinge) > 1e-3))
     check(lambda z: lmnn_loss(z, labels, targets, mu, m, metric), x,
           oracle_lmnn(x.tolist(), ids.tolist(), targets, mu, m, metric))
+
+
+@st.composite
+def batch_all_cases(draw):
+    """A P x K batch, P and K from 2, with shuffled arbitrary identity
+    values; rows on a small integer grid (many tied distances) or spread
+    normals, some copied onto others; a metric, margin and averaging."""
+    P, K = draw(st.integers(2, 7)), draw(st.integers(2, 5))
+    n = P * K
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        x = rng.integers(-1, 2, size=(n, dim)).astype(np.float64)
+    else:
+        x = rng.standard_normal((n, dim)) * draw(st.sampled_from([0.05, 1, 4]))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)), max_size=n)):
+        x[i] = x[j]
+    ids = rng.permutation(np.repeat(rng.permutation(100)[:P], K))
+    mode = draw(st.sampled_from([MarginMode.soft(), MarginMode.hard(0.0),
+                                 MarginMode.hard(0.2), MarginMode.hard(1.0)]))
+    return (x, BatchLabels(ids, P, K), draw(st.sampled_from(METRICS)), mode,
+            draw(st.sampled_from(["all", "nonzero"])))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(batch_all_cases())
+def test_batch_all_matches_whole_cube_reference(case):
+    x, labels, metric, mode, averaging = case
+    got = batch_all_loss(x, labels, metric, mode, averaging)
+    want = reference.batch_all_loss(x, labels, metric, mode, averaging)
+    same = reference._same_bits
+    assert same(got.loss, want.loss)
+    assert same(got.grad_embeddings, want.grad_embeddings)
+    assert same(got.per_term, want.per_term)
+    assert (got.num_terms, got.num_active) == (want.num_terms,
+                                               want.num_active)

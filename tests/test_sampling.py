@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from tripletkit import sampling
+from tripletkit import sampling, training
 from tripletkit.losses import (BatchLabels, MarginMode, margin_apply,
                                pairwise_distances)
 from tripletkit.numcore import MlpParams, init_params, mlp_forward
@@ -197,8 +199,9 @@ class TestOfflineHardMining:
         assert len(set(terms)) < len(terms) / 10
         ranked = [everything[i] for i in
                   sorted(range(len(terms)), key=lambda i: -terms[i])]
-        # 3 anchors per block: seven blocks, the last one short
-        monkeypatch.setattr(sampling, "_BLOCK_ELEMENTS", 3 * 20 * 20 + 5)
+        # each anchor has 3 positives x 16 negatives; 3 anchors per block:
+        # seven blocks, the last one short
+        monkeypatch.setattr(sampling, "_BLOCK_ELEMENTS", 3 * 3 * 16 + 5)
         for B in (1, 7, 40, 333, 10 ** 6):
             mined = mine_hard_offline(identity_embedding_model(1), ds, 1.0,
                                       B, mode, np.random.default_rng(B))
@@ -209,6 +212,104 @@ class TestOfflineHardMining:
         with pytest.raises(SamplingError):
             mine_hard_offline(identity_embedding_model(3), ds, 0.0, 5,
                               MarginMode.hard(0.2), np.random.default_rng(0))
+
+    def test_memory_stays_blocked(self):
+        # loss_grid's mining call: the whole 176-row benchmark split
+        train_set, _ = training.default_benchmark_sets()
+        assert len(train_set) == 176
+        params = init_params([16, 64, 8], 7)
+        mine = lambda: mine_hard_offline(params, train_set, 1.0, 3,  # noqa: E731
+                                         MarginMode.soft(),
+                                         np.random.default_rng(0))
+        mine()      # first-call set-up is not the blocks' memory
+        tracemalloc.start()
+        try:
+            mine()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
+
+
+@pytest.mark.parametrize("B", [0, -1, -2])
+@pytest.mark.parametrize("sampler", ["random", "mined"])
+def test_b_below_one_is_refused(sampler, B):
+    ds = make_dataset()
+    rng = np.random.default_rng(0)
+    with pytest.raises(SamplingError, match=r"^B must be >= 1$"):
+        if sampler == "random":
+            sample_random_triplets(ds, B, rng)
+        else:
+            mine_hard_offline(identity_embedding_model(3), ds, 1.0, B,
+                              MarginMode.soft(), rng)
+
+
+def reference_mined(model, ds, fraction, B, mode, rng):
+    """The subset `mine_hard_offline` draws, every valid triplet of it in
+    (a, p, n) order, and the first B of one stable sort by loss term."""
+    n = len(ds)
+    size = max(2, int(round(fraction * n)))
+    for _ in range(2):
+        rows = np.sort(rng.choice(n, size=size, replace=False))
+        if len(set(ds.pids[rows].tolist())) >= 2:
+            break
+    else:
+        raise SamplingError("mined subset degenerated to one identity")
+    emb, _ = mlp_forward(model, ds.features[rows])
+    d = pairwise_distances(emb, "euclidean").values
+    ids = ds.pids[rows].tolist()
+    triplets = [(a, p, j) for a in range(size) for p in range(size)
+                for j in range(size)
+                if p != a and ids[p] == ids[a] and ids[j] != ids[a]]
+    if not triplets:
+        raise SamplingError("subset contains no valid triplet")
+    terms = margin_apply(np.array([d[a, p] - d[a, j]
+                                   for a, p, j in triplets]), mode)
+    ranked = sorted(range(len(triplets)), key=lambda i: -terms[i])
+    return rows[np.array([triplets[i] for i in ranked[:B]])]
+
+
+@st.composite
+def mining_cases(draw):
+    """A dataset of ragged identities, singletons among them, on an integer
+    grid or spread out; a fraction, B (up to past the number of valid
+    triplets), margin and block size."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=2, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, dim = sum(sizes), draw(st.integers(1, 3))
+    pids = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    if draw(st.booleans()):
+        feats = rng.integers(0, 3, size=(n, dim)).astype(np.float64)
+    else:
+        feats = rng.standard_normal((n, dim))
+    ds = LabeledDataset(feats, pids, np.zeros(n), np.arange(n))
+    fraction = draw(st.sampled_from([1.0, 0.8, 0.5, 0.3]))
+    B = draw(st.sampled_from([1, 2, 3, 12, 50, 10 ** 4]))
+    mode = draw(st.sampled_from([MarginMode.soft(), MarginMode.hard(0.0),
+                                 MarginMode.hard(0.2), MarginMode.hard(1.0)]))
+    block = draw(st.sampled_from([1, 7, 50, sampling._BLOCK_ELEMENTS]))
+    return ds, dim, fraction, B, mode, block, draw(st.integers(0, 1000))
+
+
+@settings(max_examples=120, deadline=None)
+@given(mining_cases())
+def test_mining_matches_brute_force_ranking(case):
+    ds, dim, fraction, B, mode, block, seed = case
+    model = identity_embedding_model(dim)
+    try:
+        want = reference_mined(model, ds, fraction, B, mode,
+                               np.random.default_rng(seed))
+    except SamplingError as exc:
+        with pytest.raises(SamplingError, match=f"^{exc}$"):
+            mine_hard_offline(model, ds, fraction, B, mode,
+                              np.random.default_rng(seed))
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampling, "_BLOCK_ELEMENTS", block)
+        got = mine_hard_offline(model, ds, fraction, B, mode,
+                                np.random.default_rng(seed))
+    assert got.dtype == np.int64
+    assert got.tolist() == want.tolist()
 
 
 class TestCsvRoundTrip:

@@ -74,10 +74,10 @@ def test_run_labels_stand_for_every_batch(monkeypatch, loss):
         steps.append(batch.rows)
         return batch
 
-    def apply_both(emb, labels, cfg):
-        got = spec.apply(emb, labels, cfg)
+    def call_both(emb, labels, *values):
+        got = spec.call(emb, labels, *values)
         fresh = losses.BatchLabels(train_set.pids[steps[-1]], cfg.P, cfg.K)
-        want = spec.apply(emb, fresh, cfg)
+        want = spec.call(emb, fresh, *values)
         assert np.float64(got.loss).tobytes() == \
             np.float64(want.loss).tobytes()
         assert got.grad_embeddings.tobytes() == want.grad_embeddings.tobytes()
@@ -86,7 +86,7 @@ def test_run_labels_stand_for_every_batch(monkeypatch, loss):
 
     monkeypatch.setattr(sampling, "sample_pk_batch", sample_and_keep)
     monkeypatch.setitem(losses.LOSSES, loss,
-                        dataclasses.replace(spec, apply=apply_both))
+                        dataclasses.replace(spec, call=call_both))
     train(cfg, train_set)
     assert len(steps) == 20
 
