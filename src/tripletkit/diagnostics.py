@@ -48,25 +48,42 @@ def batch_stats(embeddings: np.ndarray, report: LossReport,
     """Loss, activity, and percentile panels for one training batch.
 
     Pair distances are those the loss saw: the square roots of the upper
-    triangle of its clamped squared distance matrix. Percentiles use linear
-    interpolation between closest ranks.
+    triangle of its clamped squared distance matrix, whose median is
+    `median_pair_distance`'s. Percentiles use linear interpolation between
+    closest ranks.
     """
     x = np.asarray(embeddings, dtype=np.float64)
     norms = np.sqrt((x * x).sum(axis=1))    # np.linalg.norm's own formula
-    upper = _upper_triangle(len(x))
-    dists = np.sqrt(report.distances.squared.take(upper)) if len(upper) \
-        else np.zeros(1)
-    values = _percentiles_of((report.per_term, norms, dists),
-                             ((5,), PERCENTILES, PERCENTILES)).tolist()
+    norms.sort()
     return TrainLogRecord(
         iteration=iteration,
         loss_mean=float(report.loss),
-        loss_p5=values[0],
+        loss_p5=_sorted_percentiles(np.sort(report.per_term), (5,))[0],
         active_fraction=report.active_fraction,
-        emb_norm_percentiles=tuple(values[1:6]),
-        pair_dist_percentiles=tuple(values[6:]),
+        emb_norm_percentiles=_sorted_percentiles(norms, PERCENTILES),
+        pair_dist_percentiles=_sorted_percentiles(
+            _pair_distances(report.distances.squared), PERCENTILES),
         lr=lr,
     )
+
+
+def median_pair_distance(squared: np.ndarray) -> float:
+    """The median of a batch's pair distances, given the loss's clamped
+    squared distance matrix: `batch_stats`' `pair_dist_percentiles[2]`,
+    the collapse alarm's input, without the other panels."""
+    return _sorted_percentiles(_pair_distances(squared), (50,))[0]
+
+
+def _pair_distances(squared: np.ndarray) -> np.ndarray:
+    """The square roots of the strict upper triangle of `squared`, sorted;
+    one zero for a one-row batch."""
+    upper = _upper_triangle(len(squared))
+    if not len(upper):
+        return np.zeros(1)
+    d = squared.take(upper)
+    np.sqrt(d, out=d)
+    d.sort()
+    return d
 
 
 @functools.lru_cache(maxsize=16)
@@ -80,55 +97,39 @@ def percentiles(values: np.ndarray, percents: tuple) -> np.ndarray:
     """`np.percentile(values, percents)` from one sort, bit for bit as long
     as `values` do not hold both signed zeros (NumPy's partition leaves
     their order open)."""
-    return _percentiles_of((np.asarray(values),), (tuple(percents),))
+    return np.array(_sorted_percentiles(np.sort(values, axis=None),
+                                        tuple(percents)))
 
 
-def _percentiles_of(arrays: tuple, percents: tuple) -> np.ndarray:
-    """`percentiles(arrays[i], percents[i])` for every i, concatenated:
-    one sort per array, then one gather and one interpolation for all."""
-    sizes = tuple(a.size for a in arrays)
-    if 0 in sizes:
+def _sorted_percentiles(s: np.ndarray, percents: tuple) -> tuple[float, ...]:
+    """`percentiles(s, percents)` of an already sorted, flat `s`, one
+    Python float at a time: a NaN, sorted last, makes each of them NaN."""
+    if not s.size:
         raise ValueError("percentiles of an empty array")
-    lo, hi, gamma, rest, from_hi, last, group, segments = _interpolation(
-        sizes, percents)
-    s = np.concatenate(arrays, axis=None)
-    for segment in segments:
-        s[segment].sort()
-    a, b = s[lo], s[hi]
-    diff = b - a
-    out = a + diff * gamma
-    np.subtract(b, diff * rest, out=out, where=from_hi)
-    nan = np.isnan(s[last])     # a NaN, sorted last, makes every percentile
-    if nan.any():               # of its array NaN
-        out[nan[group]] = np.nan
-    return out
+    last = s.item(-1)
+    if last != last:
+        return (last,) * len(percents)
+    out = []
+    for lo, hi, gamma, rest, from_hi in _interpolation(s.size, percents):
+        a, b = s.item(lo), s.item(hi)
+        diff = b - a
+        out.append(b - diff * rest if from_hi else a + diff * gamma)
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=64)
-def _interpolation(sizes: tuple, percents: tuple) -> tuple[np.ndarray, ...]:
-    """NumPy's linear-method neighbours and weights for arrays of `sizes`
-    sorted values laid end to end, `percents[i]` taken of array i: lower
-    and upper indices (both the array's last one at or past its end), the
-    weights of the upper and of the lower, where the value is taken from
-    the upper, each array's last index, each value's array, and the
-    arrays' slices."""
-    parts, segments = [], []
-    start = 0
-    for n, pcts in zip(sizes, percents):
-        segments.append(slice(start, start + n))
-        virtual = (n - 1) * np.true_divide(pcts, 100)
-        past = virtual >= n - 1
-        lo = np.where(past, -1, np.floor(virtual)).astype(np.intp)
-        hi = np.where(past, -1, lo + 1)
-        gamma = virtual - lo
-        parts.append((np.where(lo < 0, lo + n, lo) + start,
-                      np.where(hi < 0, hi + n, hi) + start, gamma))
-        start += n
-    lo, hi, gamma = (np.concatenate(p) for p in zip(*parts))
-    last = np.cumsum(sizes) - 1
-    group = np.repeat(np.arange(len(sizes)), [len(p) for p in percents])
-    return (*map(_read_only, (lo, hi, gamma, 1 - gamma, gamma >= 0.5, last,
-                              group)), tuple(segments))
+def _interpolation(n: int, percents: tuple) -> tuple[tuple, ...]:
+    """NumPy's linear-method neighbours and weights for `percents` of n
+    sorted values, one tuple per percent: the lower and upper indices
+    (both the last one at or past the end), the weights of the upper and
+    of the lower, and whether the value is taken from the upper."""
+    virtual = (n - 1) * np.true_divide(percents, 100)
+    past = virtual >= n - 1
+    lo = np.where(past, -1, np.floor(virtual)).astype(np.intp)
+    hi = np.where(past, -1, lo + 1)
+    gamma = virtual - lo
+    return tuple(zip(lo.tolist(), hi.tolist(), gamma.tolist(),
+                     (1 - gamma).tolist(), (gamma >= 0.5).tolist()))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -138,17 +139,47 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def collapse_alarm(initial_median: float, recent: Sequence) -> bool:
-    """True when the last COLLAPSE_WINDOW of `recent`, the records after
-    the first in order, all have a median pairwise distance below 1e-3 of
-    the first's (`initial_median`) and nearly every term active."""
+    """True when the last COLLAPSE_WINDOW of `recent`, the (median pair
+    distance, active fraction) pairs of the steps after the first in
+    order, all have a median below 1e-3 of the first step's
+    (`initial_median`) and nearly every term active."""
     window = COLLAPSE_WINDOW
     if len(recent) < window:
         return False
     threshold = COLLAPSE_DIST_RATIO * initial_median
-    # newest first, so a healthy run stops at its last record
-    return all(r.pair_dist_percentiles[2] < threshold
-               and r.active_fraction > COLLAPSE_ACTIVITY
-               for r in itertools.islice(reversed(recent), window))
+    # newest first, so a healthy run stops at its last step
+    return all(median < threshold and active > COLLAPSE_ACTIVITY
+               for median, active in itertools.islice(reversed(recent),
+                                                      window))
+
+
+@dataclass(frozen=True)
+class AlarmTrigger:
+    """The values a fired collapse alarm read: the first step's median
+    pair distance and, over the window of steps that fired it, the
+    largest median as a share of that one and the smallest active
+    fraction."""
+
+    initial_median: float
+    max_median_ratio: float
+    min_active_fraction: float
+    window: int
+
+    @classmethod
+    def of(cls, initial_median: float, recent: Sequence) -> "AlarmTrigger":
+        """The values behind `collapse_alarm(initial_median, recent)`."""
+        medians, active = zip(*itertools.islice(reversed(recent),
+                                                COLLAPSE_WINDOW))
+        return cls(initial_median, max(medians) / initial_median,
+                   min(active), len(medians))
+
+    def __str__(self) -> str:
+        return (f"over the last {self.window} steps the median pair "
+                f"distance was at most {self.max_median_ratio:.6g} of the "
+                f"first step's {self.initial_median:.6g} (alarm below "
+                f"{COLLAPSE_DIST_RATIO:g}) and the active fraction at least "
+                f"{self.min_active_fraction:.6g} (alarm above "
+                f"{COLLAPSE_ACTIVITY:g})")
 
 
 class TrainLogWriter:

@@ -79,21 +79,21 @@ def pairwise_distances(embeddings: np.ndarray, metric: Metric = "euclidean") -> 
     """All pairwise distances among rows; euclidean uses a clamped sqrt."""
     x = np.asarray(embeddings, dtype=np.float64)
     n = len(x)
-    sq = (x * x).sum(axis=1)
+    sq = np.add.reduce(x * x, axis=1)
     # (|a|^2 + |b|^2) - 2 a.b, clamped at 0, zero diagonal; symmetric as
     # it is, since NumPy computes x @ x.T as one symmetric product
     gram = x @ x.T
     gram *= 2.0
-    d2 = np.add.outer(sq, sq)
+    d2 = sq[:, None] + sq
     d2 -= gram
     np.maximum(d2, 0.0, out=d2)
-    d2.flat[::n + 1] = 0.0
+    d2.ravel()[::n + 1] = 0.0
     if metric == "squared_euclidean":
         return DistanceMatrix(d2, metric, d2)
     if metric == "euclidean":
         d = np.maximum(d2, EUCLID_SQ_FLOOR)
         np.sqrt(d, out=d)
-        d.flat[::n + 1] = 0.0
+        d.ravel()[::n + 1] = 0.0
         return DistanceMatrix(d, metric, d2)
     raise ValueError(f"unknown metric {metric!r}")
 
@@ -112,8 +112,8 @@ def _chain_through_metric(embeddings: np.ndarray, dist: DistanceMatrix,
         k *= 2.0
     else:
         k /= np.maximum(dist.values, EUCLID_GRAD_FLOOR)
-    k.flat[::len(k) + 1] = 0.0
-    return k.sum(axis=1)[:, None] * x - k @ x
+    k.ravel()[::len(k) + 1] = 0.0
+    return np.add.reduce(k, axis=1)[:, None] * x - k @ x
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -188,10 +188,13 @@ class BatchLabels:
         """Every valid triplet (a, p, q), p != a sharing a's identity and q
         not, in ascending order: its flat index a*n*n + p*n + q into an
         (n, n, n) cube, then those of D(a, p) and of D(a, q) in the (n, n)
-        distances. Three int64 arrays of n(K-1)(n-K) entries for P x K."""
+        distances. Three arrays of n(K-1)(n-K) entries for P x K, int32
+        while n**3 < 2**31, as for every batch `training.train` takes."""
         n = len(self.identities)
         ap, aq = valid_triplets(self.same_label(), 0, n)
         cube = ap * n + aq % n
+        if n ** 3 < 2 ** 31:
+            cube, ap, aq = (a.astype(np.int32) for a in (cube, ap, aq))
         _read_only(cube, ap, aq)
         return cube, ap, aq
 
@@ -286,15 +289,16 @@ def _finish(loss: float, per_term: np.ndarray, coeff: np.ndarray,
     return LossReport(float(loss), grad, num_active, per_term, dist)
 
 
-def _triplet_terms(x: np.ndarray, dist: DistanceMatrix, a: np.ndarray,
-                   p: np.ndarray, n: np.ndarray, mode: MarginMode,
+def _triplet_terms(x: np.ndarray, dist: DistanceMatrix, ap: np.ndarray,
+                   an: np.ndarray, mode: MarginMode,
                    averaging: Literal["all", "nonzero"]) -> LossReport:
-    """The loss over the (a[i], p[i], n[i]) triplets of rows of `x`: the
-    margin of D(a,p) - D(a,n), averaged over every term or over the active
-    ones. No (a, p) or (a, n) pair occurs twice, so each coefficient is set
-    once and needs no accumulation."""
+    """The loss over triplets (a, p, n) of rows of `x`, given as the flat
+    indices ap = a*N + p and an = a*N + n of D(a,p) and D(a,n) in the
+    (N, N) distances: the margin of D(a,p) - D(a,n), averaged over every
+    term or over the active ones. No (a, p) or (a, n) pair occurs twice,
+    so each coefficient is set once and needs no accumulation."""
     d = dist.values
-    xvals = d[a, p] - d[a, n]
+    xvals = d.take(ap) - d.take(an)
     per_term = margin_apply(xvals, mode)
     g = margin_apply_grad(xvals, mode)
     kept = per_term
@@ -307,8 +311,8 @@ def _triplet_terms(x: np.ndarray, dist: DistanceMatrix, a: np.ndarray,
     loss = 0.0
     if divisor > 0:
         g = g / divisor
-        coeff[a, p] = g
-        coeff[a, n] = -g
+        coeff.put(ap, g)
+        coeff.put(an, -g)
         loss = kept.sum() / divisor
     return _finish(loss, per_term, coeff, x, dist)
 
@@ -331,8 +335,9 @@ def batch_hard_loss(embeddings: np.ndarray, labels: BatchLabels,
     # argmax/argmin take the first tie
     hardest_pos = np.where(pos, d, -np.inf).argmax(axis=1)
     hardest_neg = np.where(neg, d, np.inf).argmin(axis=1)
-    return _triplet_terms(x, dist, np.arange(len(x)), hardest_pos,
-                          hardest_neg, mode, averaging)
+    anchors = np.arange(0, d.size, len(d))     # flat index of D(a, 0)
+    return _triplet_terms(x, dist, anchors + hardest_pos,
+                          anchors + hardest_neg, mode, averaging)
 
 
 def batch_all_loss(embeddings: np.ndarray, labels: BatchLabels,
@@ -387,8 +392,8 @@ def classic_triplet_loss(embeddings: np.ndarray,
     n = len(x)
     if n == 0 or n % 3 != 0:
         raise BatchContractError("row count must be a positive multiple of 3")
-    a = np.arange(0, n, 3)
-    return _triplet_terms(x, pairwise_distances(x, metric), a, a + 1, a + 2,
+    ap = np.arange(0, n, 3) * (n + 1) + 1       # flat index of D(a, a+1)
+    return _triplet_terms(x, pairwise_distances(x, metric), ap, ap + 1,
                           mode, "all")
 
 

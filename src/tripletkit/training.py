@@ -13,11 +13,15 @@ from . import datagen, diagnostics, evalkit, losses, numcore, optim, sampling
 
 
 class CollapseError(RuntimeError):
-    """Training aborted because the collapse alarm fired."""
+    """Training aborted because the collapse alarm fired; `trigger` holds
+    the values it fired on, and the message prints them."""
 
-    def __init__(self, iteration: int, reason: str = "collapse alarm fired"):
-        super().__init__(f"{reason} at iteration {iteration}")
+    def __init__(self, iteration: int, reason: str = "collapse alarm fired",
+                 trigger: diagnostics.AlarmTrigger | None = None):
+        detail = "" if trigger is None else f": {trigger}"
+        super().__init__(f"{reason} at iteration {iteration}{detail}")
         self.iteration = iteration
+        self.trigger = trigger
 
 
 class NonFiniteLossError(CollapseError):
@@ -92,13 +96,17 @@ def train(cfg: RunConfig, dataset: sampling.LabeledDataset,
     """Run the full schedule; raises CollapseError if the alarm fires, or
     its subclass NonFiniteLossError, before the update, on a NaN/inf loss.
 
-    The exception carries only the iteration; the log has every row up to it.
+    The exception carries the iteration and, from the alarm, the values it
+    fired on; the log, when `log_writer` is given, has every row up to it.
+    Only a logged run computes the log's percentile panels; every step
+    computes the alarm's median pair distance.
     """
     widths = [dataset.feature_dim, *cfg.layer_widths[1:]]
     params = numcore.init_params(widths, cfg.seed)
     state = optim.AdamState.for_params(params)
     rng = np.random.default_rng(cfg.seed)
-    # the alarm's state: the first median, set at t = 1, and the window after it
+    # the alarm's state: the first median, set at t = 1, and a window of
+    # (median, active fraction) pairs after it
     recent = collections.deque(maxlen=diagnostics.COLLAPSE_WINDOW)
     mined: np.ndarray | None = None
     grads = numcore.GradBundle(params.layers)   # mlp_backward's output buffer
@@ -134,15 +142,19 @@ def train(cfg: RunConfig, dataset: sampling.LabeledDataset,
         numcore.mlp_backward(params, acts, report.grad_embeddings, grads)
         optim.adam_step(params, grads, state, lr)
 
-        record = diagnostics.batch_stats(emb, report, t, lr)
-        if log_writer is not None:
-            log_writer.append(record)
-        if t == 1:
-            initial_median = record.pair_dist_percentiles[2]
+        if log_writer is None:
+            median = diagnostics.median_pair_distance(report.distances.squared)
         else:
-            recent.append(record)
+            record = diagnostics.batch_stats(emb, report, t, lr)
+            log_writer.append(record)
+            median = record.pair_dist_percentiles[2]
+        if t == 1:
+            initial_median = median
+        else:
+            recent.append((median, report.active_fraction))
         if diagnostics.collapse_alarm(initial_median, recent):
-            raise CollapseError(t)
+            raise CollapseError(t, trigger=diagnostics.AlarmTrigger.of(
+                initial_median, recent))
 
     return TrainResult(params, state)
 

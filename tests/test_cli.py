@@ -1,10 +1,13 @@
+import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from tripletkit import cli, losses, numcore, optim, training
+from tripletkit import cli, diagnostics, losses, numcore, optim, training
 from tripletkit.sampling import LabeledDataset, read_dataset_csv, write_dataset_csv
 
 
@@ -206,6 +209,38 @@ class TestTrain:
         assert rc == cli.EXIT_COLLAPSE
         assert "non-finite loss at iteration" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "checkpoint.json"))
+
+    def test_collapse_prints_the_alarm_values(self, tmp_path):
+        """OHM stress seed 0 through the installed command: exit 4 and the
+        values behind the alarm, as its train log shows them, on stderr."""
+        data = str(tmp_path / "stress.csv")
+        write_dataset_csv(data, training.ohm_stress_dataset())
+        cfg = training.ohm_stress_config("triplet_ohm", 0)
+        out = tmp_path / "run"
+        src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
+        done = subprocess.run(
+            [sys.executable, "-m", "tripletkit.cli", "train", "--data", data,
+             "--loss", "triplet_ohm", "--margin", str(cfg.margin.m),
+             "--metric", cfg.metric, "--B", str(cfg.B),
+             "--ohm-sample-fraction", str(cfg.ohm_sample_fraction),
+             "--ohm-refresh-every", str(cfg.ohm_refresh_every),
+             "--widths", ",".join(map(str, cfg.layer_widths)),
+             "--P", str(cfg.P), "--K", str(cfg.K), "--seed", "0",
+             "--eps0", str(cfg.schedule.eps0), "--t0", str(cfg.schedule.t0),
+             "--t1", str(cfg.schedule.t1), "-o", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == cli.EXIT_COLLAPSE
+        assert "Traceback" not in done.stderr
+        with open(out / "train_log.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        window = rows[-diagnostics.COLLAPSE_WINDOW:]
+        initial = float(rows[0]["dist_p50"])
+        want = diagnostics.AlarmTrigger(
+            initial, max(float(r["dist_p50"]) for r in window) / initial,
+            min(float(r["active_frac"]) for r in window), len(window))
+        assert done.stderr == \
+            f"aborted: collapse alarm fired at iteration 700: {want}\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_nonfinite_feature_exits_3(self, tmp_path, capsys, value):

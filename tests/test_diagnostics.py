@@ -3,12 +3,16 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripletkit import diagnostics
-from tripletkit.diagnostics import (LOG_HEADER, PERCENTILES, TrainLogRecord,
-                                    TrainLogWriter, batch_stats,
-                                    collapse_alarm, percentiles)
-from tripletkit.losses import BatchLabels, MarginMode, batch_hard_loss
+from tripletkit.diagnostics import (LOG_HEADER, PERCENTILES, AlarmTrigger,
+                                    TrainLogRecord, TrainLogWriter,
+                                    batch_stats, collapse_alarm,
+                                    median_pair_distance, percentiles)
+from tripletkit.losses import (BatchLabels, DistanceMatrix, LossReport,
+                               MarginMode, batch_hard_loss)
 
 from oracles import oracle_sorted_percentile
 
@@ -106,43 +110,94 @@ class TestBatchStats:
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
+@st.composite
+def squared_distances(draw):
+    """An (n, n) matrix of squared distances for n >= 2 rows: repeated
+    values, spread ones or a mix, possibly with a NaN."""
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    repeated = rng.choice([0.0, 1e-12, 0.25, 1.0, 2.0], size=(n, n))
+    spread = rng.exponential(10.0 ** draw(st.integers(-6, 6)), size=(n, n))
+    mix = draw(st.sampled_from(["repeated", "spread", "both"]))
+    squared = {"repeated": repeated, "spread": spread,
+               "both": np.where(rng.random((n, n)) < 0.5, repeated,
+                                spread)}[mix]
+    if draw(st.booleans()):
+        squared.flat[draw(st.integers(0, n * n - 1))] = np.nan
+    return squared
+
+
+class TestMedianPairDistance:
+    @settings(max_examples=200, deadline=None)
+    @given(squared_distances())
+    def test_matches_numpy_and_the_panel_bitwise(self, squared):
+        n = len(squared)
+        dists = np.sqrt(squared[np.triu_indices(n, k=1)])
+        got = np.float64(median_pair_distance(squared))
+        assert got.tobytes() == np.percentile(dists, 50).tobytes()
+        report = LossReport(0.0, np.zeros((n, 1)), 0, np.zeros(1),
+                            DistanceMatrix(squared, "squared_euclidean",
+                                           squared))
+        panel = batch_stats(np.zeros((n, 1)), report, 1, 1e-3)
+        assert got.tobytes() == \
+            np.float64(panel.pair_dist_percentiles[2]).tobytes()
+
+    def test_single_pair(self):
+        squared = np.array([[0.0, 6.25], [6.25, 0.0]])
+        assert median_pair_distance(squared) == 2.5
+
+
 class TestCollapseAlarm:
+    """`recent` holds the (median pair distance, active fraction) pairs of
+    the steps after the first, as `train` keeps them."""
+
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_full_window_scan(self, seed, monkeypatch):
         rng = np.random.default_rng(seed)
         window = int(rng.integers(2, 8))
         monkeypatch.setattr(diagnostics, "COLLAPSE_WINDOW", window)
-        history = [make_record(0, 1.0, 1.0)]
+        history = [(1.0, 1.0)]
         for i in range(1, int(rng.integers(1, 20))):
             healthy = rng.random() < 0.15
-            history.append(make_record(i, 1.0 if healthy else 1e-5,
-                                       0.5 if rng.random() < 0.1 else 1.0))
+            history.append((1.0 if healthy else 1e-5,
+                            0.5 if rng.random() < 0.1 else 1.0))
         for end in range(1, len(history) + 1):
             recent = history[:end][-window:]
             want = end >= window + 1 and all(
-                r.pair_dist_percentiles[2] < 1e-3 and r.active_fraction > 0.99
-                for r in recent)
-            # the whole tail after the first record, and only the window
+                median < 1e-3 and active > 0.99 for median, active in recent)
+            # the whole tail after the first step, and only the window
             # that `train` keeps of it
             for kept in (history[1:end], deque(history[1:end], window)):
                 assert collapse_alarm(1.0, kept) == want
 
     def test_healthy_history(self):
-        history = [make_record(i, 1.0 + 0.01 * i, 0.5) for i in range(300)]
+        history = [(1.0 + 0.01 * i, 0.5) for i in range(300)]
         assert not collapse_alarm(1.0, history[1:])
 
     def test_constructed_collapse(self):
-        recent = [make_record(i, 1e-5, 1.0) for i in range(1, 302)]
+        recent = [(1e-5, 1.0)] * 301
         assert collapse_alarm(1.0, recent)
 
     def test_needs_saturated_activity(self):
-        recent = [make_record(i, 1e-5, 0.5) for i in range(1, 302)]
+        recent = [(1e-5, 0.5)] * 301
         assert not collapse_alarm(1.0, recent)
 
     def test_short_history_never_fires(self):
-        history = [make_record(i, 1e-9, 1.0) for i in range(10)]
-        assert not collapse_alarm(history[0].pair_dist_percentiles[2],
-                                  history[1:])
+        history = [(1e-9, 1.0)] * 10
+        assert not collapse_alarm(history[0][0], history[1:])
+
+
+    def test_trigger_reads_the_window(self, monkeypatch):
+        monkeypatch.setattr(diagnostics, "COLLAPSE_WINDOW", 3)
+        recent = deque([(1.0, 0.1), (4e-4, 0.995), (2e-4, 1.0), (3e-4, 1.0)],
+                       maxlen=4)
+        assert collapse_alarm(0.5, recent)
+        trigger = AlarmTrigger.of(0.5, recent)
+        assert trigger == AlarmTrigger(0.5, 4e-4 / 0.5, 0.995, 3)
+        assert str(trigger) == (
+            "over the last 3 steps the median pair distance was at most "
+            "0.0008 of the first step's 0.5 (alarm below 0.001) and the "
+            "active fraction at least 0.995 (alarm above 0.99)")
 
 
 class TestLogWriter:

@@ -114,3 +114,21 @@ def test_labels_without_pairs_or_targets_are_refused():
         lmnn_loss(x, labels)
     with pytest.raises(BatchContractError, match="at least one negative"):
         lifted_loss(np.zeros((2, 2)), labels=BatchLabels([0, 0]))
+
+
+@pytest.mark.parametrize("P, K, dtype", [(2, 64, np.int32),
+                                         (646, 2, np.int64)])
+def test_triplet_indices_take_12_bytes_while_the_cube_fits_int32(P, K,
+                                                                 dtype):
+    """Two identities of 64 rows hold 516096 triplets, 12 bytes each (24
+    as int64); 1292 rows is the first even count whose cube indices pass
+    int32."""
+    n = P * K
+    labels = BatchLabels(np.repeat(np.arange(P), K), P, K)
+    ap, an = losses.valid_triplets(labels.same_label(), 0, n)
+    arrays = labels.triplets
+    assert [a.dtype for a in arrays] == [dtype] * 3
+    assert sum(a.nbytes for a in arrays) == \
+        3 * dtype().itemsize * n * (K - 1) * (n - K)
+    for got, want in zip(arrays, (ap * n + an % n, ap, an)):
+        assert np.array_equal(got, want)

@@ -8,8 +8,8 @@ from tripletkit import diagnostics, losses, sampling
 from tripletkit.optim import Schedule
 from tripletkit.training import (MAX_STEP_ELEMENTS, OHM_STRESS_SEEDS,
                                  CollapseError, ConfigError, RunConfig,
-                                 default_benchmark_sets, ohm_stress_config,
-                                 ohm_stress_dataset, train)
+                                 benchmark_config, default_benchmark_sets,
+                                 ohm_stress_config, ohm_stress_dataset, train)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -121,3 +121,65 @@ def test_alarm_window_fires_where_a_full_log_scan_does(monkeypatch, tmp_path,
     with open(path, newline="") as f:
         rows = list(csv.DictReader(f))
     assert fired.value.iteration == first_alarm(rows, window) == len(rows)
+
+
+def short_benchmark_config(loss: str, margin: str) -> RunConfig:
+    """`benchmark_config` on a 40-step schedule that drops beta1 at 20."""
+    return dataclasses.replace(
+        benchmark_config(loss, losses.parse_margin(margin)),
+        schedule=Schedule(1e-3, 20, 40))
+
+
+def trained_bytes(cfg: RunConfig, dataset, log_path=None) -> tuple[bytes, ...]:
+    if log_path is None:
+        result = train(cfg, dataset)
+    else:
+        with diagnostics.TrainLogWriter(log_path) as writer:
+            result = train(cfg, dataset, writer)
+    return (result.params.flat.tobytes(), result.state.m.tobytes(),
+            result.state.v.tobytes())
+
+
+@pytest.mark.parametrize("margin", ["soft", "0.2"])
+@pytest.mark.parametrize("loss", losses.LOSS_NAMES)
+def test_train_log_leaves_results_alone(tmp_path, loss, margin):
+    """An unlogged run computes only the alarm's inputs, a logged one the
+    log's panels too; params and both Adam moments must not differ."""
+    train_set, _ = default_benchmark_sets()
+    cfg = short_benchmark_config(loss, margin)
+    assert trained_bytes(cfg, train_set) == \
+        trained_bytes(cfg, train_set, tmp_path / "train_log.csv")
+
+
+@pytest.mark.parametrize("seed, iteration", zip(OHM_STRESS_SEEDS,
+                                                (700, 336, 324)))
+def test_stress_alarm_fires_at_one_step_logged_or_not(tmp_path, seed,
+                                                      iteration):
+    data = ohm_stress_dataset()
+    cfg = ohm_stress_config("triplet_ohm", seed)
+    with pytest.raises(CollapseError) as unlogged:
+        train(cfg, data)
+    with diagnostics.TrainLogWriter(tmp_path / "train_log.csv") as writer, \
+            pytest.raises(CollapseError) as logged:
+        train(cfg, data, writer)
+    assert unlogged.value.iteration == logged.value.iteration == iteration
+    assert unlogged.value.trigger == logged.value.trigger
+    train(ohm_stress_config("batch_hard", seed), data)
+
+
+def test_only_logged_runs_compute_the_panels(monkeypatch, tmp_path):
+    calls = []
+    batch_stats = diagnostics.batch_stats
+
+    def counted(*args):
+        calls.append(args[2])
+        return batch_stats(*args)
+
+    monkeypatch.setattr(diagnostics, "batch_stats", counted)
+    train_set, _ = default_benchmark_sets()
+    cfg = short_benchmark_config("batch_hard", "soft")
+    train(cfg, train_set)
+    assert calls == []
+    with diagnostics.TrainLogWriter(tmp_path / "train_log.csv") as writer:
+        train(cfg, train_set, writer)
+    assert calls == list(range(1, cfg.schedule.t1 + 1))
