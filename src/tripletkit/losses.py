@@ -297,8 +297,8 @@ def _triplet_terms(x: np.ndarray, dist: DistanceMatrix, ap: np.ndarray,
     (N, N) distances: the margin of D(a,p) - D(a,n), averaged over every
     term or over the active ones. No (a, p) or (a, n) pair occurs twice,
     so each coefficient is set once and needs no accumulation."""
-    d = dist.values
-    xvals = d.take(ap) - d.take(an)
+    d = dist.values.ravel()
+    xvals = d[ap] - d[an]
     per_term = margin_apply(xvals, mode)
     g = margin_apply_grad(xvals, mode)
     kept = per_term
@@ -311,8 +311,9 @@ def _triplet_terms(x: np.ndarray, dist: DistanceMatrix, ap: np.ndarray,
     loss = 0.0
     if divisor > 0:
         g = g / divisor
-        coeff.put(ap, g)
-        coeff.put(an, -g)
+        flat = coeff.ravel()
+        flat[ap] = g
+        flat[an] = -g
         loss = kept.sum() / divisor
     return _finish(loss, per_term, coeff, x, dist)
 
@@ -355,8 +356,10 @@ def batch_all_loss(embeddings: np.ndarray, labels: BatchLabels,
     x = np.asarray(embeddings, dtype=np.float64)
     _check_labels(labels, len(x))
     dist = pairwise_distances(x, metric)
-    d = dist.values.ravel()
-    xvals = d[ap] - d[an]               # D(a,p) - D(a,n)
+    # the cached indices are int32: `take` gathers at them as fast as at
+    # intp ones, while fancy indexing is faster after a cast to intp
+    d = dist.values
+    xvals = d.take(ap) - d.take(an)     # D(a,p) - D(a,n)
     per_term = margin_apply(xvals, mode)
 
     if averaging == "nonzero":
@@ -377,7 +380,7 @@ def batch_all_loss(embeddings: np.ndarray, labels: BatchLabels,
             loss = float(per_term.sum() / divisor)
         g /= divisor
         grid = np.zeros(n ** 3)
-        grid[cube] = g
+        grid[cube.astype(np.intp, copy=False)] = g
         grid = grid.reshape(n, n, n)
         coeff += grid.sum(axis=2)       # d/dD(a,p)
         coeff -= grid.sum(axis=1)       # d/dD(a,n)
