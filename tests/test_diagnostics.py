@@ -157,7 +157,7 @@ class TestCollapseAlarm:
         window = int(rng.integers(2, 8))
         monkeypatch.setattr(diagnostics, "COLLAPSE_WINDOW", window)
         history = [(1.0, 1.0)]
-        for i in range(1, int(rng.integers(1, 20))):
+        for _ in range(1, int(rng.integers(1, 20))):
             healthy = rng.random() < 0.15
             history.append((1.0 if healthy else 1e-5,
                             0.5 if rng.random() < 0.1 else 1.0))
