@@ -184,21 +184,6 @@ class BatchLabels:
         return pos, neg
 
     @cached_property
-    def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every valid triplet (a, p, q), p != a sharing a's identity and q
-        not, in ascending order: its flat index a*n*n + p*n + q into an
-        (n, n, n) cube, then those of D(a, p) and of D(a, q) in the (n, n)
-        distances. Three arrays of n(K-1)(n-K) entries for P x K, int32
-        while n**3 < 2**31, as for every batch `training.train` takes."""
-        n = len(self.identities)
-        ap, aq = valid_triplets(self.same_label(), 0, n)
-        cube = ap * n + aq % n
-        if n ** 3 < 2 ** 31:
-            cube, ap, aq = (a.astype(np.int32) for a in (cube, ap, aq))
-        _read_only(cube, ap, aq)
-        return cube, ap, aq
-
-    @cached_property
     def lifted_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Every same-identity pair (a, p) with a < p, in row-major order,
         and the `_lifted_negatives` mask of those pairs."""
@@ -237,32 +222,6 @@ class LossReport:
     @property
     def active_fraction(self) -> float:
         return self.num_active / self.num_terms if self.num_terms else 0.0
-
-
-def valid_triplets(same: np.ndarray, lo: int,
-                   hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every valid (a, p, q) triplet whose anchor a is one of rows lo..hi-1:
-    p != a shares a's label and q does not. `same` is the `same_label()`
-    matrix of all n rows. Returns the flat indices a*n + p and a*n + q of
-    D(a, p) and D(a, q) in the (n, n) distances, in ascending (a, p, q)
-    order: each anchor's positives in turn, each with all its negatives.
-    Builds O(triplets) integers and no (a, p, q) mask.
-    """
-    n = len(same)
-    rows = same[lo:hi]
-    positive = rows.copy()
-    positive[np.arange(len(rows)), np.arange(lo, lo + len(rows))] = False
-    negative = ~rows
-    ap = np.flatnonzero(positive) + lo * n
-    aq = np.flatnonzero(negative) + lo * n
-    negatives = np.count_nonzero(negative, axis=1)
-    pairs = np.count_nonzero(positive, axis=1)
-    # pair j repeats its anchor's negatives, which begin at first[j] in aq
-    reps = np.repeat(negatives, pairs)
-    first = np.repeat(np.cumsum(negatives) - negatives, pairs)
-    at = np.repeat(first - np.cumsum(reps) + reps, reps)
-    at += np.arange(len(at))
-    return np.repeat(ap, reps), aq[at]
 
 
 def _logsumexp_softmax(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -347,19 +306,22 @@ def batch_all_loss(embeddings: np.ndarray, labels: BatchLabels,
                    averaging: Literal["all", "nonzero"] = "all") -> LossReport:
     """Sum over every valid (a, p, n) triplet in the PK batch.
 
-    The terms are computed at the valid triplets only. Their gradient is
-    scattered into an (n, n, n) cube and summed along its axes, so the
-    coefficients are added up in the order a sum over the whole cube takes.
+    The terms are D(a, p) - D(a, q) over each anchor a, its K-1 positives
+    p and its n-K negatives q, in ascending (a, p, q) order. Row (a, j) of
+    an (n, K-1, n) array takes their gradient as row (a, p_j) of the whole
+    (n, n, n) cube holds it, p_j the j-th positive of a, zeros included;
+    the cube's other rows are all zero. So its two axis sums add the
+    coefficients up in the order a sum over that cube takes.
     """
     labels.validate_pk()
-    cube, ap, an = labels.triplets
+    pos, neg = labels.masks
     x = np.asarray(embeddings, dtype=np.float64)
-    _check_labels(labels, len(x))
+    n = len(x)
+    _check_labels(labels, n)
     dist = pairwise_distances(x, metric)
-    # the cached indices are int32: `take` gathers at them as fast as at
-    # intp ones, while fancy indexing is faster after a cast to intp
     d = dist.values
-    xvals = d.take(ap) - d.take(an)     # D(a,p) - D(a,n)
+    d_ap = d[pos].reshape(n, -1, 1)
+    xvals = (d_ap - d[neg].reshape(n, 1, -1)).ravel()
     per_term = margin_apply(xvals, mode)
 
     if averaging == "nonzero":
@@ -368,7 +330,6 @@ def batch_all_loss(embeddings: np.ndarray, labels: BatchLabels,
     else:
         divisor = len(per_term)
 
-    n = len(x)
     coeff = np.zeros((n, n))
     loss = 0.0
     if divisor > 0:
@@ -379,11 +340,10 @@ def batch_all_loss(embeddings: np.ndarray, labels: BatchLabels,
         else:
             loss = float(per_term.sum() / divisor)
         g /= divisor
-        grid = np.zeros(n ** 3)
-        grid[cube.astype(np.intp, copy=False)] = g
-        grid = grid.reshape(n, n, n)
-        coeff += grid.sum(axis=2)       # d/dD(a,p)
-        coeff -= grid.sum(axis=1)       # d/dD(a,n)
+        rows = np.zeros((d_ap.size, n))
+        rows[np.repeat(neg, d_ap.shape[1], axis=0)] = g
+        coeff[pos] = np.add.reduce(rows, axis=1)      # d/dD(a,p)
+        coeff -= np.add.reduce(rows.reshape(n, -1, n), axis=1)     # d/dD(a,q)
     return _finish(loss, per_term, coeff, x, dist)
 
 
@@ -433,9 +393,11 @@ def lmnn_loss(embeddings: np.ndarray, labels: BatchLabels,
         push_pairs = _push_pairs(labels.identities, anchors)
 
     coeff = np.zeros((n, n))
-    pull_terms = d[anchors, targets]
+    pulled = anchors * n + targets      # flat index of D(a, t)
+    flat = coeff.ravel()
+    pull_terms = d.ravel()[pulled]
     n_pull = len(anchors)
-    coeff[anchors, targets] = (1 - mu) / n_pull
+    flat[pulled] = (1 - mu) / n_pull
 
     # push term over (a, n) pairs with differing labels
     v = m + pull_terms[:, None] - d[anchors]
@@ -443,7 +405,7 @@ def lmnn_loss(embeddings: np.ndarray, labels: BatchLabels,
     n_push = max(len(push_terms), 1)    # no push pairs: the push sum is 0
     hinged = mu * ((v > 0) & push_pairs) / n_push
     coeff[anchors] -= hinged
-    coeff[anchors, targets] += hinged.sum(axis=1)
+    flat[pulled] += hinged.sum(axis=1)
 
     loss = (1 - mu) * (pull_terms.sum() / n_pull) + mu * (push_terms.sum() / n_push)
     return _finish(loss, np.concatenate([pull_terms, push_terms]), coeff, x,

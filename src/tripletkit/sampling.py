@@ -8,8 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import (BatchLabels, MarginMode, margin_apply,
-                     pairwise_distances, valid_triplets)
+from .losses import BatchLabels, MarginMode, margin_apply, pairwise_distances
 from .numcore import MlpParams, mlp_forward
 
 
@@ -193,7 +192,7 @@ def mine_hard_offline(model: MlpParams, dataset: LabeledDataset,
 
     Returned indices refer to the full dataset. Ordering is by descending
     loss term, ties by subset (a, p, n) enumeration order. Only the valid
-    triplets are built (`losses.valid_triplets`), a block of anchors at a
+    triplets are built (`_valid_triplets`), a block of anchors at a
     time, each block at most `_BLOCK_ELEMENTS` triplets or one anchor's.
     Each block keeps its B highest terms and the survivors are ranked once
     more, which picks what one stable sort of every valid triplet would.
@@ -222,7 +221,7 @@ def mine_hard_offline(model: MlpParams, dataset: LabeledDataset,
     step = max(1, _BLOCK_ELEMENTS // max(1, most))
     found, keys = [], []
     for lo in range(0, m, step):
-        ap, an = valid_triplets(same, lo, lo + step)
+        ap, an = _valid_triplets(same, lo, lo + step)
         key = margin_apply(d[ap] - d[an], margin_mode)
         np.negative(key, out=key)
         top = _smallest(key, B)
@@ -235,6 +234,32 @@ def mine_hard_offline(model: MlpParams, dataset: LabeledDataset,
     # so one stable sort ranks the survivors as a sort of every triplet would
     best = found[_smallest(keys, B)]
     return rows[np.column_stack(np.unravel_index(best, (m, m, m)))]
+
+
+def _valid_triplets(same: np.ndarray, lo: int,
+                    hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every valid (a, p, q) triplet whose anchor a is one of rows lo..hi-1:
+    p != a shares a's label and q does not. `same` is the `same_label()`
+    matrix of all n rows. Returns the flat indices a*n + p and a*n + q of
+    D(a, p) and D(a, q) in the (n, n) distances, in ascending (a, p, q)
+    order: each anchor's positives in turn, each with all its negatives.
+    Builds O(triplets) integers and no (a, p, q) mask.
+    """
+    n = len(same)
+    rows = same[lo:hi]
+    positive = rows.copy()
+    positive[np.arange(len(rows)), np.arange(lo, lo + len(rows))] = False
+    negative = ~rows
+    ap = np.flatnonzero(positive) + lo * n
+    aq = np.flatnonzero(negative) + lo * n
+    negatives = np.count_nonzero(negative, axis=1)
+    pairs = np.count_nonzero(positive, axis=1)
+    # pair j repeats its anchor's negatives, which begin at first[j] in aq
+    reps = np.repeat(negatives, pairs)
+    first = np.repeat(np.cumsum(negatives) - negatives, pairs)
+    at = np.repeat(first - np.cumsum(reps) + reps, reps)
+    at += np.arange(len(at))
+    return np.repeat(ap, reps), aq[at]
 
 
 def _smallest(key: np.ndarray, B: int) -> np.ndarray:

@@ -32,12 +32,12 @@ ConfigError = numcore.ConfigError      # an inconsistent run configuration
 
 # The most elements a training step's largest array may hold, checked
 # before anything is allocated: 2**27 float64 values are 1 GiB. For a PK
-# batch of n = P*K rows that array is at most the (n, n, n) cube that
-# batch-all scatters its valid triplets' gradient into, so n <= 512; for B
-# triplets it is the (3B, 3B) distance matrix, so B <= 3861. Both are
-# checked whatever the loss, so `bench-losses` rejects a count before its
-# first cell. Each layer width past the input's is capped by the (width,
-# width) weight it could take: at most 11585.
+# batch of n = P*K rows that array is batch-all's (n, K-1, n) gradient
+# layout, checked against its bound n**3, so n <= 512; for B triplets it
+# is the (3B, 3B) distance matrix, so B <= 3861. Both are checked
+# whatever the loss, so `bench-losses` rejects a count before its first
+# cell. Each layer width past the input's is capped by the (width, width)
+# weight it could take: at most 11585.
 MAX_STEP_ELEMENTS = 2 ** 27
 
 

@@ -129,11 +129,13 @@ class TestHandComputedCells:
 
     @pytest.mark.parametrize("averaging", ["all", "nonzero"])
     @pytest.mark.parametrize("mode", [SOFT, HARD02], ids=["soft", "hinge"])
-    def test_batch_all_holds_one_cube(self, mode, averaging):
-        # the paper's P=18, K=4: only the gradient's scatter target is an
-        # (n, n, n) array; every term array has the valid triplets' length
-        n = 72
-        labels = BatchLabels(np.repeat(np.arange(18), 4), 18, 4)
+    @pytest.mark.parametrize("P, K, cubes", [(18, 4, 0.5), (2, 64, 2.04)])
+    def test_batch_all_holds_no_cube(self, P, K, cubes, mode, averaging):
+        # no (n, n, n) array: at the paper's P=18, K=4 the peak stays under
+        # half of one; at P=2, K=64, where the valid triplets are a quarter
+        # of the cube, it is no higher than with the cube it replaced
+        n = P * K
+        labels = BatchLabels(np.repeat(np.arange(P), K), P, K)
         x = np.random.default_rng(3).standard_normal((n, 128))
         batch_all_loss(x, labels, "euclidean", mode, averaging)
         tracemalloc.start()
@@ -142,8 +144,8 @@ class TestHandComputedCells:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.num_terms == n * 3 * (n - 4)
-        assert peak < 2 * n ** 3 * 8
+        assert report.num_terms == n * (K - 1) * (n - K)
+        assert peak <= cubes * n ** 3 * 8
 
     def test_classic_triplet_cells(self):
         # rows (a, p, n); distances are 1-D gaps

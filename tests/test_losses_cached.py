@@ -15,7 +15,7 @@ import pytest
 from test_losses_reference import REFERENCE, _embeddings, _same_bits
 from tripletkit import losses
 from tripletkit.losses import (BatchContractError, BatchLabels, MarginMode,
-                               lifted_loss, lmnn_loss)
+                               batch_all_loss, lifted_loss, lmnn_loss)
 
 PK_LOSSES = [name for name in losses.LOSS_NAMES
              if losses.LOSSES[name].batch == "pk"]
@@ -66,8 +66,7 @@ def test_labels_are_an_immutable_copy():
     ids[0] = 1
     assert labels.identities.tolist() == [3, 3, 1, 1]
     derived = [labels.identities, labels.same_label(), *labels.masks,
-               *labels.triplets, *labels.lifted_pairs,
-               *labels.lmnn_targets]
+               *labels.lifted_pairs, *labels.lmnn_targets]
     for a in derived:
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = a.flat[0]
@@ -116,19 +115,16 @@ def test_labels_without_pairs_or_targets_are_refused():
         lifted_loss(np.zeros((2, 2)), labels=BatchLabels([0, 0]))
 
 
-@pytest.mark.parametrize("P, K, dtype", [(2, 64, np.int32),
-                                         (646, 2, np.int64)])
-def test_triplet_indices_take_12_bytes_while_the_cube_fits_int32(P, K,
-                                                                 dtype):
-    """Two identities of 64 rows hold 516096 triplets, 12 bytes each (24
-    as int64); 1292 rows is the first even count whose cube indices pass
-    int32."""
-    n = P * K
+def test_batch_all_keeps_no_triplet_indices():
+    """Two identities of 64 rows hold 516096 triplets. What a batch-all
+    call leaves on its labels is O(n**2) bytes: the labels and their
+    (n, n) masks, under 64 KB where per-triplet indices took 6.2 MB."""
+    P, K = 2, 64
     labels = BatchLabels(np.repeat(np.arange(P), K), P, K)
-    ap, an = losses.valid_triplets(labels.same_label(), 0, n)
-    arrays = labels.triplets
-    assert [a.dtype for a in arrays] == [dtype] * 3
-    assert sum(a.nbytes for a in arrays) == \
-        3 * dtype().itemsize * n * (K - 1) * (n - K)
-    for got, want in zip(arrays, (ap * n + an % n, ap, an)):
-        assert np.array_equal(got, want)
+    x = np.random.default_rng(0).standard_normal((P * K, 4))
+    batch_all_loss(x, labels, "euclidean", MarginMode.hard(0.2), "nonzero")
+    cached = [a for v in vars(labels).values()
+              for a in (v if isinstance(v, tuple) else (v,))
+              if isinstance(a, np.ndarray)]
+    assert any(a is labels.same_label() for a in cached)   # cached ones seen
+    assert sum(a.nbytes for a in cached) < 64 * 1024

@@ -135,3 +135,27 @@ def test_batch_all_matches_whole_cube_reference(case):
     assert same(got.per_term, want.per_term)
     assert (got.num_terms, got.num_active) == (want.num_terms,
                                                want.num_active)
+
+
+@pytest.mark.parametrize("averaging", ["all", "nonzero"])
+@pytest.mark.parametrize("mode", [MarginMode.soft(), MarginMode.hard(0.2)],
+                         ids=["soft", "hinge"])
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("P", [18, 33])
+def test_batch_all_matches_whole_cube_reference_at_larger_batches(
+        P, metric, mode, averaging):
+    """The draws above stop at 35 rows. 72 rows are the paper's P=18,
+    K=4; the 132 rows of P=33 make each coefficient a sum of more than
+    the 128 elements NumPy's pairwise sum adds in one block."""
+    rng = np.random.default_rng(P)
+    x = rng.standard_normal((P * 4, 16))
+    labels = BatchLabels(rng.permutation(np.repeat(np.arange(P), 4)), P, 4)
+    got = batch_all_loss(x, labels, metric, mode, averaging)
+    want = reference.batch_all_loss(x, labels, metric, mode, averaging)
+    same = reference._same_bits
+    assert same(got.loss, want.loss)
+    assert same(got.grad_embeddings, want.grad_embeddings)
+    assert same(got.per_term, want.per_term)
+    assert (got.num_terms, got.num_active) == (want.num_terms,
+                                               want.num_active)
+    assert 0 < got.num_active < got.num_terms or mode.kind == "soft"
