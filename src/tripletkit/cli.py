@@ -100,10 +100,13 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _config_flags(path: str) -> list[str]:
-    """A JSON config file's keys as the flags they name (`per_id` or
-    `per-id` is `--per-id`; `true` is a bare switch, a list comma-joined,
-    `null` an error), for argparse to check as it checks the command line."""
+def _config_flags(path: str, parser: argparse.ArgumentParser,
+                  command: str) -> list[str]:
+    """A JSON config file's keys as the flags of `command` they name
+    (`per_id` or `per-id` is `--per-id`; `true` sets a switch, `false`
+    leaves it off, a list is comma-joined), for `parser` to check as it
+    checks the command line. `null`, or `false` for a flag that takes a
+    value, fails."""
     with open(path, encoding="utf-8") as f:
         try:
             doc = json.load(f)
@@ -112,11 +115,16 @@ def _config_flags(path: str) -> list[str]:
                 from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: config file must hold a JSON object")
+    sub = next(a for a in parser._actions if isinstance(
+        a, argparse._SubParsersAction)).choices.get(command)
+    switches = {flag for a in getattr(sub, "_actions", ()) if a.nargs == 0
+                for flag in a.option_strings}
     flags = []
     for key, value in doc.items():
         flag = "--" + key.replace("_", "-")
-        if value is None:
-            raise ValueError(f"{path}: invalid value null for key {key!r}")
+        if value is None or (value is False and flag not in switches):
+            raise ValueError(f"{path}: invalid value {json.dumps(value)} "
+                             f"for key {key!r}")
         if value is True:
             flags.append(flag)
         elif value is not False:
@@ -221,16 +229,6 @@ def _cell_config(loss_name: str, margin_text: str,
                                margin=losses.parse_margin(margin_text))
 
 
-def _run_reads(cfg: training.RunConfig) -> tuple:
-    """What a grid cell's run reads of its loss and margin: the loss, the
-    values it takes from `cfg` and, for mined triplets, the miner's margin.
-    Cells of one grid share every other field, so equal values mean the
-    same run."""
-    spec = losses.LOSSES[cfg.loss]
-    return (cfg.loss, spec.reads(cfg),
-            cfg.margin if spec.batch == "mined" else None)
-
-
 def run_bench_cell(loss_name: str, margin_text: str, train_set, val_set,
                    base_cfg: training.RunConfig) -> dict:
     """Train and evaluate one grid cell; failures are reported, not raised."""
@@ -268,11 +266,13 @@ def cmd_bench_losses(args) -> int:
     train_set, val_set = training.identity_disjoint_split(
         dataset, args.val_fraction, args.seed)
 
-    # a cell whose run another cell already trained reports that run
+    # cells of one grid share every field but loss and margin, so a cell
+    # whose loss reads the same values of its config as an earlier cell's
+    # (for triplet_ohm, the miner's margin too) reports that cell's run
     trained, cells = {}, []
     for ln in loss_names:
         for mt in margins:
-            key = repr(_run_reads(_cell_config(ln, mt, base)))
+            key = ln, losses.LOSSES[ln].reads(_cell_config(ln, mt, base))
             if key not in trained:
                 trained[key] = run_bench_cell(ln, mt, train_set, val_set, base)
             cells.append({**trained[key], "loss": ln, "margin": mt})
@@ -300,9 +300,10 @@ def main(argv: list[str] | None = None) -> int:
         config = argparse.ArgumentParser(prog="tripletkit", add_help=False)
         config.add_argument("--config")
         path = config.parse_known_args(argv[1:])[0].config
+        parser = build_parser()
         if path:
-            argv = [argv[0], *_config_flags(path), *argv[1:]]
-        args = build_parser().parse_args(argv)
+            argv = [argv[0], *_config_flags(path, parser, argv[0]), *argv[1:]]
+        args = parser.parse_args(argv)
         return args.run(args)
     # data errors first: all but OSError are ValueErrors
     except (OSError, sampling.SamplingError, evalkit.ProtocolError,

@@ -170,12 +170,12 @@ def _available_cpus() -> int:
     did not start, or where that cannot be told.
 
     Such threads are a multithreaded BLAS's pool, which starts when NumPy
-    loads and spins on the spare CPUs after every product. Helper threads
+    loads and spins on the spare CPUs after every product. Ranking threads
     next to that pool made `evaluate` 30-50% slower than one thread
     (2 CPUs, OpenBLAS with 2 threads). The pool lives as long as the
-    process, so this is asked once, before `evaluate` has started helper
-    threads of its own: a helper that has been joined but not yet left
-    the OS's thread list would count as a foreign thread.
+    process, so this is asked once, before `evaluate` has started threads
+    of its own: one that has been joined but not yet left the OS's thread
+    list would count as a foreign thread.
     """
     try:
         others = len(os.listdir("/proc/self/task")) - threading.active_count()
@@ -186,35 +186,29 @@ def _available_cpus() -> int:
 
 
 def _run_blocks(score, blocks: list, workers: int) -> list:
-    """`[score(b) for b in blocks]`, computed by `workers` threads: the
-    calling thread takes blocks 0::workers and a pool of workers - 1
-    threads the rest. The first block to raise stops the blocks not yet
-    begun, and its exception is raised."""
+    """`[score(b) for b in blocks]`, computed by a pool of `workers` threads
+    (none for one worker). The first block to raise, in query order, has
+    its exception raised; blocks begun after any block raised are skipped,
+    and the pool's threads are joined before this returns or raises."""
     if workers == 1:
         return [score(b) for b in blocks]
-    stop = threading.Event()
+    failed = []
 
-    def guarded(block):
-        if stop.is_set():       # another block raised: skip this one
-            return None
-        try:
-            return score(block)
-        except BaseException:
-            stop.set()
-            raise
+    def run(block):
+        # skipped once a block has raised; the pool alone ran over 100 of
+        # 450 two-row blocks on two busy CPUs before the caller saw it
+        if not failed:
+            try:
+                return score(block)
+            except BaseException:
+                failed.append(block)
+                raise
 
-    results = [None] * len(blocks)
-    pool = ThreadPoolExecutor(workers - 1)
+    pool = ThreadPoolExecutor(workers)
     try:
-        futures = [(i, pool.submit(guarded, b)) for i, b in enumerate(blocks)
-                   if i % workers]
-        for i in range(0, len(blocks), workers):
-            results[i] = guarded(blocks[i])
-        for i, future in futures:
-            results[i] = future.result()
+        return list(pool.map(run, blocks))
     finally:
         pool.shutdown(cancel_futures=True)
-    return results
 
 
 def evaluate(queries: LabeledDataset, gallery: LabeledDataset,
@@ -230,12 +224,12 @@ def evaluate(queries: LabeledDataset, gallery: LabeledDataset,
     is exactly as close as another row falls back to a stable argsort of
     its distances, the tie rule of `rank_gallery`.
 
-    Blocks run on every CPU the process may use: the calling thread and
-    one helper thread per further CPU, when there are at least two
-    full-size blocks. Each query's result depends on its own row only and
-    blocks are joined in query order, so the result does not depend on
-    the CPU count. While a multithreaded BLAS runs its own threads on
-    those CPUs, the loop stays serial (see `_available_cpus`).
+    Blocks run on a pool of one thread per CPU the process may use, when
+    there are at least two full-size blocks. Each query's result depends
+    on its own row only and blocks are joined in query order, so the
+    result does not depend on the CPU count. While a multithreaded BLAS
+    runs its own threads on those CPUs, the loop stays serial (see
+    `_available_cpus`).
     """
     if queries.feature_dim != gallery.feature_dim:
         raise ProtocolError("query/gallery embedding widths differ")

@@ -30,7 +30,7 @@ class BatchContractError(ValueError):
     """Batch labels or layout violate a loss precondition."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class MarginMode:
     """Hard hinge with additive margin m, or the margin-free softplus."""
 

@@ -202,6 +202,8 @@ def mine_hard_offline(model: MlpParams, dataset: LabeledDataset,
     if B < 1:
         raise SamplingError("B must be >= 1")
     n = len(dataset)
+    if n < 2:
+        raise SamplingError(f"mining needs at least 2 rows, got {n}")
     size = max(2, int(round(sample_fraction * n)))
 
     for _ in range(2):      # one retry before giving up

@@ -238,6 +238,8 @@ def identity_disjoint_split(dataset: sampling.LabeledDataset,
                             seed: int) -> tuple[sampling.LabeledDataset,
                                                 sampling.LabeledDataset]:
     """Split by identity so train and validation share no person."""
+    if not len(dataset):
+        raise sampling.SamplingError("dataset has no identities to split")
     n_val = max(1, int(round(val_fraction * len(np.unique(dataset.pids)))))
     val_mask = _validation_mask(dataset.pids, n_val, seed)
     return dataset.subset(np.flatnonzero(~val_mask)), \

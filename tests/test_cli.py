@@ -310,6 +310,25 @@ class TestEvaluate:
         assert rc == cli.EXIT_USAGE
         assert "'distractors'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,key", [("train", "t1"),
+                                             ("evaluate", "distractors")])
+    def test_config_false_for_a_value_flag_exits_2_naming_key(
+            self, tmp_path, capsys, command, key):
+        """`false` leaves a switch off but is no value for `--t1` or
+        `--distractors`; dropping it would run on, here into a missing
+        file (exit 3)."""
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({key: False}))
+        missing = str(tmp_path / "missing.csv")
+        files = {"train": ["--data", missing],
+                 "evaluate": ["--checkpoint", missing, "--queries", missing,
+                              "--gallery", missing]}
+        rc = cli.main([command, "--config", str(cfg_path), *files[command],
+                       "-o", str(tmp_path)])
+        assert rc == cli.EXIT_USAGE
+        assert f"invalid value false for key '{key}'" in \
+            capsys.readouterr().err
+
     def test_dim_mismatch_exits_3(self, tmp_path):
         data = make_data(tmp_path)
         rc, out = quick_train(tmp_path, data)
@@ -707,3 +726,32 @@ class TestBadDatasetCsv:
         assert rc == cli.EXIT_DATA
         assert f"{bad}:3: {self.CASES[case][2]}" in err
         assert "Traceback" not in err
+
+
+class TestTooSmallDataset:
+    """A dataset too small for the run exits 3 with the package's message,
+    not NumPy's."""
+
+    @staticmethod
+    def shrink(tmp_path, rows):
+        with open(make_data(tmp_path)) as f:
+            lines = f.read().splitlines()
+        small = tmp_path / "small.csv"
+        small.write_text("\n".join(lines[:1 + rows]) + "\n")
+        return str(small)
+
+    @pytest.mark.parametrize("rows", [1, 0])
+    def test_mining_needs_two_rows(self, tmp_path, capsys, rows):
+        small = self.shrink(tmp_path, rows)
+        rc, out = quick_train(tmp_path, small, extra=("--loss", "triplet_ohm"))
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_DATA
+        assert f"mining needs at least 2 rows, got {rows}" in err
+        assert not os.path.exists(os.path.join(out, "checkpoint.json"))
+
+    def test_bench_losses_needs_an_identity(self, tmp_path, capsys):
+        small = self.shrink(tmp_path, 0)
+        rc = cli.main(["bench-losses", "--data", small,
+                       "-o", str(tmp_path / "bench")])
+        assert rc == cli.EXIT_DATA
+        assert "no identities to split" in capsys.readouterr().err

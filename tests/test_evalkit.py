@@ -238,8 +238,9 @@ class TestWorkerCount:
                 assert dataclasses.astuple(got) == want, (protocol, workers)
 
     def test_default_blocks_use_every_worker(self, monkeypatch):
-        """The calling thread and workers - 1 others each rank a share of
-        the blocks, and fewer than two full-size blocks stay serial."""
+        """One worker ranks on the calling thread, w workers on w pool
+        threads that are joined on return, and fewer than two full-size
+        blocks stay serial."""
         queries, gallery = threaded_gallery()
         seen = []
         relevant_ranks = evalkit._relevant_ranks
@@ -249,13 +250,15 @@ class TestWorkerCount:
             return relevant_ranks(dist, relevant)
 
         monkeypatch.setattr(evalkit, "_relevant_ranks", recording)
+        before = threading.active_count()
         for workers in (1, 2, 3):
             seen.clear()
             self.run(monkeypatch, workers, 1 << 18, queries, gallery,
                      EvalProtocol())
             threads = {ident for ident, _ in seen}
             assert len(threads) == workers
-            assert threading.get_ident() in threads
+            assert (threading.get_ident() in threads) == (workers == 1)
+            assert threading.active_count() == before
             # the element budget is shared: 262, 131 or 87 rows per block
             assert max(rows for _, rows in seen) == \
                 (1 << 18) // workers // 1000
@@ -316,16 +319,19 @@ class TestWorkerCount:
                                           for line in out.splitlines())
         assert (workers, with_other) == (cpus, 1)
 
-    @pytest.mark.parametrize("failing", ["calling", "helper"])
+    @pytest.mark.parametrize("failing", ["every", "one_early"])
     def test_failing_block_stops_the_rest(self, monkeypatch, failing):
         queries, gallery = threaded_gallery()
-        main = threading.get_ident()
-        calls = []
+        calls, lock = [], threading.Lock()
         relevant_ranks = evalkit._relevant_ranks
 
         def failing_ranks(dist, relevant):
-            calls.append(1)
-            if (threading.get_ident() == main) == (failing == "calling"):
+            with lock:
+                calls.append(1)
+                call = len(calls)
+            # "one_early": only the fifth call fails, with blocks before and
+            # after it in flight
+            if failing == "every" or call == 5:
                 raise MemoryError("block failed")
             return relevant_ranks(dist, relevant)
 
@@ -335,7 +341,7 @@ class TestWorkerCount:
         with pytest.raises(MemoryError, match="block failed"):
             self.run(monkeypatch, 2, 1, queries, gallery, EvalProtocol())
         assert len(calls) < 100
-        assert threading.active_count() == before   # the helper was joined
+        assert threading.active_count() == before   # the threads were joined
 
 
 class TestCombine:
