@@ -178,9 +178,8 @@ def cmd_train(args) -> int:
 
 
 def _print_eval(tag: str, result: evalkit.EvalResult) -> None:
-    r1 = result.cmc.get(1, float("nan"))
-    r5 = result.cmc.get(5, float("nan"))
-    print(f"{tag}mAP={result.map:.4f} rank-1={r1:.4f} rank-5={r5:.4f} "
+    ranks = "".join(f" rank-{k}={v:.4f}" for k, v in result.cmc.items())
+    print(f"{tag}mAP={result.map:.4f}{ranks} "
           f"(queries={result.num_queries}, skipped={result.num_skipped})")
 
 

@@ -41,6 +41,8 @@ class GenSpec:
             raise ValueError("outlier_rate must be in [0, 1)")
         if self.num_identities < 1 or self.items_per_identity < 1:
             raise ValueError("counts must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("feature_dim", "num_cameras"):
             value = getattr(self, name)
             if value < 1:
@@ -55,13 +57,18 @@ class GenSpec:
 def generate(spec: GenSpec) -> LabeledDataset:
     """Deterministic synthetic dataset driven by the GenSpec seed."""
     rng = np.random.default_rng(spec.seed)
-    centers = spec.identity_spread * rng.standard_normal(
-        (spec.num_identities, spec.feature_dim))
     n = spec.num_identities * spec.items_per_identity
     pids = np.repeat(np.arange(spec.num_identities), spec.items_per_identity)
-    # row by row the same draws: one noise vector per row, in row order
-    feats = centers[pids] + spec.intra_spread * rng.standard_normal(
-        (n, spec.feature_dim))
+    with np.errstate(over="ignore"):    # checked below, as no CSV can hold it
+        centers = spec.identity_spread * rng.standard_normal(
+            (spec.num_identities, spec.feature_dim))
+        # row by row the same draws: one noise vector per row, in row order
+        feats = centers[pids] + spec.intra_spread * rng.standard_normal(
+            (n, spec.feature_dim))
+    if not np.isfinite(feats).all():
+        raise ValueError(f"identity_spread {spec.identity_spread:g} and "
+                         f"intra_spread {spec.intra_spread:g} overflow to "
+                         "non-finite features")
     cams = np.arange(n) % spec.num_cameras
     if spec.outlier_rate > 0 and spec.num_identities > 1:
         swap = rng.random(n) < spec.outlier_rate
@@ -75,8 +82,8 @@ def generate(spec: GenSpec) -> LabeledDataset:
 def write_generated(out_dir, spec: GenSpec, name: str = "train") -> tuple[str, str]:
     """Write the dataset CSV plus a JSON echo of the generating spec."""
     import os
-    os.makedirs(out_dir, exist_ok=True)
     dataset = generate(spec)
+    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{name}.csv")
     json_path = os.path.join(out_dir, f"{name}_spec.json")
     write_dataset_csv(csv_path, dataset)

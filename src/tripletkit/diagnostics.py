@@ -90,20 +90,16 @@ def _pair_distances(squared: np.ndarray) -> np.ndarray:
 def _upper_triangle(n: int) -> np.ndarray:
     """Flat indices of the strict upper triangle of an n x n matrix."""
     i, j = np.triu_indices(n, k=1)
-    return _read_only(i * n + j)
-
-
-def percentiles(values: np.ndarray, percents: tuple) -> np.ndarray:
-    """`np.percentile(values, percents)` from one sort, bit for bit as long
-    as `values` do not hold both signed zeros (NumPy's partition leaves
-    their order open)."""
-    return np.array(_sorted_percentiles(np.sort(values, axis=None),
-                                        tuple(percents)))
+    upper = i * n + j
+    upper.flags.writeable = False   # the cached array is every caller's
+    return upper
 
 
 def _sorted_percentiles(s: np.ndarray, percents: tuple) -> tuple[float, ...]:
-    """`percentiles(s, percents)` of an already sorted, flat `s`, one
-    Python float at a time: a NaN, sorted last, makes each of them NaN."""
+    """`np.percentile(s, percents)` of an already sorted, flat `s`, one
+    Python float at a time, bit for bit as long as `s` does not hold both
+    signed zeros (NumPy's partition leaves their order open): a NaN,
+    sorted last, makes each of them NaN."""
     if not s.size:
         raise ValueError("percentiles of an empty array")
     last = s.item(-1)
@@ -130,12 +126,6 @@ def _interpolation(n: int, percents: tuple) -> tuple[tuple, ...]:
     gamma = virtual - lo
     return tuple(zip(lo.tolist(), hi.tolist(), gamma.tolist(),
                      (1 - gamma).tolist(), (gamma >= 0.5).tolist()))
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """Cached arrays are shared by every caller, so none may write them."""
-    a.flags.writeable = False
-    return a
 
 
 def collapse_alarm(initial_median: float, recent: Sequence) -> bool:

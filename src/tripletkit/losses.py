@@ -277,6 +277,18 @@ def _triplet_terms(x: np.ndarray, dist: DistanceMatrix, ap: np.ndarray,
     return _finish(loss, per_term, coeff, x, dist)
 
 
+def _pk_distances(embeddings: np.ndarray, labels: BatchLabels,
+                  metric: Metric) -> tuple[np.ndarray, DistanceMatrix,
+                                           np.ndarray, np.ndarray]:
+    """The float64 rows of a PK batch, their distances, and the positive
+    and negative masks of `labels`, or BatchContractError."""
+    labels.validate_pk()
+    pos, neg = labels.masks
+    x = np.asarray(embeddings, dtype=np.float64)
+    _check_labels(labels, len(x))
+    return x, pairwise_distances(x, metric), pos, neg
+
+
 def batch_hard_loss(embeddings: np.ndarray, labels: BatchLabels,
                     metric: Metric = "euclidean",
                     mode: MarginMode = MarginMode.hard(0.2),
@@ -286,11 +298,7 @@ def batch_hard_loss(embeddings: np.ndarray, labels: BatchLabels,
     Ties in the max/min are broken toward the lowest row index so the
     gradient is deterministic.
     """
-    labels.validate_pk()
-    pos, neg = labels.masks
-    x = np.asarray(embeddings, dtype=np.float64)
-    _check_labels(labels, len(x))
-    dist = pairwise_distances(x, metric)
+    x, dist, pos, neg = _pk_distances(embeddings, labels, metric)
     d = dist.values
     # argmax/argmin take the first tie
     hardest_pos = np.where(pos, d, -np.inf).argmax(axis=1)
@@ -313,12 +321,8 @@ def batch_all_loss(embeddings: np.ndarray, labels: BatchLabels,
     the cube's other rows are all zero. So its two axis sums add the
     coefficients up in the order a sum over that cube takes.
     """
-    labels.validate_pk()
-    pos, neg = labels.masks
-    x = np.asarray(embeddings, dtype=np.float64)
+    x, dist, pos, neg = _pk_distances(embeddings, labels, metric)
     n = len(x)
-    _check_labels(labels, n)
-    dist = pairwise_distances(x, metric)
     d = dist.values
     d_ap = d[pos].reshape(n, -1, 1)
     xvals = (d_ap - d[neg].reshape(n, 1, -1)).ravel()
@@ -533,12 +537,8 @@ def lifted_generalized_loss(embeddings: np.ndarray, labels: BatchLabels,
                             metric: Metric = "euclidean", m: float = 0.2,
                             mode: MarginMode = MarginMode.hard(0.0)) -> LossReport:
     """PK generalization of the lifted loss using all positives per anchor."""
-    labels.validate_pk()
-    pos, neg = labels.masks
-    x = np.asarray(embeddings, dtype=np.float64)
+    x, dist, pos, neg = _pk_distances(embeddings, labels, metric)
     n = len(x)
-    _check_labels(labels, n)
-    dist = pairwise_distances(x, metric)
     d = dist.values
     outer = MarginMode.hard(0.0) if mode.kind == "hard" else mode
 
@@ -565,11 +565,6 @@ class LossSpec:
     batch: Literal["random", "mined", "pk"]
     reads: Callable[..., tuple]
     call: Callable[..., LossReport]
-
-    def apply(self, embeddings: np.ndarray, labels: BatchLabels | None,
-              cfg) -> LossReport:
-        """The loss of one batch as `cfg` asks for it."""
-        return self.call(embeddings, labels, *self.reads(cfg))
 
 
 def _metric_margin(cfg) -> tuple[str, MarginMode]:

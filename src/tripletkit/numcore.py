@@ -84,9 +84,6 @@ class MlpParams:
         """The input width, then each layer's output width."""
         return [self.input_dim] + [w.shape[1] for w, _ in self.layers]
 
-    def copy(self) -> "MlpParams":
-        return MlpParams(self.layers, seed=self.seed)
-
 
 @dataclass
 class GradBundle:

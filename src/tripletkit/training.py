@@ -83,6 +83,8 @@ class RunConfig:
                               f"cap of {MAX_STEP_ELEMENTS} weights")
         if self.ohm_refresh_every < 1:
             raise ConfigError("ohm_refresh_every must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ class TestDatagen:
     def test_writes_csv_and_meta(self, tmp_path):
         csv_path = make_data(tmp_path)
         assert os.path.exists(csv_path)
-        meta = json.load(open(csv_path.replace(".csv", "_spec.json")))
+        meta = json.loads(Path(csv_path[:-4] + "_spec.json").read_text())
         assert meta["num_identities"] == 6
         ds = read_dataset_csv(csv_path)
         assert len(ds) == 24 and ds.feature_dim == 5
@@ -81,7 +82,7 @@ class TestTrain:
         rc, out = quick_train(tmp_path, data)
         assert rc == cli.EXIT_OK
         assert os.path.exists(os.path.join(out, "checkpoint.json"))
-        log = open(os.path.join(out, "train_log.csv")).read().splitlines()
+        log = Path(out, "train_log.csv").read_text().splitlines()
         assert log[0].startswith("iter,loss_mean,loss_p5,active_frac,")
         assert len(log) == 41  # header + one record per iteration
 
@@ -134,7 +135,7 @@ class TestTrain:
         rc = cli.main(["train", "--data", data, "--config", str(cfg_path),
                        "-o", out])
         assert rc == cli.EXIT_OK
-        ckpt = json.load(open(os.path.join(out, "checkpoint.json")))
+        ckpt = json.loads(Path(out, "checkpoint.json").read_text())
         assert ckpt["layer_widths"] == [5, 6, 3]
 
     def test_flag_overrides_config(self, tmp_path):
@@ -146,7 +147,7 @@ class TestTrain:
                        "--widths", "5,8,4", "--P", "3", "--K", "2",
                        "--t0", "20", "--t1", "40", "-o", out])
         assert rc == cli.EXIT_OK
-        log = open(os.path.join(out, "train_log.csv")).read().splitlines()
+        log = Path(out, "train_log.csv").read_text().splitlines()
         assert len(log) == 41
 
     def test_zero_ohm_refresh_exits_2(self, tmp_path, capsys):
@@ -281,7 +282,7 @@ class TestEvaluate:
         rc = cli.main(["evaluate", "--checkpoint", ckpt, "--queries", data,
                        "--gallery", data, "-o", out])
         assert rc == cli.EXIT_OK
-        report = json.load(open(os.path.join(out, "eval_report.json")))
+        report = json.loads(Path(out, "eval_report.json").read_text())
         assert 0.0 <= report["map"] <= 1.0
         assert "cmc" in report
 
@@ -368,7 +369,7 @@ class TestEvaluate:
                        "--queries", data, "--gallery", data,
                        "--distractors", distract, "-o", out])
         assert rc == cli.EXIT_OK
-        report = json.load(open(os.path.join(out, "eval_report.json")))
+        report = json.loads(Path(out, "eval_report.json").read_text())
         assert report["with_distractors"]["map"] <= report["map"] + 1e-12
 
     @pytest.mark.parametrize("empty", ["queries", "gallery"])
@@ -376,7 +377,8 @@ class TestEvaluate:
         data = make_data(tmp_path)
         rc, out = quick_train(tmp_path, data)
         header_only = tmp_path / "empty.csv"
-        header_only.write_text(open(data).readline())
+        with open(data) as f:
+            header_only.write_text(f.readline())
         assert read_dataset_csv(str(header_only)).features.shape == (0, 5)
         paths = {"queries": data, "gallery": data, empty: str(header_only)}
         capsys.readouterr()
@@ -390,7 +392,7 @@ class TestEvaluate:
     def test_malformed_value_exits_3(self, tmp_path, capsys):
         data = make_data(tmp_path)
         rc, out = quick_train(tmp_path, data)
-        lines = open(data).read().splitlines()
+        lines = Path(data).read_text().splitlines()
         fields = lines[2].split(",")
         fields[3] = "abc"
         lines[2] = ",".join(fields)
@@ -426,6 +428,18 @@ class TestEvaluate:
         assert rc == cli.EXIT_DATA
         assert "unexpected CSV header" in capsys.readouterr().err
 
+    def test_prints_the_asked_cmc_ranks(self, tmp_path, capsys):
+        data = make_data(tmp_path)
+        rc, out = quick_train(tmp_path, data)
+        rc = cli.main(["evaluate", "--checkpoint",
+                       os.path.join(out, "checkpoint.json"), "--queries",
+                       data, "--gallery", data, "--cmc-ranks", "1,100000",
+                       "-o", out])
+        assert rc == cli.EXIT_OK
+        printed = capsys.readouterr().out
+        assert " rank-1=" in printed and " rank-100000=1.0000 " in printed
+        assert "rank-5" not in printed and "nan" not in printed
+
     def test_bad_cmc_ranks_exits_2(self, tmp_path):
         data = make_data(tmp_path)
         rc, out = quick_train(tmp_path, data)
@@ -446,7 +460,7 @@ class TestBenchLosses:
                        "--P", "3", "--K", "2", "--B", "4",
                        "--t0", "15", "--t1", "30", "-o", out])
         assert rc == cli.EXIT_OK
-        rows = open(os.path.join(out, "bench_losses.csv")).read().splitlines()
+        rows = Path(out, "bench_losses.csv").read_text().splitlines()
         assert rows[0] == "loss,margin,map,rank1,status"
         assert len(rows) == 5
         for row in rows[1:]:
@@ -591,13 +605,26 @@ class TestRunFlagsCheckedBeforeData:
 
 @pytest.mark.parametrize("flag, field", [("--identity-spread", "identity_spread"),
                                          ("--intra-spread", "intra_spread")])
-@pytest.mark.parametrize("value", ["nan", "inf"])
+# 1e308 is finite, but 1e308 times a normal draw past 1.8 overflows
+@pytest.mark.parametrize("value", ["nan", "inf", "1e308"])
 def test_nonfinite_spread_exits_2(tmp_path, capsys, flag, field, value):
     rc = cli.main(["datagen", "--ids", "4", "--per-id", "3", "--dim", "5",
                    flag, value, "-o", str(tmp_path)])
     assert rc == cli.EXIT_USAGE
     assert field in capsys.readouterr().err
     assert not (tmp_path / "train.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["datagen", "train", "bench-losses"])
+def test_negative_seed_exits_2_naming_it(tmp_path, capsys, command):
+    flags = (["--ids", "4", "--per-id", "3", "--dim", "5"]
+             if command == "datagen"
+             else ["--data", str(tmp_path / "absent.csv")])
+    rc = cli.main([command, *flags, "--seed", "-1",
+                   "-o", str(tmp_path / "out")])
+    assert rc == cli.EXIT_USAGE
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_non_integer_cmc_rank_exits_2_naming_flag(tmp_path, capsys):

@@ -53,9 +53,9 @@ def test_reused_labels_match_fresh_and_reference(name, metric, margin):
         reused = BatchLabels(identities, p, k)
         for i in range(12):
             x = _embeddings(rng, p * k, ["plain", "repeats", "ties"][i % 3])
-            got = spec.apply(x, reused, cfg)
-            assert_same_report(got, spec.apply(x, BatchLabels(identities, p, k),
-                                               cfg))
+            got = spec.call(x, reused, *spec.reads(cfg))
+            assert_same_report(got, spec.call(
+                x, BatchLabels(identities, p, k), *spec.reads(cfg)))
             assert_same_report(got, REFERENCE[name](
                 x, BatchLabels(identities, p, k), cfg))
 

@@ -332,7 +332,7 @@ def test_loss_matches_reference_bit_for_bit(name, metric, margin, variant):
     make = _pk_batch if spec.batch == "pk" else _triplet_batch
     for _ in range(12):
         x, labels = make(rng, variant)
-        got = spec.apply(x, labels, cfg)
+        got = spec.call(x, labels, *spec.reads(cfg))
         want = REFERENCE[name](x, labels, cfg)
         assert _same_bits(got.loss, want.loss)
         assert _same_bits(got.grad_embeddings, want.grad_embeddings)

@@ -117,7 +117,7 @@ def test_backward_matches_finite_differences():
             it = np.nditer(arr, flags=["multi_index"])
             for _ in it:
                 idx = it.multi_index
-                pp, pm = p.copy(), p.copy()
+                pp, pm = MlpParams(p.layers), MlpParams(p.layers)
                 pp.layers[li][arr_i][idx] += step
                 pm.layers[li][arr_i][idx] -= step
                 fd = (scalar(pp) - scalar(pm)) / (2 * step)
@@ -197,7 +197,7 @@ class TestFlatLayout:
 
     def test_copy_shares_no_memory(self):
         p = init_params([4, 5, 3], seed=1)
-        q = p.copy()
+        q = MlpParams(p.layers, seed=p.seed)
         assert not np.shares_memory(p.flat, q.flat)
         for (w, b), (w2, b2) in zip(p.layers, q.layers):
             assert not np.shares_memory(w, w2)

@@ -42,7 +42,7 @@ def test_zero_gradient_step():
     s = AdamState.for_params(p)
     g = numcore.GradBundle([(np.zeros_like(w), np.zeros_like(b))
                             for w, b in p.layers])
-    before = p.copy()           # adam_step updates p in place
+    before = numcore.MlpParams(p.layers)   # adam_step updates p in place
     p2, s2 = adam_step(p, g, s, lr=1e-3)
     assert s2.step_count == 1
     for (w0, b0), (w1, b1) in zip(before.layers, p2.layers):
@@ -83,7 +83,7 @@ def test_first_step_matches_reference():
     g = numcore.GradBundle([(rng.standard_normal(w.shape),
                              rng.standard_normal(b.shape))
                             for w, b in p.layers])
-    before = p.copy()           # adam_step updates p in place
+    before = numcore.MlpParams(p.layers)   # adam_step updates p in place
     p2, _ = adam_step(p, g, s, lr=1e-3)
     for (w, b), (dw, db), (w2, b2) in zip(before.layers, g.layers, p2.layers):
         ref_w, _, _ = reference_adam(w, dw, np.zeros_like(w), np.zeros_like(w),
@@ -242,7 +242,7 @@ def reference_train(cfg, dataset):
             rows = sampling.sample_pk_batch(dataset, cfg.P, cfg.K, rng).rows
             labels = losses.BatchLabels(dataset.pids[rows], cfg.P, cfg.K)
         emb, acts, pres = reference_forward(layers, dataset.features[rows])
-        report = spec.apply(emb, labels, cfg)
+        report = spec.call(emb, labels, *spec.reads(cfg))
         grads = reference_backward(layers, acts, pres, report.grad_embeddings)
         layers, m, v = reference_adam_layers(layers, grads, m, v, t, lr, b1)
         rows_out.append(reference_row(emb, report, t, lr))
