@@ -201,6 +201,7 @@ def cmd_evaluate(args) -> int:
             raise evalkit.ProtocolError(
                 f"{name} feature width {dataset.feature_dim} does not match "
                 f"checkpoint input width {params.input_dim}")
+    os.makedirs(args.out, exist_ok=True)
     q_emb = training.embed_dataset(params, data["queries"])
     g_emb = training.embed_dataset(params, data["gallery"])
     result = evalkit.evaluate(q_emb, g_emb, protocol)
@@ -214,7 +215,6 @@ def cmd_evaluate(args) -> int:
         _print_eval("post-distractor ", after)
     else:
         _print_eval("", result)
-    os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "eval_report.json")
     with open(report_path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2)
@@ -264,6 +264,7 @@ def cmd_bench_losses(args) -> int:
     dataset = sampling.read_dataset_csv(args.data)
     train_set, val_set = training.identity_disjoint_split(
         dataset, args.val_fraction, args.seed)
+    os.makedirs(args.out, exist_ok=True)
 
     # cells of one grid share every field but loss and margin, so a cell
     # whose loss reads the same values of its config as an earlier cell's
@@ -276,7 +277,6 @@ def cmd_bench_losses(args) -> int:
                 trained[key] = run_bench_cell(ln, mt, train_set, val_set, base)
             cells.append({**trained[key], "loss": ln, "margin": mt})
 
-    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "bench_losses.csv")
     with open(csv_path, "w", encoding="utf-8", newline="\n") as f:
         w = csv.DictWriter(f, fieldnames=["loss", "margin", "map", "rank1",

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import functools
 import os
+import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -27,9 +28,11 @@ class EvalProtocol:
     def __post_init__(self):
         if self.mode not in ("single_query", "multi_query"):
             raise ProtocolError(f"unknown mode {self.mode!r}")
-        if list(self.cmc_ranks) != sorted(self.cmc_ranks) or \
+        # a repeated rank would be listed twice but reported once
+        if list(self.cmc_ranks) != sorted(set(self.cmc_ranks)) or \
                 any(r < 1 for r in self.cmc_ranks):
-            raise ProtocolError("cmc_ranks must be ascending and >= 1")
+            raise ProtocolError("cmc_ranks must be strictly ascending and "
+                                ">= 1")
 
 
 @dataclass
@@ -108,19 +111,25 @@ def _count_below(ordered: np.ndarray, rows: np.ndarray,
     return pos + (flat[pos] < values) - first
 
 
-def _relevant_ranks(dist: np.ndarray,
-                    relevant: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _relevant_ranks(dist: np.ndarray, relevant: np.ndarray,
+                    ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ranks of the relevant entries of a block of query rows.
 
     A relevant entry's rank is 1 + the entries of its row that are closer
     + the equally close entries of lower gallery index (the tie rule of
     `rank_gallery`); entries set to +inf rank behind every finite one.
-    Returns (query row, rank) pairs ordered by query row, then rank.
+    `ordered`, an array of `dist`'s shape, receives each row's distances
+    in ascending order. Returns (query row, rank) pairs ordered by query
+    row, then rank.
     """
-    # flatnonzero and divmod: much faster than a 2-D nonzero
-    rows, cols = divmod(np.flatnonzero(relevant), dist.shape[1])
-    values = dist[rows, cols]
-    ordered = np.sort(dist, axis=1)
+    # flatnonzero and divmod: much faster than a 2-D nonzero, and the flat
+    # indices gather faster than (rows, cols)
+    flat = np.flatnonzero(relevant)
+    rows, cols = divmod(flat, dist.shape[1])
+    values = dist.ravel()[flat]
+    # what np.sort does, into a buffer of the caller's
+    np.copyto(ordered, dist)
+    ordered.sort(axis=1)
     ranks = _count_below(ordered, rows, values) + 1
     # ranks[i] indexes the entry after the relevant one; if it is as close,
     # the two are tied and the gallery order must decide
@@ -139,21 +148,29 @@ def _relevant_ranks(dist: np.ndarray,
 def _block_scores(q: np.ndarray, g: np.ndarray, query_sq: np.ndarray,
                   gallery_sq: np.ndarray, queries: LabeledDataset,
                   gallery: LabeledDataset, exclude_same_camera: bool,
-                  rows: slice) -> tuple[list[float], list[int]]:
+                  rows: slice,
+                  buffers: tuple) -> tuple[list[float], list[int]]:
     """AP and first-hit rank of each answered query in one block of
     `evaluate`: `q` and `g` are the shifted embeddings, `query_sq` and
-    `gallery_sq` their squared norms."""
-    dist = (-2.0 * q[rows]) @ g.T
+    `gallery_sq` their squared norms. `buffers` holds one worker's
+    (distances, sorted distances, relevant, excluded) arrays, each with at
+    least the block's rows and a column per gallery row; the block's
+    distances and masks are written into their first rows, so no block
+    allocates a (block rows x gallery rows) array of its own."""
+    dist, ordered, relevant, excluded = (
+        b[:rows.stop - rows.start] for b in buffers)
+    np.matmul(-2.0 * q[rows], g.T, out=dist)
     dist += query_sq[rows, None]
     dist += gallery_sq
     np.maximum(dist, 0.0, out=dist)
     np.sqrt(dist, out=dist)
-    relevant = queries.pids[rows, None] == gallery.pids
+    np.equal(queries.pids[rows, None], gallery.pids, out=relevant)
     if exclude_same_camera:
-        excluded = relevant & (queries.cams[rows, None] == gallery.cams)
+        np.equal(queries.cams[rows, None], gallery.cams, out=excluded)
+        excluded &= relevant
         dist[excluded] = np.inf
-        relevant &= ~excluded
-    query, ranks = _relevant_ranks(dist, relevant)
+        relevant ^= excluded        # excluded is a subset of relevant
+    query, ranks = _relevant_ranks(dist, relevant, ordered)
     num_rel = np.bincount(query, minlength=len(dist))
     # k-th closest relevant row at rank r: precision k / r
     k = np.arange(1, len(ranks) + 1) - np.repeat(
@@ -185,26 +202,33 @@ def _available_cpus() -> int:
     return cpus if others <= 0 else 1
 
 
-def _run_blocks(score, blocks: list, workers: int) -> list:
-    """`[score(b) for b in blocks]`, computed by a pool of `workers` threads
-    (none for one worker). The first block to raise, in query order, has
-    its exception raised; blocks begun after any block raised are skipped,
-    and the pool's threads are joined before this returns or raises."""
-    if workers == 1:
-        return [score(b) for b in blocks]
-    failed = []
+def _run_blocks(score, blocks: list, buffers: list) -> list:
+    """`[score(b, s) for b in blocks]`, each block given one of the
+    `buffers` sets that no other block holds meanwhile: computed by a pool
+    of one thread per set (none for one set). The first block to raise, in
+    query order, has its exception raised; blocks begun after any block
+    raised are skipped, and the pool's threads are joined before this
+    returns or raises."""
+    if len(buffers) == 1:
+        return [score(b, buffers[0]) for b in blocks]
+    free, failed = queue.SimpleQueue(), []
+    for s in buffers:
+        free.put(s)
 
     def run(block):
         # skipped once a block has raised; the pool alone ran over 100 of
         # 450 two-row blocks on two busy CPUs before the caller saw it
         if not failed:
+            s = free.get()
             try:
-                return score(block)
+                return score(block, s)
             except BaseException:
                 failed.append(block)
                 raise
+            finally:
+                free.put(s)
 
-    pool = ThreadPoolExecutor(workers)
+    pool = ThreadPoolExecutor(len(buffers))
     try:
         return list(pool.map(run, blocks))
     finally:
@@ -229,7 +253,10 @@ def evaluate(queries: LabeledDataset, gallery: LabeledDataset,
     on its own row only and blocks are joined in query order, so the
     result does not depend on the CPU count. While a multithreaded BLAS
     runs its own threads on those CPUs, the loop stays serial (see
-    `_available_cpus`).
+    `_available_cpus`). Each worker scores its blocks in one set of
+    distance, sorted-distance and mask arrays, allocated here on the
+    calling thread before any block runs; the workers share one element
+    budget, so the sets together take what one worker's would.
     """
     if queries.feature_dim != gallery.feature_dim:
         raise ProtocolError("query/gallery embedding widths differ")
@@ -268,6 +295,13 @@ def evaluate(queries: LabeledDataset, gallery: LabeledDataset,
     if len(edges) > 2 and edges[-1] - edges[-2] == 1:
         del edges[-2]
     blocks = [slice(*ends) for ends in zip(edges, edges[1:])]
+    # Arrays a pool thread allocates come from a fresh malloc arena whose
+    # pages it faults in on every call, while this thread's arena, warm
+    # from earlier work, sits idle; so each worker's set is allocated
+    # here, as large as the largest block (a one-row tail included).
+    shape = max((b.stop - b.start for b in blocks), default=0), len(gallery)
+    buffers = [(np.empty(shape), np.empty(shape), np.empty(shape, bool),
+                np.empty(shape, bool)) for _ in range(workers)]
 
     # a module-level block function: as a closure over these names it made
     # loss_grid's serial 80-row calls 8% slower
@@ -275,7 +309,7 @@ def evaluate(queries: LabeledDataset, gallery: LabeledDataset,
                               queries, gallery,
                               protocol.exclude_same_camera_same_id)
     aps, first_correct = [], []
-    for block_aps, block_first in _run_blocks(score, blocks, workers):
+    for block_aps, block_first in _run_blocks(score, blocks, buffers):
         aps += block_aps
         first_correct += block_first
 

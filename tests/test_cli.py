@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tripletkit import cli, diagnostics, losses, numcore, optim, training
+from tripletkit import (cli, diagnostics, evalkit, losses, numcore, optim,
+                        training)
 from tripletkit.sampling import LabeledDataset, read_dataset_csv, write_dataset_csv
 
 
@@ -440,6 +441,17 @@ class TestEvaluate:
         assert " rank-1=" in printed and " rank-100000=1.0000 " in printed
         assert "rank-5" not in printed and "nan" not in printed
 
+    def test_repeated_cmc_rank_exits_2_naming_flag(self, tmp_path, capsys):
+        """`1,1` would list rank 1 twice in the report's protocol but
+        report it once; it is refused before any data is read."""
+        missing = str(tmp_path / "missing.csv")
+        rc = cli.main(["evaluate", "--checkpoint", missing, "--queries",
+                       missing, "--gallery", missing, "--cmc-ranks", "1,1",
+                       "-o", str(tmp_path / "out")])
+        assert rc == cli.EXIT_USAGE
+        assert "--cmc-ranks" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_cmc_ranks_exits_2(self, tmp_path):
         data = make_data(tmp_path)
         rc, out = quick_train(tmp_path, data)
@@ -634,6 +646,35 @@ def test_non_integer_cmc_rank_exits_2_naming_flag(tmp_path, capsys):
                   "--gallery", missing, "--cmc-ranks", "1,x"])
     assert exc.value.code == cli.EXIT_USAGE
     assert "--cmc-ranks" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "bench-losses"])
+def test_out_naming_a_file_exits_3_before_any_work(tmp_path, capsys,
+                                                    monkeypatch, command):
+    """`--out` is created once the inputs are read, so a file in its
+    place fails before anything is trained or ranked."""
+    data = make_data(tmp_path, ids=8)
+    rc, run = quick_train(tmp_path, data)
+    assert rc == cli.EXIT_OK
+    called = []
+    for module, name in ((training, "train"), (evalkit, "evaluate")):
+        def recording(*args, real=getattr(module, name), name=name,
+                      **kwargs):
+            called.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, recording)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    flags = {"evaluate": ["--checkpoint", os.path.join(run, "checkpoint.json"),
+                          "--queries", data, "--gallery", data],
+             "bench-losses": ["--data", data, "--losses", "batch_hard",
+                              "--margins", "soft", "--widths", "5,8,4",
+                              "--P", "3", "--K", "2", "--t0", "4",
+                              "--t1", "8"]}
+    rc = cli.main([command, *flags[command], "-o", str(taken)])
+    assert rc == cli.EXIT_DATA
+    assert "File exists" in capsys.readouterr().err
+    assert called == []
 
 
 class TestCountCaps:

@@ -137,6 +137,13 @@ class TestEvaluate:
         vals = [res.cmc[k] for k in sorted(res.cmc)]
         assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("ranks", [(1, 1), (1, 5, 5), (5, 1), (0, 1)])
+    def test_cmc_ranks_must_be_strictly_ascending(self, ranks):
+        # a repeated rank would be listed twice in the protocol but
+        # reported once among the CMC values
+        with pytest.raises(ProtocolError, match="strictly ascending"):
+            EvalProtocol(cmc_ranks=ranks)
+
     def test_multi_query_pools_by_identity_camera(self):
         # two noisy queries of the same (pid, cam) pool into one clean query
         q = embset([[0.0, 2.0], [0.0, -2.0]], [0, 0], cams=[5, 5])
@@ -245,9 +252,9 @@ class TestWorkerCount:
         seen = []
         relevant_ranks = evalkit._relevant_ranks
 
-        def recording(dist, relevant):
+        def recording(dist, relevant, ordered):
             seen.append((threading.get_ident(), len(dist)))
-            return relevant_ranks(dist, relevant)
+            return relevant_ranks(dist, relevant, ordered)
 
         monkeypatch.setattr(evalkit, "_relevant_ranks", recording)
         before = threading.active_count()
@@ -278,10 +285,10 @@ class TestWorkerCount:
         rows = []
         relevant_ranks = evalkit._relevant_ranks
 
-        def recording(dist, relevant):
+        def recording(dist, relevant, ordered):
             rows.extend(row.tobytes() for row in dist)
             assert len(dist) > 1
-            return relevant_ranks(dist, relevant)
+            return relevant_ranks(dist, relevant, ordered)
 
         monkeypatch.setattr(evalkit, "_relevant_ranks", recording)
         seen = []
@@ -292,6 +299,34 @@ class TestWorkerCount:
             assert len(rows) == num_queries
             seen.append(sorted(rows))
         assert seen[0] == seen[1] == seen[2]
+
+    def test_blocks_reuse_one_buffer_set_per_worker(self, monkeypatch):
+        """Within one call every block's distances are written into one of
+        `workers` arrays, allocated once: no block allocates its own."""
+        queries, gallery = threaded_gallery()
+        dists = []
+        relevant_ranks = evalkit._relevant_ranks
+
+        def recording(dist, relevant, ordered):
+            # held until the check, so no two blocks' arrays could share
+            # memory by the allocator reusing a freed one
+            dists.append(dist)
+            return relevant_ranks(dist, relevant, ordered)
+
+        monkeypatch.setattr(evalkit, "_relevant_ranks", recording)
+        for workers in (1, 2, 3):
+            dists.clear()
+            # 17, 8 or 5 rows per block: 53 to 180 blocks
+            self.run(monkeypatch, workers, 17000, queries, gallery,
+                     EvalProtocol())
+            assert len(dists) > 50
+            owners = []
+            for dist in dists:
+                shared = [o for o in owners if np.shares_memory(o, dist)]
+                assert len(shared) <= 1
+                if not shared:
+                    owners.append(dist)
+            assert len(owners) == workers
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
                         reason="CPU affinity and /proc/self/task are Linux's")
@@ -325,7 +360,7 @@ class TestWorkerCount:
         calls, lock = [], threading.Lock()
         relevant_ranks = evalkit._relevant_ranks
 
-        def failing_ranks(dist, relevant):
+        def failing_ranks(dist, relevant, ordered):
             with lock:
                 calls.append(1)
                 call = len(calls)
@@ -333,7 +368,7 @@ class TestWorkerCount:
             # after it in flight
             if failing == "every" or call == 5:
                 raise MemoryError("block failed")
-            return relevant_ranks(dist, relevant)
+            return relevant_ranks(dist, relevant, ordered)
 
         monkeypatch.setattr(evalkit, "_relevant_ranks", failing_ranks)
         before = threading.active_count()
