@@ -43,10 +43,11 @@ class GenSpec:
             raise ValueError("counts must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        for name in ("feature_dim", "num_cameras"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+        if self.feature_dim < 1:
+            raise ValueError(f"feature_dim must be >= 1, got {self.feature_dim}")
+        if not 1 <= self.num_cameras < 2 ** 63:     # camera ids are int64
+            raise ValueError(f"num_cameras must be in [1, 2**63), got "
+                             f"{self.num_cameras}")
         if self.num_identities * self.items_per_identity * self.feature_dim \
                 > MAX_FEATURE_ELEMENTS:
             raise ValueError("--ids/--per-id/--dim: num_identities * "

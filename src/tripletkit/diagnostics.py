@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import functools
 import itertools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -128,19 +129,25 @@ def _interpolation(n: int, percents: tuple) -> tuple[tuple, ...]:
                      (1 - gamma).tolist(), (gamma >= 0.5).tolist()))
 
 
-def collapse_alarm(initial_median: float, recent: Sequence) -> bool:
-    """True when the last COLLAPSE_WINDOW of `recent`, the (median pair
-    distance, active fraction) pairs of the steps after the first in
-    order, all have a median below 1e-3 of the first step's
-    (`initial_median`) and nearly every term active."""
+def collapse_alarm(initial_median: float,
+                   recent: Sequence) -> AlarmTrigger | None:
+    """The AlarmTrigger of the last COLLAPSE_WINDOW of `recent`, the (median
+    pair distance, active fraction) pairs of the steps after the first in
+    order, if all have a median below 1e-3 of the first step's
+    (`initial_median`) and nearly every term active; None otherwise."""
     window = COLLAPSE_WINDOW
     if len(recent) < window:
-        return False
+        return None
     threshold = COLLAPSE_DIST_RATIO * initial_median
+    highest, lowest = -math.inf, math.inf
     # newest first, so a healthy run stops at its last step
-    return all(median < threshold and active > COLLAPSE_ACTIVITY
-               for median, active in itertools.islice(reversed(recent),
-                                                      window))
+    for median, active in itertools.islice(reversed(recent), window):
+        if not (median < threshold and active > COLLAPSE_ACTIVITY):
+            return None
+        highest = median if median > highest else highest   # max() is slower
+        lowest = active if active < lowest else lowest
+    return AlarmTrigger(initial_median, highest / initial_median, lowest,
+                        window)
 
 
 @dataclass(frozen=True)
@@ -154,14 +161,6 @@ class AlarmTrigger:
     max_median_ratio: float
     min_active_fraction: float
     window: int
-
-    @classmethod
-    def of(cls, initial_median: float, recent: Sequence) -> "AlarmTrigger":
-        """The values behind `collapse_alarm(initial_median, recent)`."""
-        medians, active = zip(*itertools.islice(reversed(recent),
-                                                COLLAPSE_WINDOW))
-        return cls(initial_median, max(medians) / initial_median,
-                   min(active), len(medians))
 
     def __str__(self) -> str:
         return (f"over the last {self.window} steps the median pair "

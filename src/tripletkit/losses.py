@@ -17,6 +17,7 @@ from typing import Literal, get_args
 
 import numpy as np
 
+# a term is active unless <= ACTIVE_THRESHOLD, so a NaN term keeps the loss NaN
 ACTIVE_THRESHOLD = 1e-5
 
 Metric = Literal["euclidean", "squared_euclidean"]
@@ -244,7 +245,7 @@ def _finish(loss: float, per_term: np.ndarray, coeff: np.ndarray,
             embeddings: np.ndarray, dist: DistanceMatrix) -> LossReport:
     """The report of a loss whose float64 `per_term` is built."""
     grad = _chain_through_metric(embeddings, dist, coeff)
-    num_active = int(np.count_nonzero(per_term > ACTIVE_THRESHOLD))
+    num_active = int(np.count_nonzero(~(per_term <= ACTIVE_THRESHOLD)))
     return LossReport(float(loss), grad, num_active, per_term, dist)
 
 
@@ -263,7 +264,7 @@ def _triplet_terms(x: np.ndarray, dist: DistanceMatrix, ap: np.ndarray,
     kept = per_term
     divisor = len(per_term)
     if averaging == "nonzero":
-        active = per_term > ACTIVE_THRESHOLD
+        active = ~(per_term <= ACTIVE_THRESHOLD)
         divisor = int(np.count_nonzero(active))
         g, kept = g * active, per_term * active
     coeff = np.zeros((len(x), len(x)))
@@ -329,7 +330,7 @@ def batch_all_loss(embeddings: np.ndarray, labels: BatchLabels,
     per_term = margin_apply(xvals, mode)
 
     if averaging == "nonzero":
-        active = per_term > ACTIVE_THRESHOLD
+        active = ~(per_term <= ACTIVE_THRESHOLD)
         divisor = int(np.count_nonzero(active))
     else:
         divisor = len(per_term)

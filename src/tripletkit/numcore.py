@@ -137,19 +137,17 @@ def mlp_forward(params: MlpParams, inputs: np.ndarray) -> tuple[np.ndarray, list
 
 
 def mlp_backward(params: MlpParams, activations: list, upstream: np.ndarray,
-                 out: GradBundle | None = None) -> GradBundle:
+                 out: GradBundle) -> None:
     """Gradients of sum(embeddings * upstream) w.r.t. all parameters from
-    `mlp_forward`'s layer inputs; fills and returns `out` (new if None)."""
+    `mlp_forward`'s layer inputs, written into `out`, laid out as `params`."""
     delta = np.asarray(upstream, dtype=np.float64)
     n = len(params.layers)
     if len(activations) != n:
         raise DimensionError("activations do not match parameter layer count")
     if delta.shape != (len(activations[0]), params.layers[-1][1].size):
         raise DimensionError("upstream shape does not match embeddings")
-    # a copy of params has the layout; every value of it is overwritten
-    grads = GradBundle(params.layers) if out is None else out
     for i in range(n - 1, -1, -1):
-        dw, db = grads.layers[i]
+        dw, db = out.layers[i]
         np.matmul(activations[i].T, delta, out=dw)
         delta.sum(axis=0, out=db)
         if i > 0:   # through the leaky ReLU, whose derivative at 0 is SLOPE
@@ -157,7 +155,6 @@ def mlp_backward(params: MlpParams, activations: list, upstream: np.ndarray,
             # 1 where the layer input max(p, SLOPE*p) > 0, i.e. where p > 0
             np.multiply(delta, np.maximum(activations[i] > 0.0, SLOPE),
                         out=delta)
-    return grads
 
 
 def layers_to_json(layers: Layers) -> list[dict]:

@@ -103,9 +103,9 @@ class AdamState:
 
 
 def adam_step(params: MlpParams, grads: GradBundle, state: AdamState,
-              lr: float) -> tuple[MlpParams, AdamState]:
+              lr: float) -> None:
     """One Adam update with bias correction, made in place on `params`
-    and `state`, which are returned."""
+    and `state`."""
     if not params.shapes == grads.shapes == state.shapes:
         raise DimensionError("gradients or Adam state do not fit params")
     if lr <= 0:
@@ -123,12 +123,10 @@ def adam_step(params: MlpParams, grads: GradBundle, state: AdamState,
     denom += EPS_HAT
     np.multiply(np.divide(m, 1 - b1 ** t, out=step), lr, out=step)
     params.flat -= np.divide(step, denom, out=step)
-    return params, state
 
 
-def beta1_drop(state: AdamState, t: int, schedule: Schedule) -> AdamState:
-    """Set beta1 to 0.5 once the decay phase is entered; idempotent.
-    Changes `state` in place and returns it."""
+def beta1_drop(state: AdamState, t: int, schedule: Schedule) -> None:
+    """Set `state`'s beta1 to 0.5 once the decay phase is entered;
+    idempotent."""
     if t >= schedule.t0:
         state.beta1 = BETA1_DECAY
-    return state

@@ -124,19 +124,18 @@ def train(cfg: RunConfig, dataset: sampling.LabeledDataset,
         lr = optim.lr_at(cfg.schedule, t)
         optim.beta1_drop(state, t, cfg.schedule)
 
-        if spec.batch == "mined" and (t - 1) % cfg.ohm_refresh_every == 0:
-            mined = sampling.mine_hard_offline(
-                params, dataset, cfg.ohm_sample_fraction, cfg.B, cfg.margin,
-                rng, cfg.metric)
-        if spec.batch == "pk":
-            rows = sampling.sample_pk_batch(dataset, cfg.P, cfg.K, rng).rows
-        else:
-            triplets = mined if spec.batch == "mined" else \
-                sampling.sample_random_triplets(dataset, cfg.B, rng)
-            rows = triplets.ravel()
-
         # overflow and NaN from a diverging step are reported by the guard below
         with np.errstate(over="ignore", invalid="ignore"):
+            if spec.batch == "mined" and (t - 1) % cfg.ohm_refresh_every == 0:
+                mined = sampling.mine_hard_offline(
+                    params, dataset, cfg.ohm_sample_fraction, cfg.B,
+                    cfg.margin, rng, cfg.metric)
+            if spec.batch == "pk":
+                rows = sampling.sample_pk_batch(dataset, cfg.P, cfg.K, rng).rows
+            else:
+                triplets = mined if spec.batch == "mined" else \
+                    sampling.sample_random_triplets(dataset, cfg.B, rng)
+                rows = triplets.ravel()
             emb, acts = numcore.mlp_forward(params, dataset.features[rows])
             report = spec.call(emb, labels, *values)
         if not math.isfinite(report.loss):
@@ -154,9 +153,9 @@ def train(cfg: RunConfig, dataset: sampling.LabeledDataset,
             initial_median = median
         else:
             recent.append((median, report.active_fraction))
-        if diagnostics.collapse_alarm(initial_median, recent):
-            raise CollapseError(t, trigger=diagnostics.AlarmTrigger.of(
-                initial_median, recent))
+        trigger = diagnostics.collapse_alarm(initial_median, recent)
+        if trigger is not None:
+            raise CollapseError(t, trigger=trigger)
 
     return TrainResult(params, state)
 
@@ -239,10 +238,14 @@ def identity_disjoint_split(dataset: sampling.LabeledDataset,
                             val_fraction: float,
                             seed: int) -> tuple[sampling.LabeledDataset,
                                                 sampling.LabeledDataset]:
-    """Split by identity so train and validation share no person."""
-    if not len(dataset):
-        raise sampling.SamplingError("dataset has no identities to split")
-    n_val = max(1, int(round(val_fraction * len(np.unique(dataset.pids)))))
+    """Split by identity so train and validation share no person; a split
+    that leaves training no identity raises SamplingError."""
+    ids = len(np.unique(dataset.pids))
+    n_val = max(1, int(round(val_fraction * ids)))
+    if n_val >= ids:
+        raise sampling.SamplingError(
+            f"the dataset's {ids} identities, at validation fraction "
+            f"{val_fraction:g}, leave no identities to split off for training")
     val_mask = _validation_mask(dataset.pids, n_val, seed)
     return dataset.subset(np.flatnonzero(~val_mask)), \
         dataset.subset(np.flatnonzero(val_mask))

@@ -76,6 +76,13 @@ class TestDatagen:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "train.csv").exists()
 
+    def test_camera_count_past_int64_exits_2(self, tmp_path, capsys):
+        rc = cli.main(["datagen", "--ids", "4", "--per-id", "4", "--dim", "2",
+                       "--cameras", str(10 ** 26), "-o", str(tmp_path)])
+        assert rc == cli.EXIT_USAGE
+        assert "num_cameras" in capsys.readouterr().err
+        assert not (tmp_path / "train.csv").exists()
+
 
 class TestTrain:
     def test_writes_checkpoint_and_log(self, tmp_path):
@@ -203,11 +210,18 @@ class TestTrain:
         assert exc.value.code == cli.EXIT_USAGE
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("loss", losses.LOSS_NAMES)
     def test_nonfinite_loss_exits_4_without_checkpoint(self, tmp_path,
-                                                       capsys):
+                                                       capsys, loss):
+        """Every loss diverges at this rate. A NaN term must count as
+        active, or nonzero averaging reports a loss of 0; `triplet_ohm`,
+        mining again every step, must not warn from the mining."""
         data = make_data(tmp_path)
         capsys.readouterr()
-        rc, out = quick_train(tmp_path, data, extra=("--eps0", "1e300"))
+        mining = ("--ohm-refresh-every", "1", "--ohm-sample-fraction", "1.0")
+        rc, out = quick_train(tmp_path, data, extra=(
+            "--eps0", "1e300", "--loss", loss,
+            *(mining if loss == "triplet_ohm" else ())))
         assert rc == cli.EXIT_COLLAPSE
         assert "non-finite loss at iteration" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "checkpoint.json"))
@@ -823,3 +837,20 @@ class TestTooSmallDataset:
                        "-o", str(tmp_path / "bench")])
         assert rc == cli.EXIT_DATA
         assert "no identities to split" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ids, fraction", [(4, "0.9"), (1, "0.3")])
+    def test_bench_losses_needs_an_identity_to_train(
+            self, tmp_path, capsys, monkeypatch, ids, fraction):
+        data = make_data(tmp_path, ids=ids)
+        trained = []
+        monkeypatch.setattr(training, "train",
+                            lambda *a, **k: trained.append(a))
+        out = tmp_path / "bench"
+        rc = cli.main(["bench-losses", "--data", data, "--val-fraction",
+                       fraction, "-o", str(out)])
+        assert rc == cli.EXIT_DATA
+        assert (f"the dataset's {ids} identities, at validation fraction "
+                f"{fraction}, leave no identities to split off for training"
+                in capsys.readouterr().err)
+        assert trained == []
+        assert not out.exists()

@@ -46,6 +46,9 @@ class TestGenerate:
         ds = generate(GenSpec(num_identities=2, items_per_identity=4,
                               num_cameras=4, seed=0))
         assert ds.cams.tolist() == [0, 1, 2, 3] * 2
+        most = generate(GenSpec(num_identities=2, items_per_identity=4,
+                                num_cameras=2 ** 63 - 1, seed=0))
+        assert most.cams.tolist() == list(range(8))
 
     def test_separability_nearest_centroid(self):
         ds = generate(GenSpec(num_identities=8, items_per_identity=10,
@@ -64,8 +67,9 @@ class TestGenerate:
             GenSpec(outlier_rate=1.0)
         with pytest.raises(ValueError):
             GenSpec(intra_spread=-1.0)
-        with pytest.raises(ValueError, match="num_cameras"):
-            GenSpec(num_cameras=0)
+        for cameras in (0, 2 ** 63):    # camera ids are int64
+            with pytest.raises(ValueError, match="num_cameras"):
+                GenSpec(num_cameras=cameras)
         with pytest.raises(ValueError, match="feature_dim"):
             GenSpec(feature_dim=0)
 

@@ -169,31 +169,30 @@ class TestCollapseAlarm:
             # the whole tail after the first step, and only the window
             # that `train` keeps of it
             for kept in (history[1:end], deque(history[1:end], window)):
-                assert collapse_alarm(1.0, kept) == want
+                assert (collapse_alarm(1.0, kept) is not None) == want
 
     def test_healthy_history(self):
         history = [(1.0 + 0.01 * i, 0.5) for i in range(300)]
-        assert not collapse_alarm(1.0, history[1:])
+        assert collapse_alarm(1.0, history[1:]) is None
 
     def test_constructed_collapse(self):
         recent = [(1e-5, 1.0)] * 301
-        assert collapse_alarm(1.0, recent)
+        assert collapse_alarm(1.0, recent) is not None
 
     def test_needs_saturated_activity(self):
         recent = [(1e-5, 0.5)] * 301
-        assert not collapse_alarm(1.0, recent)
+        assert collapse_alarm(1.0, recent) is None
 
     def test_short_history_never_fires(self):
         history = [(1e-9, 1.0)] * 10
-        assert not collapse_alarm(history[0][0], history[1:])
+        assert collapse_alarm(history[0][0], history[1:]) is None
 
 
     def test_trigger_reads_the_window(self, monkeypatch):
         monkeypatch.setattr(diagnostics, "COLLAPSE_WINDOW", 3)
         recent = deque([(1.0, 0.1), (4e-4, 0.995), (2e-4, 1.0), (3e-4, 1.0)],
                        maxlen=4)
-        assert collapse_alarm(0.5, recent)
-        trigger = AlarmTrigger.of(0.5, recent)
+        trigger = collapse_alarm(0.5, recent)
         assert trigger == AlarmTrigger(0.5, 4e-4 / 0.5, 0.995, 3)
         assert str(trigger) == (
             "over the last 3 steps the median pair distance was at most "

@@ -9,6 +9,13 @@ from tripletkit.numcore import (SLOPE, ConfigError, DimensionError,
                                 mlp_backward, mlp_forward)
 
 
+def backward(params, acts, upstream):
+    """`mlp_backward`'s gradients, written into a new bundle."""
+    grads = numcore.GradBundle(params.layers)
+    assert mlp_backward(params, acts, upstream, grads) is None
+    return grads
+
+
 @pytest.mark.parametrize("x, expected", [
     ([-1.0], [-0.3]),
     ([2.0], [2.0]),
@@ -78,7 +85,7 @@ def test_backward_zero_upstream():
     p = init_params([4, 5, 3], seed=2)
     x = np.random.default_rng(2).standard_normal((6, 4))
     _, acts = mlp_forward(p, x)
-    g = mlp_backward(p, acts, np.zeros((6, 3)))
+    g = backward(p, acts, np.zeros((6, 3)))
     for dw, db in g.layers:
         assert np.all(dw == 0)
         assert np.all(db == 0)
@@ -90,7 +97,7 @@ def test_backward_linear_closed_form():
     x = np.random.default_rng(5).standard_normal((7, 3))
     up = np.random.default_rng(6).standard_normal((7, 2))
     _, acts = mlp_forward(p, x)
-    g = mlp_backward(p, acts, up)
+    g = backward(p, acts, up)
     assert np.allclose(g.layers[0][0], x.T @ up, atol=1e-12)
     assert np.allclose(g.layers[0][1], up.sum(axis=0), atol=1e-12)
 
@@ -110,7 +117,7 @@ def test_backward_matches_finite_differences():
         emb, _ = mlp_forward(params, x)
         return float(np.sum(emb * up))
 
-    g = mlp_backward(p, acts, up)
+    g = backward(p, acts, up)
     step = 1e-4
     for li, (w, b) in enumerate(p.layers):
         for arr_i, arr in enumerate((w, b)):
@@ -219,10 +226,14 @@ class TestFlatLayout:
         _, acts = mlp_forward(p, x)
         out = numcore.GradBundle(p.layers)
         buf = out.flat
-        assert mlp_backward(p, acts, up, out) is out
+        assert mlp_backward(p, acts, up, out) is None
         assert out.flat is buf
-        fresh = mlp_backward(p, acts, up)
-        assert fresh.flat.tobytes() == out.flat.tobytes()
+        # every value is written: a bundle of NaNs ends the same
+        blank = numcore.GradBundle([(np.full_like(w, np.nan),
+                                     np.full_like(b, np.nan))
+                                    for w, b in p.layers])
+        mlp_backward(p, acts, up, blank)
+        assert blank.flat.tobytes() == out.flat.tobytes()
 
     def test_hand_written_checkpoint_loads_and_resaves_byte_stable(self, tmp_path):
         doc = {"layer_widths": [2, 3, 1], "slope": 0.3, "seed": None,
@@ -276,7 +287,7 @@ class TestBackwardDerivative:
                        (column[:, None], np.zeros(1))])
         pre = SPECIAL[None, :]
         acts = [np.ones((1, 2)), leaky_relu(pre)]
-        got = mlp_backward(p, acts, np.ones((1, 1)))
+        got = backward(p, acts, np.ones((1, 1)))
         want = masked_backward(p, [pre], acts, np.ones((1, 1)))
         assert got.flat.tobytes() == want.flat.tobytes()
         delta = (np.ones((1, 1)) @ p.layers[1][0].T)[0]
@@ -294,6 +305,6 @@ class TestBackwardDerivative:
         up[0, 0] = -0.0
         # inf and NaN inputs give NaN weight gradients in both passes
         with np.errstate(invalid="ignore"):
-            got = mlp_backward(p, acts, up)
+            got = backward(p, acts, up)
             want = masked_backward(p, pres, acts, up)
         assert got.flat.tobytes() == want.flat.tobytes()

@@ -43,9 +43,9 @@ def test_zero_gradient_step():
     g = numcore.GradBundle([(np.zeros_like(w), np.zeros_like(b))
                             for w, b in p.layers])
     before = numcore.MlpParams(p.layers)   # adam_step updates p in place
-    p2, s2 = adam_step(p, g, s, lr=1e-3)
-    assert s2.step_count == 1
-    for (w0, b0), (w1, b1) in zip(before.layers, p2.layers):
+    assert adam_step(p, g, s, lr=1e-3) is None
+    assert s.step_count == 1
+    for (w0, b0), (w1, b1) in zip(before.layers, p.layers):
         assert np.array_equal(w0, w1)
         assert np.array_equal(b0, b1)
 
@@ -84,8 +84,8 @@ def test_first_step_matches_reference():
                              rng.standard_normal(b.shape))
                             for w, b in p.layers])
     before = numcore.MlpParams(p.layers)   # adam_step updates p in place
-    p2, _ = adam_step(p, g, s, lr=1e-3)
-    for (w, b), (dw, db), (w2, b2) in zip(before.layers, g.layers, p2.layers):
+    adam_step(p, g, s, lr=1e-3)
+    for (w, b), (dw, db), (w2, b2) in zip(before.layers, g.layers, p.layers):
         ref_w, _, _ = reference_adam(w, dw, np.zeros_like(w), np.zeros_like(w),
                                      1, 1e-3, 0.9, 0.999, 1e-8)
         ref_b, _, _ = reference_adam(b, db, np.zeros_like(b), np.zeros_like(b),
@@ -104,7 +104,7 @@ def test_multi_step_matches_reference():
     for t in range(1, 20):
         g_w = rng.standard_normal(w_ref.shape)
         g = numcore.GradBundle([(g_w, np.zeros(3))])
-        p, s = adam_step(p, g, s, lr=1e-3)
+        adam_step(p, g, s, lr=1e-3)
         w_ref, m, v = reference_adam(w_ref, g_w, m, v, t, 1e-3, 0.9, 0.999, 1e-8)
         assert np.allclose(p.layers[0][0], w_ref, atol=1e-14)
 
@@ -115,7 +115,7 @@ def test_constant_gradient_monotone_trajectory():
     g = numcore.GradBundle([(np.full((1, 1), 0.5), np.zeros(1))])
     prev = p.layers[0][0][0, 0]
     for _ in range(1000):
-        p, s = adam_step(p, g, s, lr=1e-3)
+        adam_step(p, g, s, lr=1e-3)
         cur = p.layers[0][0][0, 0]
         assert cur < prev             # moves opposite the gradient sign
         prev = cur
@@ -130,7 +130,7 @@ def test_no_nan_on_finite_inputs():
         g = numcore.GradBundle([(1e6 * rng.standard_normal(w.shape),
                                  1e6 * rng.standard_normal(b.shape))
                                 for w, b in p.layers])
-        p, s = adam_step(p, g, s, lr=1.0)
+        adam_step(p, g, s, lr=1.0)
         assert all(np.all(np.isfinite(w)) and np.all(np.isfinite(b))
                    for w, b in p.layers)
 
@@ -139,10 +139,12 @@ def test_beta1_drop():
     p = _tiny_params()
     s = AdamState.for_params(p)
     sched = Schedule(1e-3, 100, 200)
-    assert beta1_drop(s, 99, sched).beta1 == 0.9
-    dropped = beta1_drop(s, 100, sched)
-    assert dropped.beta1 == 0.5
-    assert beta1_drop(dropped, 150, sched).beta1 == 0.5
+    beta1_drop(s, 99, sched)
+    assert s.beta1 == 0.9
+    assert beta1_drop(s, 100, sched) is None     # changes `s` in place
+    assert s.beta1 == 0.5
+    beta1_drop(s, 150, sched)
+    assert s.beta1 == 0.5
 
 
 def test_state_serialization_round_trip():
@@ -150,7 +152,7 @@ def test_state_serialization_round_trip():
     s = AdamState.for_params(p)
     g = numcore.GradBundle([(np.ones_like(w), np.ones_like(b))
                             for w, b in p.layers])
-    _, s = adam_step(p, g, s, lr=1e-3)
+    adam_step(p, g, s, lr=1e-3)
     restored = AdamState.from_dict(s.to_dict())
     assert restored.step_count == s.step_count
     assert restored.beta1 == s.beta1
