@@ -26,72 +26,78 @@ BENCH_MARGINS = ("0.1", "0.2", "0.5", "1.0", "soft")
 
 
 def int_list(text: str) -> list[int]:
-    """Comma-separated integers, as `--widths` and `--cmc-ranks` take them."""
+    """Comma-separated integers, as `--widths` takes them."""
     return [int(v) for v in text.split(",")]
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def int_tuple(text: str) -> tuple[int, ...]:
+    """Comma-separated integers, as `--cmc-ranks` takes them."""
+    return tuple(int_list(text))
+
+
+def _add_command(sub, name: str, run, summary: str) -> argparse.ArgumentParser:
+    """A command's parser and the flags all commands take. A flag that fills
+    a config field stores under its name only when given: no default here."""
+    p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+    p.set_defaults(run=run)
     p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", "-o", default=".", help="output directory")
+    return p
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     """The dataset and training-run flags `train` and `bench-losses` share."""
     p.add_argument("--data", required=True, help="dataset CSV")
-    p.add_argument("--P", type=int, default=8)
-    p.add_argument("--K", type=int, default=4)
-    p.add_argument("--B", type=int, default=12)
-    p.add_argument("--widths", type=int_list, default="16,32,32",
+    p.add_argument("--seed", type=int)
+    p.add_argument("--P", type=int)
+    p.add_argument("--K", type=int)
+    p.add_argument("--B", type=int)
+    p.add_argument("--widths", dest="layer_widths", type=int_list,
                    help="comma-separated layer widths, input first (the "
                         "data's feature width replaces the first)")
-    p.add_argument("--eps0", type=float, default=1e-3)
-    p.add_argument("--t0", type=int, default=1500)
-    p.add_argument("--t1", type=int, default=2500)
+    p.add_argument("--eps0", type=float)
+    p.add_argument("--t0", type=int)
+    p.add_argument("--t1", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="tripletkit")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("datagen", help="generate a synthetic identity dataset")
-    p.set_defaults(run=cmd_datagen)
-    _add_common(p)
-    p.add_argument("--ids", type=int, required=True)
-    p.add_argument("--per-id", type=int, required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--cameras", type=int, default=4)
-    p.add_argument("--identity-spread", type=float, default=4.0)
-    p.add_argument("--intra-spread", type=float, default=0.5)
-    p.add_argument("--outlier-rate", type=float, default=0.0)
+    p = _add_command(sub, "datagen", cmd_datagen,
+                     "generate a synthetic identity dataset")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--ids", dest="num_identities", type=int, required=True)
+    p.add_argument("--per-id", dest="items_per_identity", type=int, required=True)
+    p.add_argument("--dim", dest="feature_dim", type=int, required=True)
+    p.add_argument("--cameras", dest="num_cameras", type=int)
+    p.add_argument("--identity-spread", type=float)
+    p.add_argument("--intra-spread", type=float)
+    p.add_argument("--outlier-rate", type=float)
     p.add_argument("--name", default="train")
 
-    p = sub.add_parser("train", help="train an embedding model")
-    p.set_defaults(run=cmd_train)
-    _add_common(p)
+    p = _add_command(sub, "train", cmd_train, "train an embedding model")
     _add_run_flags(p)
-    p.add_argument("--loss", choices=losses.LOSS_NAMES, default="batch_hard")
-    p.add_argument("--margin", default="soft",
-                   help="'soft' or a nonnegative real")
-    p.add_argument("--metric", choices=losses.METRICS, default="euclidean")
-    p.add_argument("--ohm-sample-fraction", type=float, default=0.25)
-    p.add_argument("--ohm-refresh-every", type=int, default=500)
+    p.add_argument("--loss", choices=losses.LOSS_NAMES)
+    p.add_argument("--margin", help="'soft' or a nonnegative real")
+    p.add_argument("--metric", choices=losses.METRICS)
+    p.add_argument("--ohm-sample-fraction", type=float)
+    p.add_argument("--ohm-refresh-every", type=int)
 
-    p = sub.add_parser("evaluate", help="evaluate a checkpoint")
-    p.set_defaults(run=cmd_evaluate)
-    _add_common(p)
+    p = _add_command(sub, "evaluate", cmd_evaluate, "evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--gallery", required=True)
-    p.add_argument("--multi-query", action="store_true")
-    p.add_argument("--no-camera-filter", action="store_true")
-    p.add_argument("--cmc-ranks", type=int_list, default="1,5,10")
-    p.add_argument("--distractors", help="extra gallery CSV, identities "
-                                         "disjoint from queries")
+    p.add_argument("--multi-query", dest="mode", action="store_const",
+                   const="multi_query")
+    p.add_argument("--no-camera-filter", dest="exclude_same_camera_same_id",
+                   action="store_false")
+    p.add_argument("--cmc-ranks", type=int_tuple)
+    p.add_argument("--distractors", default=None,
+                   help="extra gallery CSV, identities disjoint from queries")
 
-    p = sub.add_parser("bench-losses", help="train/evaluate a loss x margin grid")
-    p.set_defaults(run=cmd_bench_losses)
-    _add_common(p)
+    p = _add_command(sub, "bench-losses", cmd_bench_losses,
+                     "train/evaluate a loss x margin grid")
     _add_run_flags(p)
     p.add_argument("--losses", default="batch_hard,batch_all",
                    help="comma-separated subset of the loss enumeration")
@@ -134,33 +140,31 @@ def _config_flags(path: str, parser: argparse.ArgumentParser,
     return flags
 
 
-def _run_config(args: argparse.Namespace, **fields) -> training.RunConfig:
-    """The run the shared run flags and `--seed` describe, with the
-    command's own `fields` on top."""
-    return training.RunConfig(
-        P=args.P, K=args.K, B=args.B,
-        layer_widths=args.widths,
-        schedule=optim.Schedule(args.eps0, args.t0, args.t1),
-        seed=args.seed, **fields)
+def _given(args: argparse.Namespace, cls) -> dict:
+    """The fields of dataclass `cls` that the given flags set."""
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+            if hasattr(args, f.name)}
+
+
+def _run_config(args: argparse.Namespace) -> training.RunConfig:
+    """The run the given flags describe."""
+    fields = _given(args, training.RunConfig)
+    if "margin" in fields:
+        fields["margin"] = losses.parse_margin(fields["margin"])
+    return training.RunConfig(schedule=dataclasses.replace(
+        training.RunConfig().schedule, **_given(args, optim.Schedule)),
+        **fields)
 
 
 def cmd_datagen(args) -> int:
-    spec = datagen.GenSpec(
-        num_identities=args.ids, items_per_identity=args.per_id,
-        feature_dim=args.dim, identity_spread=args.identity_spread,
-        intra_spread=args.intra_spread, num_cameras=args.cameras,
-        outlier_rate=args.outlier_rate, seed=args.seed)
+    spec = datagen.GenSpec(**_given(args, datagen.GenSpec))
     csv_path, json_path = datagen.write_generated(args.out, spec, args.name)
     print(f"wrote {csv_path} and {json_path}")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    cfg = _run_config(args, loss=args.loss,
-                      margin=losses.parse_margin(args.margin),
-                      metric=args.metric,
-                      ohm_sample_fraction=args.ohm_sample_fraction,
-                      ohm_refresh_every=args.ohm_refresh_every)
+    cfg = _run_config(args)
     dataset = sampling.read_dataset_csv(args.data)
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "train_log.csv")
@@ -185,10 +189,7 @@ def _print_eval(tag: str, result: evalkit.EvalResult) -> None:
 
 def cmd_evaluate(args) -> int:
     try:
-        protocol = evalkit.EvalProtocol(
-            mode="multi_query" if args.multi_query else "single_query",
-            exclude_same_camera_same_id=not args.no_camera_filter,
-            cmc_ranks=tuple(args.cmc_ranks))
+        protocol = evalkit.EvalProtocol(**_given(args, evalkit.EvalProtocol))
     except evalkit.ProtocolError as exc:     # a bad flag, not bad data
         raise ValueError(f"--cmc-ranks: {exc}") from None
     params, _ = numcore.load_checkpoint(args.checkpoint)
@@ -263,7 +264,13 @@ def cmd_bench_losses(args) -> int:
     base = _run_config(args)
     dataset = sampling.read_dataset_csv(args.data)
     train_set, val_set = training.identity_disjoint_split(
-        dataset, args.val_fraction, args.seed)
+        dataset, args.val_fraction, base.seed)
+    index = train_set.identity_index()
+    if index.identities < 2 or len(index.counts) == 0:    # no loss can train
+        raise sampling.SamplingError(
+            "every loss needs 2 training identities and one with 2 rows; "
+            f"the split leaves {index.identities} identities, "
+            f"{len(index.counts)} with 2 or more rows")
     os.makedirs(args.out, exist_ok=True)
 
     # cells of one grid share every field but loss and margin, so a cell

@@ -43,6 +43,8 @@ class MarginMode:
             raise ValueError(f"margin must be finite, got {self.m}")
         if self.kind == "hard" and self.m < 0:
             raise ValueError("hard margin must be nonnegative")
+        if self.kind != "hard" and (self.kind, self.m) != ("soft", 0):
+            raise ValueError(f"margin must be hard(m) or soft, got {self}")
 
     @classmethod
     def hard(cls, m: float) -> "MarginMode":

@@ -28,9 +28,9 @@ class ScheduleError(ValueError):
 
 @dataclass(frozen=True)
 class Schedule:
-    eps0: float = 1e-3
-    t0: int = 15000
-    t1: int = 25000
+    eps0: float
+    t0: int
+    t1: int
 
     def __post_init__(self):
         if not (0 < self.t0 < self.t1):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tripletkit import (cli, diagnostics, evalkit, losses, numcore, optim,
-                        training)
+from tripletkit import (cli, datagen, diagnostics, evalkit, losses, numcore,
+                        optim, training)
 from tripletkit.sampling import LabeledDataset, read_dataset_csv, write_dataset_csv
 
 
@@ -268,8 +269,31 @@ class TestTrain:
         assert not os.path.exists(os.path.join(out, "checkpoint.json"))
 
 
-@pytest.mark.parametrize("command", ["train", "bench-losses"])
-def test_shared_run_flags_reach_run_config(tmp_path, monkeypatch, command):
+SHARED_FLAGS = ["--P", "3", "--K", "2", "--B", "5", "--widths", "5,7,4",
+                "--eps0", "0.002", "--t0", "11", "--t1", "13", "--seed", "9"]
+SHARED_CONFIG = training.RunConfig(P=3, K=2, B=5, layer_widths=[5, 7, 4],
+                                   schedule=optim.Schedule(0.002, 11, 13),
+                                   seed=9)
+TRAIN_FLAGS = ["--loss", "lifted", "--margin", "0.3", "--metric",
+               "squared_euclidean", "--ohm-sample-fraction", "0.5",
+               "--ohm-refresh-every", "7"]
+
+
+@pytest.mark.parametrize("command, flags, want", [
+    ("train", SHARED_FLAGS, SHARED_CONFIG),
+    ("bench-losses", SHARED_FLAGS, SHARED_CONFIG),
+    ("train", [], training.RunConfig()),
+    ("bench-losses", [], training.RunConfig()),
+    ("train", SHARED_FLAGS + TRAIN_FLAGS, dataclasses.replace(
+        SHARED_CONFIG, loss="lifted", margin=losses.MarginMode.hard(0.3),
+        metric="squared_euclidean", ohm_sample_fraction=0.5,
+        ohm_refresh_every=7)),
+], ids=["train", "bench-losses", "train-defaults", "bench-losses-defaults",
+        "train-only-flags"])
+def test_shared_run_flags_reach_run_config(tmp_path, monkeypatch, command,
+                                           flags, want):
+    """Each flag sets its field; a field no flag sets keeps `RunConfig`'s
+    default (a grid cell's loss and margin come from the grid)."""
     data = make_data(tmp_path, ids=8)
     seen = []
 
@@ -278,14 +302,64 @@ def test_shared_run_flags_reach_run_config(tmp_path, monkeypatch, command):
         raise training.CollapseError(1)
 
     monkeypatch.setattr(training, "train", capture)
-    cli.main([command, "--data", data, "--P", "3", "--K", "2", "--B", "5",
-              "--widths", "5,7,4", "--eps0", "0.002", "--t0", "11",
-              "--t1", "13", "--seed", "9", "-o", str(tmp_path / "out")])
+    cli.main([command, "--data", data, *flags, "-o", str(tmp_path / "out")])
     assert seen
     for cfg in seen:
-        assert (cfg.P, cfg.K, cfg.B, cfg.layer_widths, cfg.schedule,
-                cfg.seed) == (3, 2, 5, [5, 7, 4],
-                              optim.Schedule(0.002, 11, 13), 9)
+        if command == "bench-losses":
+            cfg = dataclasses.replace(cfg, loss=want.loss, margin=want.margin)
+        assert cfg == want
+
+
+@pytest.mark.parametrize("flags, want", [
+    ([], datagen.GenSpec(num_identities=4, items_per_identity=3,
+                         feature_dim=2)),
+    (["--cameras", "3", "--identity-spread", "2.5", "--intra-spread", "0.25",
+      "--outlier-rate", "0.1", "--seed", "6"],
+     datagen.GenSpec(num_identities=4, items_per_identity=3, feature_dim=2,
+                     identity_spread=2.5, intra_spread=0.25, num_cameras=3,
+                     outlier_rate=0.1, seed=6)),
+], ids=["defaults", "every-flag"])
+def test_datagen_flags_reach_gen_spec(tmp_path, monkeypatch, flags, want):
+    seen = []
+    monkeypatch.setattr(datagen, "write_generated",
+                        lambda out, spec, name: seen.append(spec) or ("", ""))
+    assert cli.main(["datagen", "--ids", "4", "--per-id", "3", "--dim", "2",
+                     *flags, "-o", str(tmp_path)]) == cli.EXIT_OK
+    assert seen == [want]
+
+
+@pytest.mark.parametrize("flags, want", [
+    ([], evalkit.EvalProtocol()),
+    (["--multi-query", "--no-camera-filter", "--cmc-ranks", "1,2"],
+     evalkit.EvalProtocol(mode="multi_query",
+                          exclude_same_camera_same_id=False,
+                          cmc_ranks=(1, 2))),
+], ids=["defaults", "every-flag"])
+def test_evaluate_flags_reach_eval_protocol(tmp_path, monkeypatch, flags,
+                                            want):
+    data = make_data(tmp_path)
+    rc, out = quick_train(tmp_path, data)
+    seen = []
+
+    def capture(queries, gallery, protocol):
+        seen.append(protocol)
+        raise evalkit.ProtocolError("captured")
+
+    monkeypatch.setattr(evalkit, "evaluate", capture)
+    assert cli.main(["evaluate", "--checkpoint",
+                     os.path.join(out, "checkpoint.json"), "--queries", data,
+                     "--gallery", data, *flags, "-o", out]) == cli.EXIT_DATA
+    assert seen == [want]
+
+
+def test_evaluate_takes_no_seed(tmp_path, capsys):
+    """`evaluate` draws no random numbers, so `--seed` is an unknown flag."""
+    missing = str(tmp_path / "missing.csv")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["evaluate", "--checkpoint", missing, "--queries", missing,
+                  "--gallery", missing, "--seed", "1"])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "--seed" in capsys.readouterr().err
 
 
 class TestEvaluate:
@@ -854,3 +928,36 @@ class TestTooSmallDataset:
                 in capsys.readouterr().err)
         assert trained == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("ids, per_id, usable", [(6, 1, 0), (2, 4, 1)])
+    def test_bench_losses_needs_a_split_some_loss_can_train(
+            self, tmp_path, capsys, monkeypatch, ids, per_id, usable):
+        """One-row identities, or a single training identity, leave no loss
+        anything to train on; the command exits 3 before any cell."""
+        data = make_data(tmp_path, ids=ids, per_id=per_id, dim=4)
+        trained = []
+        monkeypatch.setattr(training, "train",
+                            lambda *a, **k: trained.append(a))
+        out = tmp_path / "bench"
+        rc = cli.main(["bench-losses", "--data", data, "--t0", "2", "--t1",
+                       "4", "--losses", "batch_hard,triplet", "-o", str(out)])
+        assert rc == cli.EXIT_DATA
+        train_ids = ids - max(1, round(0.3 * ids))
+        assert (f"every loss needs 2 training identities and one with 2 "
+                f"rows; the split leaves {train_ids} identities, {usable} "
+                "with 2 or more rows" in capsys.readouterr().err)
+        assert trained == []
+        assert not out.exists()
+
+    def test_bench_losses_pk_shortfall_fails_cell_by_cell(self, tmp_path):
+        """Fewer usable identities than --P fails the PK cells only."""
+        data = make_data(tmp_path, ids=6, dim=4)
+        out = tmp_path / "bench"
+        rc = cli.main(["bench-losses", "--data", data, "--t0", "2", "--t1",
+                       "4", "--losses", "batch_hard,triplet", "--margins",
+                       "soft", "-o", str(out)])
+        assert rc == cli.EXIT_OK
+        with open(out / "bench_losses.csv", newline="") as f:
+            status = {r["loss"]: r["status"] for r in csv.DictReader(f)}
+        assert status["batch_hard"].startswith("failed: ")
+        assert status["triplet"] == "ok"

@@ -96,6 +96,15 @@ class TestMarginApply:
             with pytest.raises(ValueError):
                 MarginMode.hard(float(text))
 
+    @pytest.mark.parametrize("kind, m", [("Hard", 0.2), ("softplus", 0.0),
+                                         ("", 0.0), ("soft", 3.0),
+                                         ("soft", -1.0)])
+    def test_margin_mode_rejects_values_it_would_ignore(self, kind, m):
+        """An unknown kind would train as softplus, and a soft margin's m
+        is never read."""
+        with pytest.raises(ValueError):
+            MarginMode(kind, m)
+
 
 ONE_D_BATCH = np.array([[0.0], [1.0], [1.5], [2.5]])
 ONE_D_LABELS = BatchLabels(np.array([0, 0, 1, 1]))
