@@ -202,6 +202,9 @@ def cmd_evaluate(args) -> int:
             raise evalkit.ProtocolError(
                 f"{name} feature width {dataset.feature_dim} does not match "
                 f"checkpoint input width {params.input_dim}")
+    if args.distractors:
+        evalkit.check_distractor_identities(data["distractors"].pids,
+                                            data["queries"].pids)
     os.makedirs(args.out, exist_ok=True)
     q_emb = training.embed_dataset(params, data["queries"])
     g_emb = training.embed_dataset(params, data["gallery"])

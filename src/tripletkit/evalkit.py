@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .numcore import row_blocks
 from .sampling import LabeledDataset
 
 
@@ -79,9 +80,10 @@ def average_precision(relevance: np.ndarray, num_relevant_total: int) -> float:
     return float(np.sum(rel * cum / ranks) / num_relevant_total)
 
 
-# Cap on the elements of each (query block x gallery) temporary, about 2 MB
-# of float64: memory stays bounded at any gallery size.
-_BLOCK_ELEMENTS = 1 << 18
+# Cap on the elements of each worker's (query block x gallery) distance
+# array, shared by the workers: 3.5 MB of float64 in flight at any gallery
+# size.
+_BLOCK_ELEMENTS = 7 << 16
 
 
 def _pool_queries(queries: LabeledDataset) -> LabeledDataset:
@@ -111,66 +113,91 @@ def _count_below(ordered: np.ndarray, rows: np.ndarray,
     return pos + (flat[pos] < values) - first
 
 
-def _relevant_ranks(dist: np.ndarray, relevant: np.ndarray,
-                    ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ranks of the relevant entries of a block of query rows.
-
-    A relevant entry's rank is 1 + the entries of its row that are closer
-    + the equally close entries of lower gallery index (the tie rule of
-    `rank_gallery`); entries set to +inf rank behind every finite one.
-    `ordered`, an array of `dist`'s shape, receives each row's distances
-    in ascending order. Returns (query row, rank) pairs ordered by query
-    row, then rank.
-    """
-    # flatnonzero and divmod: much faster than a 2-D nonzero, and the flat
-    # indices gather faster than (rows, cols)
-    flat = np.flatnonzero(relevant)
-    rows, cols = divmod(flat, dist.shape[1])
-    values = dist.ravel()[flat]
-    # what np.sort does, into a buffer of the caller's
-    np.copyto(ordered, dist)
-    ordered.sort(axis=1)
-    ranks = _count_below(ordered, rows, values) + 1
-    # ranks[i] indexes the entry after the relevant one; if it is as close,
-    # the two are tied and the gallery order must decide
-    after = np.minimum(ranks, dist.shape[1] - 1)
-    tied = (ranks < dist.shape[1]) & (ordered[rows, after] == values)
-    for row in np.unique(rows[tied]):
-        order = np.argsort(dist[row], kind="stable")
-        place = np.empty_like(order)
-        place[order] = np.arange(1, len(order) + 1)
-        lo, hi = np.searchsorted(rows, [row, row + 1])
-        ranks[lo:hi] = place[cols[lo:hi]]
-    order = np.lexsort((ranks, rows))
-    return rows, ranks[order]
-
-
-def _block_scores(q: np.ndarray, g: np.ndarray, query_sq: np.ndarray,
-                  gallery_sq: np.ndarray, queries: LabeledDataset,
-                  gallery: LabeledDataset, exclude_same_camera: bool,
-                  rows: slice,
-                  buffers: tuple) -> tuple[list[float], list[int]]:
-    """AP and first-hit rank of each answered query in one block of
-    `evaluate`: `q` and `g` are the shifted embeddings, `query_sq` and
-    `gallery_sq` their squared norms. `buffers` holds one worker's
-    (distances, sorted distances, relevant, excluded) arrays, each with at
-    least the block's rows and a column per gallery row; the block's
-    distances and masks are written into their first rows, so no block
-    allocates a (block rows x gallery rows) array of its own."""
-    dist, ordered, relevant, excluded = (
-        b[:rows.stop - rows.start] for b in buffers)
+def _block_distances(q: np.ndarray, g: np.ndarray, query_sq: np.ndarray,
+                     gallery_sq: np.ndarray, rows: slice,
+                     excluded: np.ndarray, dist: np.ndarray) -> None:
+    """Write the Euclidean distances of query rows `rows` to every gallery
+    row into `dist`, then +inf at the flat indices `excluded`. `q` and `g`
+    are the shifted embeddings, `query_sq` and `gallery_sq` their squared
+    norms; the same arguments write the same bits."""
     np.matmul(-2.0 * q[rows], g.T, out=dist)
     dist += query_sq[rows, None]
     dist += gallery_sq
     np.maximum(dist, 0.0, out=dist)
     np.sqrt(dist, out=dist)
-    np.equal(queries.pids[rows, None], gallery.pids, out=relevant)
-    if exclude_same_camera:
-        np.equal(queries.cams[rows, None], gallery.cams, out=excluded)
-        excluded &= relevant
-        dist[excluded] = np.inf
-        relevant ^= excluded        # excluded is a subset of relevant
-    query, ranks = _relevant_ranks(dist, relevant, ordered)
+    dist.ravel()[excluded] = np.inf
+
+
+def _relevant_ranks(dist: np.ndarray, query: np.ndarray, flat: np.ndarray,
+                    refill) -> np.ndarray:
+    """Ranks of the relevant entries of a block of query rows: rows
+    `query` (ascending) at flat indices `flat` into `dist`.
+
+    A relevant entry's rank is 1 + the entries of its row that are closer
+    + the equally close entries of lower gallery index (the tie rule of
+    `rank_gallery`); entries set to +inf rank behind every finite one.
+    Each row of `dist` is sorted in place. If a relevant entry is exactly
+    as close as another, `refill()` writes the block's distances into
+    `dist` again and that row's ranks come from a stable argsort. Returns
+    the ranks ordered by query row, then rank.
+    """
+    width = dist.shape[1]
+    values = dist.ravel()[flat]
+    dist.sort(axis=1)
+    ranks = _count_below(dist, query, values) + 1
+    # ranks[i] indexes the entry after the relevant one; if it is as close,
+    # the two are tied and the gallery order must decide
+    after = np.minimum(ranks, width - 1)
+    tied = (ranks < width) & (dist[query, after] == values)
+    if tied.any():
+        refill()
+        for row in np.unique(query[tied]):
+            order = np.argsort(dist[row], kind="stable")
+            place = np.empty_like(order)
+            place[order] = np.arange(1, len(order) + 1)
+            lo, hi = np.searchsorted(query, [row, row + 1])
+            ranks[lo:hi] = place[flat[lo:hi] - row * width]
+    return ranks[np.lexsort((ranks, query))]
+
+
+def _identity_lookup(queries: LabeledDataset,
+                     gallery: LabeledDataset) -> tuple[np.ndarray, ...]:
+    """(order, lo, hi): gallery rows grouped by identity, ascending within
+    each, and per query the span order[lo:hi] of its identity's rows."""
+    order = np.argsort(gallery.pids, kind="stable")
+    ids = gallery.pids[order]
+    return (order, np.searchsorted(ids, queries.pids, "left"),
+            np.searchsorted(ids, queries.pids, "right"))
+
+
+def _block_scores(q: np.ndarray, g: np.ndarray, query_sq: np.ndarray,
+                  gallery_sq: np.ndarray, query_cams: np.ndarray | None,
+                  gallery_cams: np.ndarray, lookup: tuple, rows: slice,
+                  buffer: np.ndarray) -> tuple[list[float], list[int]]:
+    """AP and first-hit rank of each answered query in one block of
+    `evaluate`. `query_cams` is None when the camera filter is off;
+    `lookup` is `_identity_lookup`'s. `buffer`, one worker's float64 array
+    with at least the block's rows and a column per gallery row, takes the
+    block's distances in its first rows, so no block allocates a (block
+    rows x gallery rows) array of its own."""
+    order, lo, hi = lookup
+    dist = buffer[:rows.stop - rows.start]
+    width = dist.shape[1]
+    # each query's gallery rows of its identity, in (query, row) order
+    count = hi[rows] - lo[rows]
+    query = np.repeat(np.arange(len(dist)), count)
+    cols = order[np.arange(len(query)) + np.repeat(
+        lo[rows] - (np.cumsum(count) - count), count)]
+    flat = query * width + cols
+    excluded = flat[:0]
+    if query_cams is not None:
+        same = query_cams[rows][query] == gallery_cams[cols]
+        keep = ~same
+        excluded, query, flat = flat[same], query[keep], flat[keep]
+    refill = functools.partial(_block_distances, q, g, query_sq, gallery_sq,
+                               rows, excluded, dist)
+    refill()
+    ranks = _relevant_ranks(dist, query, flat, refill)
     num_rel = np.bincount(query, minlength=len(dist))
     # k-th closest relevant row at rank r: precision k / r
     k = np.arange(1, len(ranks) + 1) - np.repeat(
@@ -241,22 +268,27 @@ def evaluate(queries: LabeledDataset, gallery: LabeledDataset,
     unanswerable queries are skipped.
 
     Queries are taken in blocks: one matrix product gives a block's
-    distances to the whole gallery, each query's distances are sorted
-    (values only), and each relevant row's rank is found by binary search
-    in them. For G gallery rows and R relevant ones a query costs
-    O((G + R) log G), however large R is. Only a query whose relevant row
-    is exactly as close as another row falls back to a stable argsort of
-    its distances, the tie rule of `rank_gallery`.
+    distances to the whole gallery. Each query's relevant gallery rows come
+    from a lookup of the gallery's identities, built once per call; the
+    camera filter sets the excluded ones to +inf. Their distances are
+    gathered, each query's distances are sorted in place (values only),
+    and each relevant row's rank is found by binary search in them. For G
+    gallery rows and R relevant ones a query costs O((G + R) log G),
+    however large R is. Only a block with a relevant row exactly as close
+    as another row computes its distances again (the same product, so the
+    same bits), and that query falls back to a stable argsort of its
+    distances, the tie rule of `rank_gallery`.
 
     Blocks run on a pool of one thread per CPU the process may use, when
     there are at least two full-size blocks. Each query's result depends
     on its own row only and blocks are joined in query order, so the
     result does not depend on the CPU count. While a multithreaded BLAS
     runs its own threads on those CPUs, the loop stays serial (see
-    `_available_cpus`). Each worker scores its blocks in one set of
-    distance, sorted-distance and mask arrays, allocated here on the
-    calling thread before any block runs; the workers share one element
-    budget, so the sets together take what one worker's would.
+    `_available_cpus`). Each worker scores its blocks in one float64
+    distance array, allocated here on the calling thread before any block
+    runs; a block's own arrays are sized by its relevant (query, gallery
+    row) pairs. The workers share one element budget, so the arrays
+    together take what one worker's would.
     """
     if queries.feature_dim != gallery.feature_dim:
         raise ProtocolError("query/gallery embedding widths differ")
@@ -286,28 +318,22 @@ def evaluate(queries: LabeledDataset, gallery: LabeledDataset,
     n, cols = len(queries), max(len(gallery), 1)
     full_blocks = n // max(1, _BLOCK_ELEMENTS // cols)
     workers = min(_available_cpus(), full_blocks) if full_blocks > 1 else 1
-    # No block has one row unless there is one query: NumPy computes a
-    # one-row product with BLAS gemv, which rounds differently from the
-    # gemm of larger blocks, and a query's distances must not depend on
-    # how the queries are split. A one-row tail joins the block before it.
-    block = max(2, _BLOCK_ELEMENTS // workers // cols)
-    edges = [*range(0, n, block), n]
-    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-        del edges[-2]
-    blocks = [slice(*ends) for ends in zip(edges, edges[1:])]
+    # a query's distances must not depend on how the queries are split
+    blocks = row_blocks(n, _BLOCK_ELEMENTS // workers // cols)
     # Arrays a pool thread allocates come from a fresh malloc arena whose
     # pages it faults in on every call, while this thread's arena, warm
-    # from earlier work, sits idle; so each worker's set is allocated
+    # from earlier work, sits idle; so each worker's array is allocated
     # here, as large as the largest block (a one-row tail included).
-    shape = max((b.stop - b.start for b in blocks), default=0), len(gallery)
-    buffers = [(np.empty(shape), np.empty(shape), np.empty(shape, bool),
-                np.empty(shape, bool)) for _ in range(workers)]
+    shape = max(b.stop - b.start for b in blocks), len(gallery)
+    buffers = [np.empty(shape) for _ in range(workers)]
 
     # a module-level block function: as a closure over these names it made
     # loss_grid's serial 80-row calls 8% slower
+    query_cams = queries.cams if protocol.exclude_same_camera_same_id \
+        else None
     score = functools.partial(_block_scores, q, g, query_sq, gallery_sq,
-                              queries, gallery,
-                              protocol.exclude_same_camera_same_id)
+                              query_cams, gallery.cams,
+                              _identity_lookup(queries, gallery))
     aps, first_correct = [], []
     for block_aps, block_first in _run_blocks(score, blocks, buffers):
         aps += block_aps
@@ -333,16 +359,24 @@ def combine_embeddings_max(embeddings: list[np.ndarray]) -> np.ndarray:
     return np.max(np.asarray(embeddings, dtype=np.float64), axis=0)
 
 
-def inject_distractors(gallery: LabeledDataset, distractors: LabeledDataset,
-                       query_pids: np.ndarray) -> LabeledDataset:
-    """Append distractor rows to the gallery.
-
-    Distractor identities must be disjoint from every query identity so
-    they can never be relevant.
-    """
-    clash = np.intersect1d(np.unique(distractors.pids), np.unique(query_pids))
+def check_distractor_identities(distractor_pids: np.ndarray,
+                                query_pids: np.ndarray) -> None:
+    """Raise ProtocolError unless the distractor identities are disjoint
+    from every query identity, so a distractor can never be relevant."""
+    clash = np.intersect1d(distractor_pids, query_pids)
     if len(clash):
         raise ProtocolError(f"distractor identities collide with queries: {clash}")
+
+
+def inject_distractors(gallery: LabeledDataset, distractors: LabeledDataset,
+                       query_pids: np.ndarray) -> LabeledDataset:
+    """Append distractor rows to the gallery; see
+    `check_distractor_identities`. Both must have one embedding width."""
+    check_distractor_identities(distractors.pids, query_pids)
+    if gallery.feature_dim != distractors.feature_dim:
+        raise ProtocolError(f"gallery embedding width {gallery.feature_dim} "
+                            "differs from distractor embedding width "
+                            f"{distractors.feature_dim}")
     parts = [gallery, distractors]
     feats = np.concatenate([p.features for p in parts])
     pids = np.concatenate([p.pids for p in parts])

@@ -121,6 +121,22 @@ def init_params(layer_widths: list[int], seed: int) -> MlpParams:
     return MlpParams(layers, seed=seed)
 
 
+def row_blocks(n: int, rows: int) -> list[slice]:
+    """Consecutive slices of at most `rows` rows, but at least 2, covering
+    range(n); one empty slice when n is 0.
+
+    No block has one row unless n is 1: NumPy computes a one-row product
+    with BLAS gemv, which rounds differently from the gemm of larger
+    blocks, and a row's product must not depend on how the rows are split.
+    A one-row tail joins the block before it, which then has one row more.
+    """
+    rows = max(2, rows)
+    edges = [0, *range(rows, n, rows), n]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return [slice(*ends) for ends in zip(edges, edges[1:])]
+
+
 def mlp_forward(params: MlpParams, inputs: np.ndarray) -> tuple[np.ndarray, list]:
     """Forward pass; returns embeddings and the layer inputs backward needs."""
     x = np.asarray(inputs, dtype=np.float64)

@@ -222,14 +222,28 @@ def ohm_stress_config(loss: str, seed: int) -> RunConfig:
         ohm_refresh_every=500)
 
 
+# Cap on the elements of the widest layer's array while `embed_dataset`
+# runs one block of rows through the model: 1024 rows at width 64.
+_EMBED_BLOCK_ELEMENTS = 2 ** 16
+
+
 def embed_dataset(params: numcore.MlpParams,
                   dataset: sampling.LabeledDataset) -> sampling.LabeledDataset:
     """Map a feature dataset through the model into embedding space.
 
-    A model with huge but finite weights can overflow; that shows as
-    non-finite embeddings, which `evalkit.evaluate` refuses."""
+    The rows go through `numcore.mlp_forward` in blocks of at most
+    `_EMBED_BLOCK_ELEMENTS` elements in the widest layer, written into one
+    output array, so only one block's layer inputs are alive at a time.
+    No block has one row (`numcore.row_blocks`), so each row's embedding is
+    bitwise what one call over every row gives. A model with huge but
+    finite weights can overflow; that shows as non-finite embeddings, which
+    `evalkit.evaluate` refuses."""
+    x = dataset.features
+    emb = np.empty((len(x), params.layer_widths[-1]))
+    rows = _EMBED_BLOCK_ELEMENTS // max(params.layer_widths)
     with np.errstate(over="ignore", invalid="ignore"):
-        emb, _ = numcore.mlp_forward(params, dataset.features)
+        for block in numcore.row_blocks(len(x), rows):
+            emb[block] = numcore.mlp_forward(params, x[block])[0]
     return sampling.LabeledDataset(emb, dataset.pids, dataset.cams,
                                    dataset.item_ids)
 

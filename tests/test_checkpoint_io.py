@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from tripletkit import cli, datagen, numcore
 from tripletkit.optim import AdamState
-from tripletkit.sampling import write_dataset_csv
+from tripletkit.sampling import LabeledDataset, write_dataset_csv
 
 DIM = 4
 
@@ -75,11 +75,15 @@ def test_save_load_save_is_byte_stable(tmp_path):
 
 @pytest.fixture(scope="module")
 def valid(tmp_path_factory):
-    """A directory with a DIM-wide dataset CSV, and a checkpoint document
-    for it with an Adam state."""
+    """A directory with a DIM-wide dataset CSV, the same rows under other
+    identities as a distractor CSV, and a checkpoint document for them
+    with an Adam state."""
     d = tmp_path_factory.mktemp("mutated")
-    write_dataset_csv(d / "data.csv", datagen.generate(datagen.GenSpec(
-        num_identities=6, items_per_identity=4, feature_dim=DIM, seed=0)))
+    people = datagen.generate(datagen.GenSpec(
+        num_identities=6, items_per_identity=4, feature_dim=DIM, seed=0))
+    write_dataset_csv(d / "data.csv", people)
+    write_dataset_csv(d / "distractors.csv", LabeledDataset(
+        people.features, people.pids + 100, people.cams, people.item_ids))
     params = numcore.init_params([DIM, 8, 4], seed=0)
     state = AdamState.for_params(params)
     state.m[:] = np.linspace(-1.0, 1.0, state.m.size)
@@ -241,7 +245,7 @@ def test_huge_finite_weights_exit_3_without_warning(valid, extra):
     ckpt = d / "huge.json"
     ckpt.write_text(json.dumps(doc))
     if extra:
-        extra = (*extra, str(d / "data.csv"))
+        extra = (*extra, str(d / "distractors.csv"))
     rc, err = evaluate(d, ckpt, *extra)
     assert rc == cli.EXIT_DATA
     assert err == "error: embeddings are not finite\n"

@@ -461,6 +461,26 @@ class TestEvaluate:
         report = json.loads(Path(out, "eval_report.json").read_text())
         assert report["with_distractors"]["map"] <= report["map"] + 1e-12
 
+    def test_clashing_distractors_exit_3_before_ranking(self, tmp_path,
+                                                         capsys, monkeypatch):
+        """Distractor identities are checked against the queries' once the
+        CSVs are read, before the first `evaluate` ranks the gallery."""
+        data = make_data(tmp_path)
+        rc, out = quick_train(tmp_path, data)
+        calls = []
+        monkeypatch.setattr(evalkit, "evaluate",
+                            lambda *args: calls.append(args))
+        capsys.readouterr()
+        rc = cli.main(["evaluate",
+                       "--checkpoint", os.path.join(out, "checkpoint.json"),
+                       "--queries", data, "--gallery", data,
+                       "--distractors", data, "-o", out])
+        assert rc == cli.EXIT_DATA
+        assert "distractor identities collide with queries" in \
+            capsys.readouterr().err
+        assert calls == []
+        assert not os.path.exists(os.path.join(out, "eval_report.json"))
+
     @pytest.mark.parametrize("empty", ["queries", "gallery"])
     def test_empty_csv_exits_3(self, tmp_path, capsys, empty):
         data = make_data(tmp_path)

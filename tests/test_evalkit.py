@@ -193,7 +193,7 @@ class TestEvaluateMemory:
 
 
 def threaded_gallery():
-    """900 queries against 1000 gallery rows: at the default block size
+    """900 queries against 1000 gallery rows: at 2**18 elements per block
     that is three full blocks and a shorter tail. The last 100 gallery rows
     repeat rows 0-99 (identities 0-19); half of the copies keep their
     identity and half take another, so exact ties send those identities'
@@ -252,9 +252,9 @@ class TestWorkerCount:
         seen = []
         relevant_ranks = evalkit._relevant_ranks
 
-        def recording(dist, relevant, ordered):
+        def recording(dist, query, flat, refill):
             seen.append((threading.get_ident(), len(dist)))
-            return relevant_ranks(dist, relevant, ordered)
+            return relevant_ranks(dist, query, flat, refill)
 
         monkeypatch.setattr(evalkit, "_relevant_ranks", recording)
         before = threading.active_count()
@@ -285,10 +285,10 @@ class TestWorkerCount:
         rows = []
         relevant_ranks = evalkit._relevant_ranks
 
-        def recording(dist, relevant, ordered):
+        def recording(dist, query, flat, refill):
             rows.extend(row.tobytes() for row in dist)
             assert len(dist) > 1
-            return relevant_ranks(dist, relevant, ordered)
+            return relevant_ranks(dist, query, flat, refill)
 
         monkeypatch.setattr(evalkit, "_relevant_ranks", recording)
         seen = []
@@ -300,6 +300,39 @@ class TestWorkerCount:
             seen.append(sorted(rows))
         assert seen[0] == seen[1] == seen[2]
 
+    def test_distances_computed_again_only_for_a_tie(self, monkeypatch):
+        """`_block_distances` runs once per block, and once more, writing
+        the same bits, in a block where a relevant row is exactly as close
+        as another row of its query."""
+        queries, gallery = threaded_gallery()
+        events = []
+        block_distances = evalkit._block_distances
+        relevant_ranks = evalkit._relevant_ranks
+
+        def distances(*args):
+            block_distances(*args)
+            events.append(args[-1].tobytes())
+
+        def recording(dist, query, flat, refill):
+            values = dist.ravel()[flat]
+            events.append(bool(
+                ((dist[query] == values[:, None]).sum(axis=1) > 1).any()))
+            return relevant_ranks(dist, query, flat, refill)
+
+        monkeypatch.setattr(evalkit, "_block_distances", distances)
+        monkeypatch.setattr(evalkit, "_relevant_ranks", recording)
+        # 17 rows per block: 53 blocks
+        self.run(monkeypatch, 1, 17000, queries, gallery, EvalProtocol())
+        tied = []
+        while events:
+            first, tie, *events = events
+            tied.append(tie)
+            if tie:
+                again, *events = events
+                assert again == first
+        assert len(tied) == 53
+        assert 0 < sum(tied) < len(tied)
+
     def test_blocks_reuse_one_buffer_set_per_worker(self, monkeypatch):
         """Within one call every block's distances are written into one of
         `workers` arrays, allocated once: no block allocates its own."""
@@ -307,11 +340,11 @@ class TestWorkerCount:
         dists = []
         relevant_ranks = evalkit._relevant_ranks
 
-        def recording(dist, relevant, ordered):
+        def recording(dist, query, flat, refill):
             # held until the check, so no two blocks' arrays could share
             # memory by the allocator reusing a freed one
             dists.append(dist)
-            return relevant_ranks(dist, relevant, ordered)
+            return relevant_ranks(dist, query, flat, refill)
 
         monkeypatch.setattr(evalkit, "_relevant_ranks", recording)
         for workers in (1, 2, 3):
@@ -360,7 +393,7 @@ class TestWorkerCount:
         calls, lock = [], threading.Lock()
         relevant_ranks = evalkit._relevant_ranks
 
-        def failing_ranks(dist, relevant, ordered):
+        def failing_ranks(dist, query, flat, refill):
             with lock:
                 calls.append(1)
                 call = len(calls)
@@ -368,7 +401,7 @@ class TestWorkerCount:
             # after it in flight
             if failing == "every" or call == 5:
                 raise MemoryError("block failed")
-            return relevant_ranks(dist, relevant, ordered)
+            return relevant_ranks(dist, query, flat, refill)
 
         monkeypatch.setattr(evalkit, "_relevant_ranks", failing_ranks)
         before = threading.active_count()
@@ -434,6 +467,13 @@ class TestDistractors:
         q, g = self._base()
         dis = embset(np.zeros((2, 3)), [0, 100], cams=[0, 0])
         with pytest.raises(ProtocolError):
+            inject_distractors(g, dis, q.pids)
+
+    def test_width_mismatch_rejected_naming_both(self):
+        q, g = self._base()
+        dis = embset(np.zeros((2, 4)), [100, 101], cams=[0, 0])
+        with pytest.raises(ProtocolError, match="gallery embedding width 3 "
+                           "differs from distractor embedding width 4"):
             inject_distractors(g, dis, q.pids)
 
     def test_prepended_twin_distractor_kills_rank1(self):

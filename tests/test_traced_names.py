@@ -103,9 +103,9 @@ def test_evaluate_blocks_on_helper_threads_record_no_span(monkeypatch):
     threads = set()
     relevant_ranks = evalkit._relevant_ranks
 
-    def recording(dist, relevant, ordered):
+    def recording(dist, query, flat, refill):
         threads.add(threading.get_ident())
-        return relevant_ranks(dist, relevant, ordered)
+        return relevant_ranks(dist, query, flat, refill)
 
     monkeypatch.setattr(evalkit, "_relevant_ranks", recording)
     tracer = tracing.Tracer()

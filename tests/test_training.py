@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tripletkit import diagnostics, losses, sampling
+from tripletkit import diagnostics, losses, numcore, sampling, training
 from tripletkit.optim import Schedule
 from tripletkit.training import (MAX_STEP_ELEMENTS, OHM_STRESS_SEEDS,
                                  CollapseError, ConfigError, RunConfig,
@@ -183,3 +183,30 @@ def test_only_logged_runs_compute_the_panels(monkeypatch, tmp_path):
     with diagnostics.TrainLogWriter(tmp_path / "train_log.csv") as writer:
         train(cfg, train_set, writer)
     assert calls == list(range(1, cfg.schedule.t1 + 1))
+
+
+@pytest.mark.parametrize("widths", [[16, 64, 32], [64, 256, 128]])
+def test_embed_dataset_matches_one_forward_call(monkeypatch, widths):
+    """Blocked embedding gives bitwise the rows of one `mlp_forward` call,
+    at row counts around the block size; 2 * block + 1 rows would leave a
+    one-row tail, which joins the block before it."""
+    params = numcore.init_params(widths, 3)
+    block = training._EMBED_BLOCK_ELEMENTS // max(widths)
+    forward, sizes = numcore.mlp_forward, []
+
+    def recording(p, x):
+        sizes.append(len(x))
+        return forward(p, x)
+
+    monkeypatch.setattr(numcore, "mlp_forward", recording)
+    rng = np.random.default_rng(0)
+    for n in (1, 2, 3, block - 1, block, block + 1, block + 2, 2 * block + 1,
+              3 * block):
+        x = rng.standard_normal((n, widths[0]))
+        want, _ = forward(params, x)
+        sizes.clear()
+        got = training.embed_dataset(params, sampling.LabeledDataset(
+            x, np.zeros(n), np.zeros(n), np.arange(n)))
+        assert got.features.tobytes() == want.tobytes(), n
+        assert sum(sizes) == n and max(sizes) <= block + 1, (n, sizes)
+        assert min(sizes) >= 2 or n == 1, (n, sizes)
