@@ -4,9 +4,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import itertools
-import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,33 +126,30 @@ def _interpolation(n: int, percents: tuple) -> tuple[tuple, ...]:
                      (1 - gamma).tolist(), (gamma >= 0.5).tolist()))
 
 
-def collapse_alarm(initial_median: float,
-                   recent: Sequence) -> AlarmTrigger | None:
-    """The AlarmTrigger of the last COLLAPSE_WINDOW of `recent`, the (median
-    pair distance, active fraction) pairs of the steps after the first in
-    order, if all have a median below 1e-3 of the first step's
-    (`initial_median`) and nearly every term active; None otherwise."""
-    window = COLLAPSE_WINDOW
-    if len(recent) < window:
+def collapse_alarm(initial_median: float, streak: AlarmTrigger | None,
+                   median: float, active: float) -> AlarmTrigger | None:
+    """The run of collapsed steps that ends at this one, or None if this
+    step is healthy. A step is collapsed when its median pair distance is
+    below 1e-3 of the first step's (`initial_median`) and nearly every
+    term is active; `streak` is the run that ended at the step before (None
+    if there was none), and the result extends it by this step. The first
+    step is never collapsed against its own median."""
+    if not (median < COLLAPSE_DIST_RATIO * initial_median
+            and active > COLLAPSE_ACTIVITY):
         return None
-    threshold = COLLAPSE_DIST_RATIO * initial_median
-    highest, lowest = -math.inf, math.inf
-    # newest first, so a healthy run stops at its last step
-    for median, active in itertools.islice(reversed(recent), window):
-        if not (median < threshold and active > COLLAPSE_ACTIVITY):
-            return None
-        highest = median if median > highest else highest   # max() is slower
-        lowest = active if active < lowest else lowest
-    return AlarmTrigger(initial_median, highest / initial_median, lowest,
-                        window)
+    ratio = median / initial_median
+    if streak is None:
+        return AlarmTrigger(initial_median, ratio, active, 1)
+    return AlarmTrigger(initial_median, max(ratio, streak.max_median_ratio),
+                        min(active, streak.min_active_fraction),
+                        streak.window + 1)
 
 
 @dataclass(frozen=True)
 class AlarmTrigger:
-    """The values a fired collapse alarm read: the first step's median
-    pair distance and, over the window of steps that fired it, the
-    largest median as a share of that one and the smallest active
-    fraction."""
+    """A run of collapsed steps: the first step's median pair distance
+    and, over the `window` steps of the run, the largest median as a share
+    of that one and the smallest active fraction."""
 
     initial_median: float
     max_median_ratio: float

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import math
 from dataclasses import dataclass, field
@@ -107,9 +106,9 @@ def train(cfg: RunConfig, dataset: sampling.LabeledDataset,
     params = numcore.init_params(widths, cfg.seed)
     state = optim.AdamState.for_params(params)
     rng = np.random.default_rng(cfg.seed)
-    # the alarm's state: the first median, set at t = 1, and a window of
-    # (median, active fraction) pairs after it
-    recent = collections.deque(maxlen=diagnostics.COLLAPSE_WINDOW)
+    # the alarm's state: the first median, set at t = 1, and the run of
+    # collapsed steps that ends at the last one
+    streak: diagnostics.AlarmTrigger | None = None
     mined: np.ndarray | None = None
     grads = numcore.GradBundle(params.layers)   # mlp_backward's output buffer
     spec = losses.LOSSES[cfg.loss]
@@ -151,11 +150,10 @@ def train(cfg: RunConfig, dataset: sampling.LabeledDataset,
             median = record.pair_dist_percentiles[2]
         if t == 1:
             initial_median = median
-        else:
-            recent.append((median, report.active_fraction))
-        trigger = diagnostics.collapse_alarm(initial_median, recent)
-        if trigger is not None:
-            raise CollapseError(t, trigger=trigger)
+        streak = diagnostics.collapse_alarm(initial_median, streak, median,
+                                            report.active_fraction)
+        if streak is not None and streak.window == diagnostics.COLLAPSE_WINDOW:
+            raise CollapseError(t, trigger=streak)
 
     return TrainResult(params, state)
 

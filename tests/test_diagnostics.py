@@ -1,5 +1,5 @@
 import csv
-from collections import deque
+import math
 
 import numpy as np
 import pytest
@@ -148,51 +148,111 @@ class TestMedianPairDistance:
         assert median_pair_distance(squared) == 2.5
 
 
+def first_alarm(history: list, window: int):
+    """(step, trigger) of the first alarm on `history`, the (median pair
+    distance, active fraction) pairs of every step from the first, fed to
+    `collapse_alarm` one step at a time as `train` feeds it; None if it
+    never fires."""
+    initial, streak = history[0][0], None
+    for t, (median, active) in enumerate(history, 1):
+        streak = collapse_alarm(initial, streak, median, active)
+        if streak is not None and streak.window == window:
+            return t, streak
+    return None
+
+
+def first_alarm_by_scan(history: list, window: int):
+    """`first_alarm` by brute force: every `window` consecutive steps after
+    the first, scanned in full."""
+    initial = history[0][0]
+    threshold = diagnostics.COLLAPSE_DIST_RATIO * initial
+    for end in range(window + 1, len(history) + 1):
+        steps = history[end - window:end]
+        if all(median < threshold and active > diagnostics.COLLAPSE_ACTIVITY
+               for median, active in steps):
+            return end, AlarmTrigger(
+                initial, max(median for median, _ in steps) / initial,
+                min(active for _, active in steps), window)
+    return None
+
+
+@st.composite
+def alarm_histories(draw):
+    """A window and a history whose steps are mostly collapsed, with
+    values on and near both thresholds and NaN medians."""
+    window = draw(st.integers(1, 6))
+    initial = draw(st.floats(0.0, 1e3))
+    ratio = diagnostics.COLLAPSE_DIST_RATIO
+    # the collapsed ranges are listed twice so that runs grow long
+    median = st.one_of(
+        st.floats(0.0, ratio).map(lambda r: r * initial),
+        st.floats(0.0, ratio).map(lambda r: r * initial),
+        st.just(ratio * initial), st.floats(0.0, 10 * initial),
+        st.just(0.0), st.just(math.nan))
+    active = st.one_of(st.floats(diagnostics.COLLAPSE_ACTIVITY, 1.0),
+                       st.floats(diagnostics.COLLAPSE_ACTIVITY, 1.0),
+                       st.just(diagnostics.COLLAPSE_ACTIVITY),
+                       st.floats(0.0, 1.0))
+    steps = draw(st.lists(st.tuples(median, active), max_size=40))
+    return window, [(initial, draw(active)), *steps]
+
+
 class TestCollapseAlarm:
-    """`recent` holds the (median pair distance, active fraction) pairs of
-    the steps after the first, as `train` keeps them."""
+    """The alarm fires when the run of collapsed steps `collapse_alarm`
+    returns is a window long."""
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_matches_full_window_scan(self, seed, monkeypatch):
+    def test_matches_full_window_scan(self, seed):
         rng = np.random.default_rng(seed)
         window = int(rng.integers(2, 8))
-        monkeypatch.setattr(diagnostics, "COLLAPSE_WINDOW", window)
         history = [(1.0, 1.0)]
         for _ in range(1, int(rng.integers(1, 20))):
             healthy = rng.random() < 0.15
             history.append((1.0 if healthy else 1e-5,
                             0.5 if rng.random() < 0.1 else 1.0))
         for end in range(1, len(history) + 1):
-            recent = history[:end][-window:]
-            want = end >= window + 1 and all(
-                median < 1e-3 and active > 0.99 for median, active in recent)
-            # the whole tail after the first step, and only the window
-            # that `train` keeps of it
-            for kept in (history[1:end], deque(history[1:end], window)):
-                assert (collapse_alarm(1.0, kept) is not None) == want
+            assert first_alarm(history[:end], window) == \
+                first_alarm_by_scan(history[:end], window)
+
+    @settings(max_examples=300, deadline=None)
+    @given(alarm_histories())
+    def test_matches_a_scan_of_every_window(self, case):
+        window, history = case
+        got, want = first_alarm(history, window), \
+            first_alarm_by_scan(history, window)
+        # repr tells every float apart, signed zeros included
+        assert repr(got) == repr(want)
+
+    def test_a_healthy_step_ends_the_run(self):
+        run = collapse_alarm(1.0, None, 1e-5, 1.0)
+        assert run == AlarmTrigger(1.0, 1e-5, 1.0, 1)
+        assert collapse_alarm(1.0, run, 1e-5, 0.5) is None
+        assert collapse_alarm(1.0, run, 1e-3, 1.0) is None
 
     def test_healthy_history(self):
         history = [(1.0 + 0.01 * i, 0.5) for i in range(300)]
-        assert collapse_alarm(1.0, history[1:]) is None
+        assert first_alarm(history, diagnostics.COLLAPSE_WINDOW) is None
 
     def test_constructed_collapse(self):
-        recent = [(1e-5, 1.0)] * 301
-        assert collapse_alarm(1.0, recent) is not None
+        history = [(1.0, 1.0)] + [(1e-5, 1.0)] * 301
+        t, trigger = first_alarm(history, diagnostics.COLLAPSE_WINDOW)
+        assert t == diagnostics.COLLAPSE_WINDOW + 1
+        assert trigger == AlarmTrigger(1.0, 1e-5, 1.0,
+                                       diagnostics.COLLAPSE_WINDOW)
 
     def test_needs_saturated_activity(self):
-        recent = [(1e-5, 0.5)] * 301
-        assert collapse_alarm(1.0, recent) is None
+        history = [(1.0, 1.0)] + [(1e-5, 0.5)] * 301
+        assert first_alarm(history, diagnostics.COLLAPSE_WINDOW) is None
 
     def test_short_history_never_fires(self):
         history = [(1e-9, 1.0)] * 10
-        assert collapse_alarm(history[0][0], history[1:]) is None
+        assert first_alarm(history, 3) is None
 
-
-    def test_trigger_reads_the_window(self, monkeypatch):
-        monkeypatch.setattr(diagnostics, "COLLAPSE_WINDOW", 3)
-        recent = deque([(1.0, 0.1), (4e-4, 0.995), (2e-4, 1.0), (3e-4, 1.0)],
-                       maxlen=4)
-        trigger = collapse_alarm(0.5, recent)
+    def test_trigger_reads_the_window(self):
+        history = [(0.5, 1.0), (1.0, 0.1), (4e-4, 0.995), (2e-4, 1.0),
+                   (3e-4, 1.0)]
+        t, trigger = first_alarm(history, 3)
+        assert t == 5
         assert trigger == AlarmTrigger(0.5, 4e-4 / 0.5, 0.995, 3)
         assert str(trigger) == (
             "over the last 3 steps the median pair distance was at most "

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +180,31 @@ class TestHandComputedCells:
         x = np.array([[0.0], [0.0], [100.0], [-100.0]])
         r = lifted_loss(x, [(0, 1)], "euclidean", 0.2, MarginMode.hard(0.0))
         assert r.loss == 0.0
+
+    @pytest.mark.parametrize("mode", [HARD02, SOFT], ids=["0.2", "soft"])
+    @pytest.mark.parametrize("loss", [batch_hard_loss, batch_all_loss])
+    def test_nnz_without_active_terms_is_zero(self, loss, mode):
+        """Two clusters 50 apart leave no term active, so the nonzero
+        average has no term to divide by: loss and gradient are exactly 0,
+        not 0/0."""
+        x = np.array([[0.0, 0.0], [0.1, 0.0], [50.0, 0.0], [50.1, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = loss(x, BatchLabels([0, 0, 1, 1], 2, 2), "euclidean", mode,
+                     "nonzero")
+        assert r.num_active == 0
+        assert r.loss == 0.0
+        assert r.grad_embeddings.shape == x.shape
+        assert not r.grad_embeddings.any()
+
+    def test_lifted_needs_three_rows(self):
+        """One pair and one negative is the smallest lifted batch."""
+        x = np.array([[0.0], [1.0], [1.5]])
+        r = lifted_loss(x, [(0, 1)], "euclidean", 0.2, MarginMode.hard(0.0))
+        want = 1.0 + math.log(math.exp(0.2 - 1.5) + math.exp(0.2 - 0.5))
+        assert r.loss == pytest.approx(want, abs=1e-12)
+        with pytest.raises(BatchContractError, match="at least one negative"):
+            lifted_loss(x[:2], [(0, 1)])
 
     def test_lifted_gen_collapsed(self):
         x = np.zeros((4, 3))

@@ -35,7 +35,8 @@ SIGNATURES = {
     evalkit.rank_gallery: ["query_embedding", "gallery_embeddings"],
     training.validation_map: ["params", "val"],
     numcore.leaky_relu: ["x"],
-    diagnostics.collapse_alarm: ["initial_median", "recent"],
+    diagnostics.collapse_alarm: ["initial_median", "streak", "median",
+                                 "active"],
 }
 
 

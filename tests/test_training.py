@@ -1,14 +1,17 @@
 import csv
 import dataclasses
+import json
+import os
 
 import numpy as np
 import pytest
 
 from tripletkit import diagnostics, losses, numcore, sampling, training
 from tripletkit.optim import Schedule
-from tripletkit.training import (MAX_STEP_ELEMENTS, OHM_STRESS_SEEDS,
-                                 CollapseError, ConfigError, RunConfig,
-                                 benchmark_config, default_benchmark_sets,
+from tripletkit.training import (BENCHMARK_SEED, MAX_STEP_ELEMENTS,
+                                 OHM_STRESS_SEEDS, CollapseError, ConfigError,
+                                 RunConfig, benchmark_config, benchmark_map,
+                                 default_benchmark_sets,
                                  ohm_stress_config, ohm_stress_dataset, train)
 
 
@@ -121,6 +124,23 @@ def test_alarm_window_fires_where_a_full_log_scan_does(monkeypatch, tmp_path,
     with open(path, newline="") as f:
         rows = list(csv.DictReader(f))
     assert fired.value.iteration == first_alarm(rows, window) == len(rows)
+
+
+LOSS_TABLE = os.path.join(os.path.dirname(__file__), os.pardir,
+                          "BENCH_loss_table.json")
+
+
+def test_loss_table_is_current():
+    """BENCH_loss_table.json's seed-7 cells of criterion 06 are what
+    `benchmark_map` gives today, to 4 decimals: a change of results must
+    regenerate the table with tools/loss_table.py."""
+    with open(LOSS_TABLE, encoding="utf-8") as f:
+        table = json.load(f)
+    seed = table["seeds"].index(BENCHMARK_SEED)
+    for cell in ("batch_hard/soft", "batch_hard/0.2", "triplet/0.2"):
+        loss, margin = cell.split("/")
+        got = benchmark_map(loss, losses.parse_margin(margin))
+        assert f"{got:.4f}" == f"{table['map'][cell][seed]:.4f}", cell
 
 
 def short_benchmark_config(loss: str, margin: str) -> RunConfig:
