@@ -238,9 +238,30 @@ def _logsumexp_softmax(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.log(total[:, 0]) + top[:, 0], e / total
 
 
-def _mean(a: np.ndarray) -> np.float64:
-    """`a.mean()` of a non-empty vector, without its Python-level wrapper."""
-    return a.sum() / len(a)
+def _terms(values: np.ndarray, mode: MarginMode,
+           averaging: Literal["all", "nonzero"]
+           ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Each term's margin of its value, the margin's slope over the number
+    of terms averaged, and the loss: the margins' sum over every term, or
+    over the active ones, divided by their count."""
+    per_term = margin_apply(values, mode)
+    slope = margin_apply_grad(values, mode)
+    kept = per_term
+    if averaging == "nonzero":
+        active = ~(per_term <= ACTIVE_THRESHOLD)
+        slope *= active
+        kept = per_term[active]
+    if len(kept) == 0:      # no active term: loss and slopes 0, not 0/0
+        return per_term, slope, 0.0
+    slope /= len(kept)
+    return per_term, slope, kept.sum() / len(kept)
+
+
+def _outer_terms(values: np.ndarray, mode: MarginMode
+                 ) -> tuple[np.ndarray, np.ndarray, float]:
+    """`_terms` of the lifted losses, averaged over every term, whose
+    `mode` selects the outer clamp only: a plain hinge, or softplus."""
+    return _terms(values, MarginMode(mode.kind), "all")
 
 
 def _finish(loss: float, per_term: np.ndarray, coeff: np.ndarray,
@@ -260,23 +281,11 @@ def _triplet_terms(x: np.ndarray, dist: DistanceMatrix, ap: np.ndarray,
     term or over the active ones. No (a, p) or (a, n) pair occurs twice,
     so each coefficient is set once and needs no accumulation."""
     d = dist.values.ravel()
-    xvals = d[ap] - d[an]
-    per_term = margin_apply(xvals, mode)
-    g = margin_apply_grad(xvals, mode)
-    kept = per_term
-    divisor = len(per_term)
-    if averaging == "nonzero":
-        active = ~(per_term <= ACTIVE_THRESHOLD)
-        divisor = int(np.count_nonzero(active))
-        g, kept = g * active, per_term * active
+    per_term, g, loss = _terms(d[ap] - d[an], mode, averaging)
     coeff = np.zeros((len(x), len(x)))
-    loss = 0.0
-    if divisor > 0:
-        g = g / divisor
-        flat = coeff.ravel()
-        flat[ap] = g
-        flat[an] = -g
-        loss = kept.sum() / divisor
+    flat = coeff.ravel()
+    flat[ap] = g
+    flat[an] = -g
     return _finish(loss, per_term, coeff, x, dist)
 
 
@@ -328,29 +337,13 @@ def batch_all_loss(embeddings: np.ndarray, labels: BatchLabels,
     n = len(x)
     d = dist.values
     d_ap = d[pos].reshape(n, -1, 1)
-    xvals = (d_ap - d[neg].reshape(n, 1, -1)).ravel()
-    per_term = margin_apply(xvals, mode)
-
-    if averaging == "nonzero":
-        active = ~(per_term <= ACTIVE_THRESHOLD)
-        divisor = int(np.count_nonzero(active))
-    else:
-        divisor = len(per_term)
-
+    per_term, g, loss = _terms((d_ap - d[neg].reshape(n, 1, -1)).ravel(),
+                               mode, averaging)
+    rows = np.zeros((d_ap.size, n))
+    rows[np.repeat(neg, d_ap.shape[1], axis=0)] = g
     coeff = np.zeros((n, n))
-    loss = 0.0
-    if divisor > 0:
-        g = margin_apply_grad(xvals, mode)
-        if averaging == "nonzero":
-            g *= active
-            loss = float(per_term[active].sum() / divisor)
-        else:
-            loss = float(per_term.sum() / divisor)
-        g /= divisor
-        rows = np.zeros((d_ap.size, n))
-        rows[np.repeat(neg, d_ap.shape[1], axis=0)] = g
-        coeff[pos] = np.add.reduce(rows, axis=1)      # d/dD(a,p)
-        coeff -= np.add.reduce(rows.reshape(n, -1, n), axis=1)     # d/dD(a,q)
+    coeff[pos] = np.add.reduce(rows, axis=1)      # d/dD(a,p)
+    coeff -= np.add.reduce(rows.reshape(n, -1, n), axis=1)     # d/dD(a,q)
     return _finish(loss, per_term, coeff, x, dist)
 
 
@@ -501,22 +494,19 @@ def lifted_loss(embeddings: np.ndarray,
     a, p = pairs.T
     dist = pairwise_distances(x, metric)
     d = dist.values
-    outer = MarginMode.hard(0.0) if mode.kind == "hard" else mode
 
     # row i: m - D(a_i, .) then m - D(p_i, .), both ends of the pair masked
     exps = np.where(negative, m - np.concatenate((d[a], d[p]), axis=1),
                     -np.inf)
     lse, weights = _logsumexp_softmax(exps)
-    inner = d[a, p] + lse
-    per_term = margin_apply(inner, outer)
-    g = margin_apply_grad(inner, outer) / len(pairs)
+    per_term, g, loss = _outer_terms(d[a, p] + lse, mode)
     # d/dD(a_i, .) then d/dD(p_i, .); the a_i half also holds +g at p_i.
     # Reshaped, the rows go a_0, p_0, a_1, p_1, ... as `pairs.ravel()`.
     rows = -g[:, None] * weights
     rows[np.arange(len(pairs)), p] += g
     coeff = np.zeros((n, n))
     np.add.at(coeff, pairs.ravel(), rows.reshape(-1, n))
-    return _finish(_mean(per_term), per_term, coeff, x, dist)
+    return _finish(loss, per_term, coeff, x, dist)
 
 
 def _checked_pairs(pairing: np.ndarray | list, labels: BatchLabels | None,
@@ -541,19 +531,15 @@ def lifted_generalized_loss(embeddings: np.ndarray, labels: BatchLabels,
                             mode: MarginMode = MarginMode.hard(0.0)) -> LossReport:
     """PK generalization of the lifted loss using all positives per anchor."""
     x, dist, pos, neg = _pk_distances(embeddings, labels, metric)
-    n = len(x)
     d = dist.values
-    outer = MarginMode.hard(0.0) if mode.kind == "hard" else mode
-
     pos_exps = np.where(pos, d, -np.inf)
     neg_exps = np.where(neg, m - d, -np.inf)
     lse_pos, soft_pos = _logsumexp_softmax(pos_exps)
     lse_neg, soft_neg = _logsumexp_softmax(neg_exps)
-    inner = lse_pos + lse_neg
-    per_term = margin_apply(inner, outer)
-    g = margin_apply_grad(inner, outer)[:, None] / n
+    per_term, g, loss = _outer_terms(lse_pos + lse_neg, mode)
+    g = g[:, None]
     coeff = g * soft_pos - g * soft_neg
-    return _finish(_mean(per_term), per_term, coeff, x, dist)
+    return _finish(loss, per_term, coeff, x, dist)
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,8 @@ class MlpParams:
     Weight i has shape (in_width, out_width); bias i has shape (out_width,).
     Hidden layers are followed by leaky ReLU, the last layer is linear.
     The pairs are copied into one vector, `flat`, and `layers` holds views
-    into it, so an update of `flat` is an update of every layer.
+    into it, so an update of `flat` is an update of every layer. A model's
+    gradients are held in an `MlpParams` of its layers, laid out alike.
     """
 
     layers: Layers
@@ -83,17 +84,6 @@ class MlpParams:
     def layer_widths(self) -> list[int]:
         """The input width, then each layer's output width."""
         return [self.input_dim] + [w.shape[1] for w, _ in self.layers]
-
-
-@dataclass
-class GradBundle:
-    """Per-layer weight/bias gradients, views into one vector, `flat`,
-    laid out as `MlpParams.flat` is."""
-
-    layers: Layers
-
-    def __post_init__(self):
-        self.flat, self.layers, self.shapes = pack_layers(self.layers)
 
 
 def init_params(layer_widths: list[int], seed: int) -> MlpParams:
@@ -153,7 +143,7 @@ def mlp_forward(params: MlpParams, inputs: np.ndarray) -> tuple[np.ndarray, list
 
 
 def mlp_backward(params: MlpParams, activations: list, upstream: np.ndarray,
-                 out: GradBundle) -> None:
+                 out: MlpParams) -> None:
     """Gradients of sum(embeddings * upstream) w.r.t. all parameters from
     `mlp_forward`'s layer inputs, written into `out`, laid out as `params`."""
     delta = np.asarray(upstream, dtype=np.float64)

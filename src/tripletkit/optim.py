@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import (CheckpointError, DimensionError, GradBundle, Layers,
-                      MlpParams, layers_from_json, layers_to_json, pack_layers,
+from .numcore import (CheckpointError, DimensionError, Layers, MlpParams,
+                      layers_from_json, layers_to_json, pack_layers,
                       reading_checkpoint)
 
 DECAY_FACTOR = 1e-3
@@ -102,7 +102,7 @@ class AdamState:
                        layers_from_json(doc["second_moment"]), steps, beta1)
 
 
-def adam_step(params: MlpParams, grads: GradBundle, state: AdamState,
+def adam_step(params: MlpParams, grads: MlpParams, state: AdamState,
               lr: float) -> None:
     """One Adam update with bias correction, made in place on `params`
     and `state`."""

@@ -110,7 +110,7 @@ def train(cfg: RunConfig, dataset: sampling.LabeledDataset,
     # collapsed steps that ends at the last one
     streak: diagnostics.AlarmTrigger | None = None
     mined: np.ndarray | None = None
-    grads = numcore.GradBundle(params.layers)   # mlp_backward's output buffer
+    grads = numcore.MlpParams(params.layers)    # mlp_backward's output buffer
     spec = losses.LOSSES[cfg.loss]
     values = spec.reads(cfg)
     # every PK batch holds P distinct identities, K rows each, in identity

@@ -1,16 +1,18 @@
 """Property tests: the masked lifted, generalized lifted and LMNN losses
-against the brute-force oracles and central finite differences, and
+against the brute-force oracles and central finite differences,
 batch-all, computed at its valid triplets only, against the frozen
-whole-cube copy in `test_losses_reference.py`, bit for bit."""
+whole-cube copy in `test_losses_reference.py`, bit for bit, and the
+batch-hard and batch-all losses as one mean of their terms."""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from tripletkit.losses import (METRICS, BatchLabels, MarginMode,
-                               batch_all_loss, lifted_generalized_loss,
-                               lifted_loss, lmnn_loss, pairwise_distances)
+from tripletkit.losses import (ACTIVE_THRESHOLD, METRICS, BatchLabels,
+                               MarginMode, batch_all_loss, batch_hard_loss,
+                               lifted_generalized_loss, lifted_loss,
+                               lmnn_loss, pairwise_distances)
 
 import test_losses_reference as reference
 from oracles import fd_gradient, oracle_lifted, oracle_lifted_gen, oracle_lmnn
@@ -97,6 +99,29 @@ def test_lmnn_matches_oracle(case, mu):
     assume(np.all(np.abs(hinge) > 1e-3))
     check(lambda z: lmnn_loss(z, labels, targets, mu, m, metric), x,
           oracle_lmnn(x.tolist(), ids.tolist(), targets, mu, m, metric))
+
+
+@pytest.mark.parametrize("averaging", ["all", "nonzero"])
+@pytest.mark.parametrize("loss", [batch_hard_loss, batch_all_loss],
+                         ids=["batch_hard", "batch_all"])
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(pk_batches(), st.floats(0.0, 4.0))
+def test_loss_is_the_mean_of_the_averaged_terms(loss, averaging, case,
+                                                 spread):
+    """Both averagings take one mean: the sum of the terms averaged, every
+    term or the active ones, over their count, and 0 when none is active.
+    Each identity's rows are moved by one offset, `spread` times a normal
+    draw, so that some terms are inactive."""
+    x, ids, rng, metric, soft, m = case
+    x = x + spread * rng.standard_normal((ids.max() + 1, x.shape[1]))[ids]
+    mode = MarginMode.soft() if soft else MarginMode.hard(m)
+    report = loss(x, BatchLabels(ids), metric, mode, averaging)
+    terms = report.per_term
+    if averaging == "nonzero":
+        terms = terms[terms > ACTIVE_THRESHOLD]
+    want = terms.sum() / len(terms) if len(terms) else 0.0
+    assert reference._same_bits(report.loss, want)
 
 
 @st.composite

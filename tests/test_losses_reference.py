@@ -5,6 +5,11 @@ losses as they were before their NumPy slow paths were cut (`np.unique`,
 `np.add.at` onto zeros, `np.fill_diagonal`, out-of-place temporaries). The
 rewrite kept every operation's order, so results must match bit for bit:
 loss, gradient, per-term values, term counts and both distance matrices.
+
+One line was re-pinned since: batch-hard's loss sums the active terms,
+`np.sum(per_term[active])`, as batch-all's does, where it first summed
+`np.sum(per_term * active)`, which rounds differently when a term is
+inactive. Both losses now share one margin-and-mean kernel.
 """
 
 import types
@@ -129,7 +134,7 @@ def batch_hard_loss(embeddings, labels, metric, mode, averaging="all"):
         scale = g * active / divisor
         np.add.at(coeff, (rows, hardest_pos), scale)
         np.add.at(coeff, (rows, hardest_neg), -scale)
-        loss = float(np.sum(per_term * active) / divisor)
+        loss = float(np.sum(per_term[active]) / divisor)
     else:
         loss = 0.0
     return _finish(loss, per_term, coeff, x, dist)

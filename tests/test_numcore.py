@@ -11,7 +11,7 @@ from tripletkit.numcore import (SLOPE, ConfigError, DimensionError,
 
 def backward(params, acts, upstream):
     """`mlp_backward`'s gradients, written into a new bundle."""
-    grads = numcore.GradBundle(params.layers)
+    grads = numcore.MlpParams(params.layers)
     assert mlp_backward(params, acts, upstream, grads) is None
     return grads
 
@@ -224,14 +224,14 @@ class TestFlatLayout:
         x = np.random.default_rng(2).standard_normal((6, 4))
         up = np.random.default_rng(3).standard_normal((6, 3))
         _, acts = mlp_forward(p, x)
-        out = numcore.GradBundle(p.layers)
+        out = numcore.MlpParams(p.layers)
         buf = out.flat
         assert mlp_backward(p, acts, up, out) is None
         assert out.flat is buf
         # every value is written: a bundle of NaNs ends the same
-        blank = numcore.GradBundle([(np.full_like(w, np.nan),
-                                     np.full_like(b, np.nan))
-                                    for w, b in p.layers])
+        blank = numcore.MlpParams([(np.full_like(w, np.nan),
+                                    np.full_like(b, np.nan))
+                                   for w, b in p.layers])
         mlp_backward(p, acts, up, blank)
         assert blank.flat.tobytes() == out.flat.tobytes()
 
@@ -264,7 +264,7 @@ def masked_backward(params, pre_activations, acts, upstream):
             delta = delta @ params.layers[i][0].T
             np.multiply(delta, SLOPE, out=delta,
                         where=~(pre_activations[i - 1] > 0.0))
-    return numcore.GradBundle(grads)
+    return numcore.MlpParams(grads)
 
 
 SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 2.0])

@@ -40,8 +40,8 @@ def _tiny_params(seed=0):
 def test_zero_gradient_step():
     p = _tiny_params()
     s = AdamState.for_params(p)
-    g = numcore.GradBundle([(np.zeros_like(w), np.zeros_like(b))
-                            for w, b in p.layers])
+    g = numcore.MlpParams([(np.zeros_like(w), np.zeros_like(b))
+                           for w, b in p.layers])
     before = numcore.MlpParams(p.layers)   # adam_step updates p in place
     assert adam_step(p, g, s, lr=1e-3) is None
     assert s.step_count == 1
@@ -52,16 +52,16 @@ def test_zero_gradient_step():
 
 def test_rejects_layouts_that_only_match_in_size():
     p = numcore.init_params([4, 3, 2], seed=0)
-    # transposed weights: as many values as `p`, in other layer shapes
-    shuffled = [(np.zeros(w.shape[::-1]), np.zeros_like(b)) for w, b in p.layers]
-    assert sum(w.size + b.size for w, b in shuffled) == p.flat.size
-    good_g = numcore.GradBundle(p.layers)
+    # layers that chain and hold as many values as `p`, in other shapes
+    other = numcore.init_params([4, 1, 9], seed=0).layers
+    assert sum(w.size + b.size for w, b in other) == p.flat.size
+    good_g = numcore.MlpParams(p.layers)
     with pytest.raises(numcore.DimensionError):
-        adam_step(p, numcore.GradBundle(shuffled), AdamState.for_params(p), 1e-3)
+        adam_step(p, numcore.MlpParams(other), AdamState.for_params(p), 1e-3)
     with pytest.raises(numcore.DimensionError):
-        adam_step(p, good_g, AdamState(shuffled, shuffled), 1e-3)
+        adam_step(p, good_g, AdamState(other, other), 1e-3)
     doc = AdamState.for_params(p).to_dict()
-    doc["second_moment"] = AdamState(shuffled, shuffled).to_dict()["second_moment"]
+    doc["second_moment"] = AdamState(other, other).to_dict()["second_moment"]
     with pytest.raises(numcore.CheckpointError, match="layout"):
         AdamState.from_dict(doc)
     assert p.flat.tolist() == numcore.init_params([4, 3, 2], seed=0).flat.tolist()
@@ -80,9 +80,9 @@ def test_first_step_matches_reference():
     rng = np.random.default_rng(1)
     p = _tiny_params(1)
     s = AdamState.for_params(p)
-    g = numcore.GradBundle([(rng.standard_normal(w.shape),
-                             rng.standard_normal(b.shape))
-                            for w, b in p.layers])
+    g = numcore.MlpParams([(rng.standard_normal(w.shape),
+                            rng.standard_normal(b.shape))
+                           for w, b in p.layers])
     before = numcore.MlpParams(p.layers)   # adam_step updates p in place
     adam_step(p, g, s, lr=1e-3)
     for (w, b), (dw, db), (w2, b2) in zip(before.layers, g.layers, p.layers):
@@ -103,7 +103,7 @@ def test_multi_step_matches_reference():
     v = np.zeros_like(w_ref)
     for t in range(1, 20):
         g_w = rng.standard_normal(w_ref.shape)
-        g = numcore.GradBundle([(g_w, np.zeros(3))])
+        g = numcore.MlpParams([(g_w, np.zeros(3))])
         adam_step(p, g, s, lr=1e-3)
         w_ref, m, v = reference_adam(w_ref, g_w, m, v, t, 1e-3, 0.9, 0.999, 1e-8)
         assert np.allclose(p.layers[0][0], w_ref, atol=1e-14)
@@ -112,7 +112,7 @@ def test_multi_step_matches_reference():
 def test_constant_gradient_monotone_trajectory():
     p = numcore.MlpParams([(np.zeros((1, 1)), np.zeros(1))])
     s = AdamState.for_params(p)
-    g = numcore.GradBundle([(np.full((1, 1), 0.5), np.zeros(1))])
+    g = numcore.MlpParams([(np.full((1, 1), 0.5), np.zeros(1))])
     prev = p.layers[0][0][0, 0]
     for _ in range(1000):
         adam_step(p, g, s, lr=1e-3)
@@ -127,9 +127,9 @@ def test_no_nan_on_finite_inputs():
     p = _tiny_params(3)
     s = AdamState.for_params(p)
     for _ in range(200):
-        g = numcore.GradBundle([(1e6 * rng.standard_normal(w.shape),
-                                 1e6 * rng.standard_normal(b.shape))
-                                for w, b in p.layers])
+        g = numcore.MlpParams([(1e6 * rng.standard_normal(w.shape),
+                                1e6 * rng.standard_normal(b.shape))
+                               for w, b in p.layers])
         adam_step(p, g, s, lr=1.0)
         assert all(np.all(np.isfinite(w)) and np.all(np.isfinite(b))
                    for w, b in p.layers)
@@ -150,8 +150,8 @@ def test_beta1_drop():
 def test_state_serialization_round_trip():
     p = _tiny_params(4)
     s = AdamState.for_params(p)
-    g = numcore.GradBundle([(np.ones_like(w), np.ones_like(b))
-                            for w, b in p.layers])
+    g = numcore.MlpParams([(np.ones_like(w), np.ones_like(b))
+                           for w, b in p.layers])
     adam_step(p, g, s, lr=1e-3)
     restored = AdamState.from_dict(s.to_dict())
     assert restored.step_count == s.step_count

@@ -1,0 +1,71 @@
+"""SHA-256 digests of the files a run writes, to show two trees agree.
+
+Prints one `<sha256>  <name>` line for each of:
+
+- `checkpoint.json` and `train_log.csv`, written as `tripletkit train`
+  writes them, for every loss x {soft, hinge 0.2} at
+  `training.benchmark_config` on the default benchmark's training split;
+- the `bench-losses` CSV with default flags on a `datagen --ids 40
+  --per-id 6 --dim 8` set.
+
+A run that the collapse alarm aborts stops the script with its
+`CollapseError`. From the root of each tree, on one core, then compare
+the two outputs with `diff`:
+
+    PYTHONPATH=src python3 tools/result_hashes.py > hashes.txt
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import tempfile
+
+from tripletkit import cli, diagnostics, losses, numcore, training
+
+MARGINS = ("soft", "0.2")
+
+
+def digest(path: str) -> str:
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
+def train_files(loss: str, margin: str, train_set, out: str) -> list[str]:
+    """The lines of one `benchmark_config` run, whose files are written as
+    `cli.cmd_train` writes them."""
+    cfg = training.benchmark_config(loss, losses.parse_margin(margin))
+    name = f"{loss}/{margin}"
+    log_path = os.path.join(out, "train_log.csv")
+    ckpt_path = os.path.join(out, "checkpoint.json")
+    with diagnostics.TrainLogWriter(log_path) as writer:
+        result = training.train(cfg, train_set, writer)
+    numcore.save_checkpoint(ckpt_path, result.params, result.state.to_dict())
+    return [f"{digest(log_path)}  {name}/train_log.csv",
+            f"{digest(ckpt_path)}  {name}/checkpoint.json"]
+
+
+def bench_losses_csv(out: str) -> str:
+    """The line of a default `bench-losses` grid on a small datagen set."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in (["datagen", "--ids", "40", "--per-id", "6", "--dim", "8",
+                      "--out", out],
+                     ["bench-losses", "--data", os.path.join(out, "train.csv"),
+                      "--out", out]):
+            if cli.main(argv) != cli.EXIT_OK:
+                raise SystemExit(f"tripletkit {argv[0]} failed")
+    return f"{digest(os.path.join(out, 'bench_losses.csv'))}  bench_losses.csv"
+
+
+def main() -> None:
+    train_set, _ = training.default_benchmark_sets()
+    with tempfile.TemporaryDirectory() as out:
+        for loss in losses.LOSS_NAMES:
+            for margin in MARGINS:
+                print(*train_files(loss, margin, train_set, out), sep="\n",
+                      flush=True)
+        print(bench_losses_csv(out))
+
+
+if __name__ == "__main__":
+    main()
