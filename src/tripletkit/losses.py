@@ -259,8 +259,9 @@ def _terms(values: np.ndarray, mode: MarginMode,
 
 def _outer_terms(values: np.ndarray, mode: MarginMode
                  ) -> tuple[np.ndarray, np.ndarray, float]:
-    """`_terms` of the lifted losses, averaged over every term, whose
-    `mode` selects the outer clamp only: a plain hinge, or softplus."""
+    """`_terms` of a loss that keeps its margin inside its values (lifted,
+    lifted_gen, LMNN), averaged over every term, whose `mode` selects the
+    outer clamp only: a plain hinge, or softplus."""
     return _terms(values, MarginMode(mode.kind), "all")
 
 
@@ -399,15 +400,15 @@ def lmnn_loss(embeddings: np.ndarray, labels: BatchLabels,
     n_pull = len(anchors)
     flat[pulled] = (1 - mu) / n_pull
 
-    # push term over (a, n) pairs with differing labels
+    # push term over (a, n) pairs with differing labels, margin inside
     v = m + pull_terms[:, None] - d[anchors]
-    push_terms = np.maximum(0.0, v[push_pairs])
-    n_push = max(len(push_terms), 1)    # no push pairs: the push sum is 0
-    hinged = mu * ((v > 0) & push_pairs) / n_push
+    push_terms, g, push_loss = _outer_terms(v[push_pairs], MarginMode.hard(0.0))
+    hinged = np.zeros(v.shape)
+    hinged[push_pairs] = mu * g
     coeff[anchors] -= hinged
     flat[pulled] += hinged.sum(axis=1)
 
-    loss = (1 - mu) * (pull_terms.sum() / n_pull) + mu * (push_terms.sum() / n_push)
+    loss = (1 - mu) * (pull_terms.sum() / n_pull) + mu * push_loss
     return _finish(loss, np.concatenate([pull_terms, push_terms]), coeff, x,
                    dist)
 
@@ -484,13 +485,11 @@ def lifted_loss(embeddings: np.ndarray,
         pairs, negative = labels.lifted_pairs
     else:
         pairs = _checked_pairs(pairing, labels, n)
-        negative = None
+        negative = _lifted_negatives(pairs, n)
     if len(pairs) == 0:
         raise BatchContractError("need at least one (anchor, positive) pair")
     if n < 3:
         raise BatchContractError("lifted loss needs at least one negative")
-    if negative is None:
-        negative = _lifted_negatives(pairs, n)
     a, p = pairs.T
     dist = pairwise_distances(x, metric)
     d = dist.values

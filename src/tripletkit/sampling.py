@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,16 +60,12 @@ def _scaled(u: np.ndarray, n) -> np.ndarray:
     return (u * n).astype(np.int64)
 
 
-_LABEL_COLUMNS = ("pids", "cams", "item_ids")
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LabeledDataset:
     """Feature rows with identity and camera labels.
 
-    The label columns are private read-only int64 copies, so the cached
-    identity index cannot go stale: writing into them raises, and
-    assigning a new `pids` drops the cache.
+    An immutable value: the label columns are private read-only int64
+    copies, so the cached identity index cannot go stale.
     """
 
     features: np.ndarray        # (N, F)
@@ -76,16 +73,13 @@ class LabeledDataset:
     cams: np.ndarray            # camera per row
     item_ids: np.ndarray        # unique per row
 
-    def __setattr__(self, name, value):
-        if name in _LABEL_COLUMNS:
-            value = np.array(value, dtype=np.int64)
-            value.flags.writeable = False
-            if name == "pids":
-                object.__setattr__(self, "_index", None)
-        object.__setattr__(self, name, value)
-
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        object.__setattr__(self, "features",
+                           np.asarray(self.features, dtype=np.float64))
+        for name in ("pids", "cams", "item_ids"):
+            column = np.array(getattr(self, name), dtype=np.int64)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
         n = len(self.features)
         if not (len(self.pids) == len(self.cams) == len(self.item_ids) == n):
             raise ValueError("column lengths disagree")
@@ -101,10 +95,12 @@ class LabeledDataset:
 
     def identity_index(self) -> IdentityIndex:
         """Row indices per identity, in stable row order; built on first
-        use and kept until `pids` is assigned again."""
-        if self._index is None:
-            self._index = IdentityIndex(self.pids)
+        use and kept."""
         return self._index
+
+    @cached_property
+    def _index(self) -> IdentityIndex:
+        return IdentityIndex(self.pids)
 
     def subset(self, rows: np.ndarray) -> "LabeledDataset":
         return LabeledDataset(self.features[rows], self.pids[rows],

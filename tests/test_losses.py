@@ -212,11 +212,18 @@ class TestHandComputedCells:
         r = lifted_generalized_loss(x, labels, "euclidean", 0.0)
         assert r.loss == pytest.approx(math.log(2), abs=1e-12)
 
-    def test_lmnn_pull_only(self):
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
+    def test_lmnn_pull_only(self, mu):
+        """One identity has no push pair: the push half of the loss and
+        of the gradient is 0, not 0/0."""
         x = np.array([[0.0], [3.0]])
         labels = BatchLabels(np.array([5, 5]))
-        r = lmnn_loss(x, labels, {0: 1, 1: 0}, mu=0.0, m=0.2)
-        assert r.loss == pytest.approx(3.0, abs=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = lmnn_loss(x, labels, {0: 1, 1: 0}, mu=mu, m=0.2)
+        assert r.loss == pytest.approx((1 - mu) * 3.0, abs=1e-12)
+        np.testing.assert_allclose(r.grad_embeddings,
+                                   [[mu - 1], [1 - mu]], atol=1e-12)
 
     def test_lmnn_push_vacuous(self):
         x = np.array([[0.0], [0.1], [50.0], [50.1]])

@@ -24,12 +24,15 @@ SETTINGS = settings(max_examples=40, deadline=None,
 @st.composite
 def pk_batches(draw):
     """(x, ids, rng, metric, soft, m) for a shuffled P x K batch whose
-    rows are at least 0.05 apart."""
+    rows are at least 0.05 apart. Each identity's rows are moved by one
+    offset, a spread from 0 to 4 times a normal draw, so that some
+    identities sit apart and some terms are inactive."""
     P, K = draw(st.integers(2, 6)), draw(st.integers(2, 4))
     dim = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     x = rng.standard_normal((P * K, dim)) * rng.uniform(0.3, 1.5)
     ids = rng.permutation(np.repeat(np.arange(P), K))
+    x += draw(st.floats(0.0, 4.0)) * rng.standard_normal((P, dim))[ids]
     d = pairwise_distances(x, "euclidean").values
     assume(np.min(d + np.eye(len(x))) > 0.05)
     metric = draw(st.sampled_from(["euclidean", "squared_euclidean"]))
@@ -106,15 +109,11 @@ def test_lmnn_matches_oracle(case, mu):
                          ids=["batch_hard", "batch_all"])
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(pk_batches(), st.floats(0.0, 4.0))
-def test_loss_is_the_mean_of_the_averaged_terms(loss, averaging, case,
-                                                 spread):
+@given(pk_batches())
+def test_loss_is_the_mean_of_the_averaged_terms(loss, averaging, case):
     """Both averagings take one mean: the sum of the terms averaged, every
-    term or the active ones, over their count, and 0 when none is active.
-    Each identity's rows are moved by one offset, `spread` times a normal
-    draw, so that some terms are inactive."""
-    x, ids, rng, metric, soft, m = case
-    x = x + spread * rng.standard_normal((ids.max() + 1, x.shape[1]))[ids]
+    term or the active ones, over their count, and 0 when none is active."""
+    x, ids, _, metric, soft, m = case
     mode = MarginMode.soft() if soft else MarginMode.hard(m)
     report = loss(x, BatchLabels(ids), metric, mode, averaging)
     terms = report.per_term

@@ -5,6 +5,9 @@ Prints one `<sha256>  <name>` line for each of:
 - `checkpoint.json` and `train_log.csv`, written as `tripletkit train`
   writes them, for every loss x {soft, hinge 0.2} at
   `training.benchmark_config` on the default benchmark's training split;
+- the same two files for every loss x {soft, hinge 0.2} at the paper's
+  batch shape (`paper_config`: P=18, K=4, widths 64,256,128, schedule
+  150/300, seed 7) on a 60-identity x 8-item, 64-dim datagen set;
 - the `bench-losses` CSV with default flags on a `datagen --ids 40
   --per-id 6 --dim 8` set.
 
@@ -21,7 +24,8 @@ import io
 import os
 import tempfile
 
-from tripletkit import cli, diagnostics, losses, numcore, training
+from tripletkit import (cli, datagen, diagnostics, losses, numcore, optim,
+                        training)
 
 MARGINS = ("soft", "0.2")
 
@@ -31,11 +35,24 @@ def digest(path: str) -> str:
         return hashlib.sha256(f.read()).hexdigest()
 
 
-def train_files(loss: str, margin: str, train_set, out: str) -> list[str]:
-    """The lines of one `benchmark_config` run, whose files are written as
-    `cli.cmd_train` writes them."""
-    cfg = training.benchmark_config(loss, losses.parse_margin(margin))
-    name = f"{loss}/{margin}"
+def paper_config(loss: str, margin: losses.MarginMode) -> training.RunConfig:
+    """The paper's P=18, K=4 batch and 64,256,128 widths, on a short
+    schedule."""
+    return training.RunConfig(loss=loss, margin=margin, P=18, K=4,
+                              layer_widths=[64, 256, 128],
+                              schedule=optim.Schedule(1e-3, 150, 300), seed=7)
+
+
+def paper_set():
+    return datagen.generate(datagen.GenSpec(
+        num_identities=60, items_per_identity=8, feature_dim=64,
+        identity_spread=1.0, intra_spread=1.0, outlier_rate=0.05, seed=7))
+
+
+def train_files(name: str, cfg: training.RunConfig, train_set,
+                out: str) -> list[str]:
+    """The lines of one run, whose files are written as `cli.cmd_train`
+    writes them."""
     log_path = os.path.join(out, "train_log.csv")
     ckpt_path = os.path.join(out, "checkpoint.json")
     with diagnostics.TrainLogWriter(log_path) as writer:
@@ -58,12 +75,16 @@ def bench_losses_csv(out: str) -> str:
 
 
 def main() -> None:
-    train_set, _ = training.default_benchmark_sets()
+    runs = (("", training.benchmark_config,
+             training.default_benchmark_sets()[0]),
+            ("paper/", paper_config, paper_set()))
     with tempfile.TemporaryDirectory() as out:
-        for loss in losses.LOSS_NAMES:
-            for margin in MARGINS:
-                print(*train_files(loss, margin, train_set, out), sep="\n",
-                      flush=True)
+        for prefix, config, train_set in runs:
+            for loss in losses.LOSS_NAMES:
+                for margin in MARGINS:
+                    cfg = config(loss, losses.parse_margin(margin))
+                    print(*train_files(f"{prefix}{loss}/{margin}", cfg,
+                                       train_set, out), sep="\n", flush=True)
         print(bench_losses_csv(out))
 
 
