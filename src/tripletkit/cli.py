@@ -264,7 +264,14 @@ def cmd_bench_losses(args) -> int:
     if not 0.0 < args.val_fraction < 1.0:
         raise ValueError(f"--val-fraction must be in (0, 1), got "
                          f"{args.val_fraction}")
+    args.loss = loss_names[0]   # the shared flags are checked for this loss
     base = _run_config(args)
+    # cells of one grid share every field but loss and margin, so a cell
+    # whose loss reads the same values of its config as an earlier cell's
+    # (for triplet_ohm, the miner's margin too) reports that cell's run;
+    # every cell's config is built, and so checked, before any data is read
+    grid = [(ln, mt, (ln, losses.LOSSES[ln].reads(_cell_config(ln, mt, base))))
+            for ln in loss_names for mt in margins]
     dataset = sampling.read_dataset_csv(args.data)
     train_set, val_set = training.identity_disjoint_split(
         dataset, args.val_fraction, base.seed)
@@ -275,17 +282,11 @@ def cmd_bench_losses(args) -> int:
             f"the split leaves {index.identities} identities, "
             f"{len(index.counts)} with 2 or more rows")
     os.makedirs(args.out, exist_ok=True)
-
-    # cells of one grid share every field but loss and margin, so a cell
-    # whose loss reads the same values of its config as an earlier cell's
-    # (for triplet_ohm, the miner's margin too) reports that cell's run
     trained, cells = {}, []
-    for ln in loss_names:
-        for mt in margins:
-            key = ln, losses.LOSSES[ln].reads(_cell_config(ln, mt, base))
-            if key not in trained:
-                trained[key] = run_bench_cell(ln, mt, train_set, val_set, base)
-            cells.append({**trained[key], "loss": ln, "margin": mt})
+    for ln, mt, key in grid:
+        if key not in trained:
+            trained[key] = run_bench_cell(ln, mt, train_set, val_set, base)
+        cells.append({**trained[key], "loss": ln, "margin": mt})
 
     csv_path = os.path.join(args.out, "bench_losses.csv")
     with open(csv_path, "w", encoding="utf-8", newline="\n") as f:

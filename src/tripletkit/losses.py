@@ -566,9 +566,7 @@ def _inner_margin(cfg, soft_m: float) -> float:
 
 
 def _lifted_reads(cfg) -> tuple[str, float, MarginMode]:
-    """The metric, the inner margin and the outer clamp, which is all the
-    lifted losses read of the margin mode: its kind."""
-    return cfg.metric, _inner_margin(cfg, 1.0), MarginMode(cfg.margin.kind)
+    return cfg.metric, _inner_margin(cfg, 1.0), cfg.margin
 
 
 def _classic(emb, labels, metric, mode):

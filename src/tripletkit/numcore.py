@@ -39,27 +39,16 @@ def leaky_relu(x: np.ndarray) -> np.ndarray:
 Layers = list[tuple[np.ndarray, np.ndarray]]
 
 
-def pack_layers(layers: Layers) -> tuple[np.ndarray, Layers, tuple]:
-    """Copy (weight, bias) pairs into one new float64 vector, layer by
-    layer, weight before bias; return it, the pairs as views into it and
-    the views' shapes, which compare two layouts."""
-    arrays = [np.ravel(a) for pair in layers for a in pair]
-    flat = np.concatenate(arrays, dtype=np.float64)
-    parts = np.split(flat, np.cumsum([a.size for a in arrays[:-1]]))
-    views = [(parts[2 * i].reshape(w.shape), parts[2 * i + 1])
-             for i, (w, _) in enumerate(layers)]
-    return flat, views, tuple((w.shape, b.shape) for w, b in views)
-
-
 @dataclass
 class MlpParams:
     """Ordered (weight, bias) pairs.
 
     Weight i has shape (in_width, out_width); bias i has shape (out_width,).
     Hidden layers are followed by leaky ReLU, the last layer is linear.
-    The pairs are copied into one vector, `flat`, and `layers` holds views
-    into it, so an update of `flat` is an update of every layer. A model's
-    gradients are held in an `MlpParams` of its layers, laid out alike.
+    The pairs are copied into one float64 vector, `flat`, weight before
+    bias, and `layers` holds views into it, so an update of `flat` is an
+    update of every layer; `shapes` compares two layouts. A model's
+    gradients and Adam's moments are each an `MlpParams` laid out alike.
     """
 
     layers: Layers
@@ -74,7 +63,12 @@ class MlpParams:
                                   "bias of its width")
             if i > 0 and self.layers[i - 1][0].shape[1] != w.shape[0]:
                 raise ConfigError(f"layer {i}: does not chain with layer {i-1}")
-        self.flat, self.layers, self.shapes = pack_layers(self.layers)
+        arrays = [np.ravel(a) for pair in self.layers for a in pair]
+        self.flat = np.concatenate(arrays, dtype=np.float64)
+        parts = np.split(self.flat, np.cumsum([a.size for a in arrays[:-1]]))
+        self.layers = [(parts[2 * i].reshape(w.shape), parts[2 * i + 1])
+                       for i, (w, _) in enumerate(self.layers)]
+        self.shapes = tuple((w.shape, b.shape) for w, b in self.layers)
 
     @property
     def input_dim(self) -> int:

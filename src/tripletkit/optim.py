@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import (CheckpointError, DimensionError, Layers, MlpParams,
-                      layers_from_json, layers_to_json, pack_layers,
-                      reading_checkpoint)
+from .numcore import (CheckpointError, DimensionError, MlpParams,
+                      layers_from_json, layers_to_json, reading_checkpoint)
 
 DECAY_FACTOR = 1e-3
 BETA1_DECAY = 0.5
@@ -50,19 +49,18 @@ def lr_at(schedule: Schedule, t: int) -> float:
 
 @dataclass
 class AdamState:
-    """Moment estimates, step count and the current beta1. Each moment is
-    copied into one vector laid out as `MlpParams.flat` (`m`, `v`), and its
-    per-layer list holds views into it."""
+    """Moment estimates, step count and the current beta1. The moments are
+    `MlpParams` laid out as the model; `m` and `v` are their flat vectors."""
 
-    first_moment: Layers
-    second_moment: Layers
+    first_moment: MlpParams
+    second_moment: MlpParams
     step_count: int = 0
     beta1: float = 0.9
 
     def __post_init__(self):
-        self.m, self.first_moment, self.shapes = pack_layers(self.first_moment)
-        self.v, self.second_moment, shapes = pack_layers(self.second_moment)
-        if shapes != self.shapes:
+        self.m, self.v = self.first_moment.flat, self.second_moment.flat
+        self.shapes = self.first_moment.shapes
+        if self.second_moment.shapes != self.shapes:
             raise DimensionError("first and second moments differ in layout")
         # scratch for adam_step, so that an update allocates nothing
         self._tmp, self._step = np.empty_like(self.m), np.empty_like(self.m)
@@ -70,7 +68,7 @@ class AdamState:
     @classmethod
     def for_params(cls, params: MlpParams) -> "AdamState":
         zeros = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params.layers]
-        return cls(zeros, zeros)
+        return cls(MlpParams(zeros), MlpParams(zeros))
 
     def to_dict(self) -> dict:
         return {
@@ -78,15 +76,16 @@ class AdamState:
             "beta1": self.beta1,
             "beta2": BETA2,
             "eps_hat": EPS_HAT,
-            "first_moment": layers_to_json(self.first_moment),
-            "second_moment": layers_to_json(self.second_moment),
+            "first_moment": layers_to_json(self.first_moment.layers),
+            "second_moment": layers_to_json(self.second_moment.layers),
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "AdamState":
         """The state `to_dict` wrote; anything else, other beta2 or eps_hat
         values, a step count that is not an int in [0, 2**63) or a beta1
-        that is not a float in [0, 1) included, raises CheckpointError."""
+        that is not a float in [0, 1) or moments that are not one model's
+        layout included, raises CheckpointError."""
         with reading_checkpoint("Adam state"):
             if (doc["beta2"], doc["eps_hat"]) != (BETA2, EPS_HAT):
                 raise CheckpointError(f"Adam beta2 and eps_hat must be "
@@ -98,8 +97,8 @@ class AdamState:
             if type(beta1) is not float or not 0.0 <= beta1 < 1.0:
                 raise CheckpointError(f"Adam beta1 must be a float in [0, 1), "
                                       f"got {beta1!r}")
-            return cls(layers_from_json(doc["first_moment"]),
-                       layers_from_json(doc["second_moment"]), steps, beta1)
+            return cls(*(MlpParams(layers_from_json(doc[key])) for key in
+                         ("first_moment", "second_moment")), steps, beta1)
 
 
 def adam_step(params: MlpParams, grads: MlpParams, state: AdamState,

@@ -65,7 +65,8 @@ class LabeledDataset:
     """Feature rows with identity and camera labels.
 
     An immutable value: the label columns are private read-only int64
-    copies, so the cached identity index cannot go stale.
+    copies, so the cached identity index cannot go stale, and `features`
+    is a read-only float64 view, not a copy, of the array given.
     """
 
     features: np.ndarray        # (N, F)
@@ -74,8 +75,9 @@ class LabeledDataset:
     item_ids: np.ndarray        # unique per row
 
     def __post_init__(self):
-        object.__setattr__(self, "features",
-                           np.asarray(self.features, dtype=np.float64))
+        features = np.asarray(self.features, dtype=np.float64).view()
+        features.flags.writeable = False
+        object.__setattr__(self, "features", features)
         for name in ("pids", "cams", "item_ids"):
             column = np.array(getattr(self, name), dtype=np.int64)
             column.flags.writeable = False

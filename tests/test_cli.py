@@ -678,6 +678,35 @@ class TestBenchLosses:
         assert rc == cli.EXIT_USAGE
         assert "--losses" in capsys.readouterr().err
 
+    def test_every_cell_is_checked_before_any_trains(self, tmp_path,
+                                                     monkeypatch, capsys):
+        # --B 0 fits batch_hard, which reads no B, but not triplet
+        data = make_data(tmp_path, ids=8)
+        cells = []
+        monkeypatch.setattr(cli, "run_bench_cell",
+                            lambda *a, **k: cells.append(a))
+        out = tmp_path / "bench"
+        rc = cli.main(["bench-losses", "--data", data,
+                       "--losses", "batch_hard,triplet", "--margins",
+                       "0.2,soft", "--B", "0", "-o", str(out)])
+        assert rc == cli.EXIT_USAGE
+        assert "B >= 1" in capsys.readouterr().err
+        assert cells == []
+        assert not (out / "bench_losses.csv").exists()
+
+    def test_shared_flags_are_checked_against_the_grid_losses(self, tmp_path):
+        # --P 1 fits no PK loss, but a grid of random triplets reads no P
+        data = make_data(tmp_path, ids=8)
+        out = tmp_path / "bench"
+        rc = cli.main(["bench-losses", "--data", data, "--losses", "triplet",
+                       "--margins", "0.2", "--P", "1", "--B", "4",
+                       "--widths", "5,8,4", "--t0", "4", "--t1", "8",
+                       "-o", str(out)])
+        assert rc == cli.EXIT_OK
+        rows = (out / "bench_losses.csv").read_text().splitlines()
+        assert len(rows) == 2
+        assert rows[1].startswith("triplet,0.2,") and rows[1].endswith(",ok")
+
     def test_nonfinite_cell_is_marked_collapsed(self, tmp_path):
         ds = read_dataset_csv(make_data(tmp_path, ids=8))
         train_set, val_set = training.identity_disjoint_split(ds, 0.3, 0)

@@ -128,6 +128,17 @@ class TestIdentityIndex:
                               [0, 1])
         assert pids.flags.writeable
 
+    def test_features_are_a_read_only_view(self):
+        f = np.arange(8.0).reshape(4, 2)
+        ds = LabeledDataset(f, np.array([0, 0, 1, 1]), np.zeros(4, int),
+                            np.arange(4))
+        with pytest.raises(ValueError):
+            ds.features[0, 0] = 7.0
+        assert np.shares_memory(ds.features, f)
+        assert f.flags.writeable
+        f[0, 0] = 7.0       # the caller's own array still writes through
+        assert ds.features[0, 0] == 7.0
+
     def test_index_is_read_only(self):
         ds = dataset_with(np.array([0, 0, 1, 1]))
         index = ds.identity_index()

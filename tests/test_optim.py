@@ -59,9 +59,9 @@ def test_rejects_layouts_that_only_match_in_size():
     with pytest.raises(numcore.DimensionError):
         adam_step(p, numcore.MlpParams(other), AdamState.for_params(p), 1e-3)
     with pytest.raises(numcore.DimensionError):
-        adam_step(p, good_g, AdamState(other, other), 1e-3)
+        adam_step(p, good_g, AdamState.for_params(numcore.MlpParams(other)), 1e-3)
     doc = AdamState.for_params(p).to_dict()
-    doc["second_moment"] = AdamState(other, other).to_dict()["second_moment"]
+    doc["second_moment"] = numcore.layers_to_json(other)
     with pytest.raises(numcore.CheckpointError, match="layout"):
         AdamState.from_dict(doc)
     assert p.flat.tolist() == numcore.init_params([4, 3, 2], seed=0).flat.tolist()
@@ -156,7 +156,8 @@ def test_state_serialization_round_trip():
     restored = AdamState.from_dict(s.to_dict())
     assert restored.step_count == s.step_count
     assert restored.beta1 == s.beta1
-    for (a, b), (c, d) in zip(restored.first_moment, s.first_moment):
+    for (a, b), (c, d) in zip(restored.first_moment.layers,
+                              s.first_moment.layers):
         assert np.array_equal(a, c) and np.array_equal(b, d)
 
 
@@ -266,8 +267,8 @@ def test_train_matches_per_layer_reference(loss, tmp_path):
         return b"".join(a.tobytes() for pair in pairs for a in pair)
 
     assert raw(result.params.layers) == raw(layers)
-    assert raw(result.state.first_moment) == raw(m)
-    assert raw(result.state.second_moment) == raw(v)
+    assert raw(result.state.first_moment.layers) == raw(m)
+    assert raw(result.state.second_moment.layers) == raw(v)
     assert (result.state.step_count, result.state.beta1) == (50, b1)
     with open(tmp_path / "train_log.csv", newline="") as f:
         written = list(csv.reader(f))
@@ -316,6 +317,19 @@ def test_from_dict_rejects_moments_of_different_layouts():
     doc["second_moment"] = AdamState.for_params(
         numcore.init_params([2, 4], seed=0)).to_dict()["second_moment"]
     with pytest.raises(numcore.CheckpointError, match="layout"):
+        AdamState.from_dict(doc)
+
+
+@pytest.mark.parametrize("moment", [
+    [{"weight": [0.0, 0.0], "bias": [0.0, 0.0]}],
+    [{"weight": [[0.0, 0.0]], "bias": [0.0]}],
+    [{"weight": [[0.0, 0.0]], "bias": [0.0, 0.0]},
+     {"weight": [[0.0]], "bias": [0.0]}]],
+    ids=["1-D-weight", "bias-width", "unchained"])
+def test_from_dict_rejects_moments_no_model_has(moment):
+    doc = _state_doc()
+    doc["first_moment"] = doc["second_moment"] = moment
+    with pytest.raises(numcore.CheckpointError, match="layer"):
         AdamState.from_dict(doc)
 
 
