@@ -267,10 +267,9 @@ def cmd_bench_losses(args) -> int:
     args.loss = loss_names[0]   # the shared flags are checked for this loss
     base = _run_config(args)
     # cells of one grid share every field but loss and margin, so a cell
-    # whose loss reads the same values of its config as an earlier cell's
-    # (for triplet_ohm, the miner's margin too) reports that cell's run;
+    # whose loss and margin equal an earlier cell's reports that cell's run;
     # every cell's config is built, and so checked, before any data is read
-    grid = [(ln, mt, (ln, losses.LOSSES[ln].reads(_cell_config(ln, mt, base))))
+    grid = [(ln, mt, (ln, _cell_config(ln, mt, base).margin))
             for ln in loss_names for mt in margins]
     dataset = sampling.read_dataset_csv(args.data)
     train_set, val_set = training.identity_disjoint_split(

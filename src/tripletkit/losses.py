@@ -544,29 +544,19 @@ def lifted_generalized_loss(embeddings: np.ndarray, labels: BatchLabels,
 @dataclass(frozen=True)
 class LossSpec:
     """One registry entry: the batch the trainer feeds the loss ("random"
-    or offline-"mined" triplets, or a "pk" batch), `reads(cfg)`, the values
-    the loss takes from a `training.RunConfig`, and `call(embeddings,
-    labels, *values)`, which calls the loss with them. Two configurations
-    whose values are equal give the loss the same arguments."""
+    or offline-"mined" triplets, or a "pk" batch), and `call(embeddings,
+    labels, metric, margin)`, which calls the loss with a run's metric and
+    margin mode."""
 
     name: str
     batch: Literal["random", "mined", "pk"]
-    reads: Callable[..., tuple]
     call: Callable[..., LossReport]
 
 
-def _metric_margin(cfg) -> tuple[str, MarginMode]:
-    return cfg.metric, cfg.margin
-
-
-def _inner_margin(cfg, soft_m: float) -> float:
+def _inner_margin(mode: MarginMode, soft_m: float) -> float:
     """The hinge margin m, or `soft_m` when a loss that keeps its margin
     inside (lifted, LMNN) is run with the soft margin."""
-    return cfg.margin.m if cfg.margin.kind == "hard" else soft_m
-
-
-def _lifted_reads(cfg) -> tuple[str, float, MarginMode]:
-    return cfg.metric, _inner_margin(cfg, 1.0), cfg.margin
+    return mode.m if mode.kind == "hard" else soft_m
 
 
 def _classic(emb, labels, metric, mode):
@@ -577,26 +567,22 @@ def _classic(emb, labels, metric, mode):
 # Entries call the losses through the module globals, so that a wrapper
 # put in their place (a tracer, a test double) is what runs.
 LOSSES = {spec.name: spec for spec in (
-    LossSpec("triplet", "random", _metric_margin, _classic),
-    LossSpec("triplet_ohm", "mined", _metric_margin, _classic),
-    LossSpec("batch_hard", "pk", _metric_margin, lambda emb, labels, metric,
-             mode: batch_hard_loss(emb, labels, metric, mode)),
-    LossSpec("batch_hard_nnz", "pk", _metric_margin, lambda emb, labels,
-             metric, mode: batch_hard_loss(emb, labels, metric, mode,
-                                           "nonzero")),
-    LossSpec("batch_all", "pk", _metric_margin, lambda emb, labels, metric,
-             mode: batch_all_loss(emb, labels, metric, mode)),
-    LossSpec("batch_all_nnz", "pk", _metric_margin, lambda emb, labels,
-             metric, mode: batch_all_loss(emb, labels, metric, mode,
-                                          "nonzero")),
-    LossSpec("lifted", "pk", _lifted_reads, lambda emb, labels, metric, m,
-             mode: lifted_loss(emb, metric=metric, m=m, mode=mode,
-                               labels=labels)),
-    LossSpec("lifted_gen", "pk", _lifted_reads, lambda emb, labels, metric, m,
-             mode: lifted_generalized_loss(emb, labels, metric, m, mode)),
-    LossSpec("lmnn", "pk", lambda cfg: (cfg.metric, _inner_margin(cfg, 0.2)),
-             lambda emb, labels, metric, m: lmnn_loss(emb, labels, m=m,
-                                                      metric=metric)),
+    LossSpec("triplet", "random", _classic),
+    LossSpec("triplet_ohm", "mined", _classic),
+    LossSpec("batch_hard", "pk", lambda *args: batch_hard_loss(*args)),
+    LossSpec("batch_hard_nnz", "pk",
+             lambda *args: batch_hard_loss(*args, "nonzero")),
+    LossSpec("batch_all", "pk", lambda *args: batch_all_loss(*args)),
+    LossSpec("batch_all_nnz", "pk",
+             lambda *args: batch_all_loss(*args, "nonzero")),
+    LossSpec("lifted", "pk", lambda emb, labels, metric, mode: lifted_loss(
+        emb, metric=metric, m=_inner_margin(mode, 1.0), mode=mode,
+        labels=labels)),
+    LossSpec("lifted_gen", "pk", lambda emb, labels, metric, mode:
+             lifted_generalized_loss(emb, labels, metric,
+                                     _inner_margin(mode, 1.0), mode)),
+    LossSpec("lmnn", "pk", lambda emb, labels, metric, mode: lmnn_loss(
+        emb, labels, m=_inner_margin(mode, 0.2), metric=metric)),
 )}
 LOSS_NAMES = tuple(LOSSES)
 

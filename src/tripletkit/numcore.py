@@ -61,6 +61,8 @@ class MlpParams:
             if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.shape[0]:
                 raise ConfigError(f"layer {i}: needs a 2-D weight and a 1-D "
                                   "bias of its width")
+            if w.size == 0:
+                raise ConfigError(f"layer {i}: weight {w.shape} is empty")
             if i > 0 and self.layers[i - 1][0].shape[1] != w.shape[0]:
                 raise ConfigError(f"layer {i}: does not chain with layer {i-1}")
         arrays = [np.ravel(a) for pair in self.layers for a in pair]

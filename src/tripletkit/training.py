@@ -112,7 +112,6 @@ def train(cfg: RunConfig, dataset: sampling.LabeledDataset,
     mined: np.ndarray | None = None
     grads = numcore.MlpParams(params.layers)    # mlp_backward's output buffer
     spec = losses.LOSSES[cfg.loss]
-    values = spec.reads(cfg)
     # every PK batch holds P distinct identities, K rows each, in identity
     # blocks, so one labels object serves every step; the triplet losses
     # read no labels
@@ -136,7 +135,7 @@ def train(cfg: RunConfig, dataset: sampling.LabeledDataset,
                     sampling.sample_random_triplets(dataset, cfg.B, rng)
                 rows = triplets.ravel()
             emb, acts = numcore.mlp_forward(params, dataset.features[rows])
-            report = spec.call(emb, labels, *values)
+            report = spec.call(emb, labels, cfg.metric, cfg.margin)
         if not math.isfinite(report.loss):
             raise NonFiniteLossError(t, "non-finite loss")
         numcore.mlp_backward(params, acts, report.grad_embeddings, grads)

@@ -191,6 +191,26 @@ def test_mutated_checkpoint_exits_3_without_traceback(valid, data):
         assert err.startswith(f"error: {ckpt}")
 
 
+def test_zero_width_layer_exits_3_and_writes_no_report(valid, tmp_path):
+    """A [DIM, 0] model embeds every row as the empty vector, so all rows
+    tie at distance 0; `evaluate` refuses it as a malformed checkpoint."""
+    d, good = valid
+    doc = {**good, "layer_widths": [DIM, 0],
+           "layers": [{"weight": [[]] * DIM, "bias": []}]}
+    del doc["optim"]
+    ckpt = tmp_path / "zero_width.json"
+    ckpt.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli.main(["evaluate", "--checkpoint", str(ckpt), "--queries",
+                       str(d / "data.csv"), "--gallery", str(d / "data.csv"),
+                       "-o", str(tmp_path / "out")])
+    assert rc == cli.EXIT_DATA
+    assert err.getvalue().startswith(f"error: {ckpt}")
+    assert "empty" in err.getvalue()
+    assert not (tmp_path / "out" / "eval_report.json").exists()
+
+
 @pytest.mark.parametrize("key", ["step_count", "beta1"])
 @pytest.mark.parametrize("value", [10 ** 400, 2 ** 63, -1, float("inf"),
                                    float("nan"), True, "1", None, [0.5]],

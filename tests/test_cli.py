@@ -586,10 +586,12 @@ class TestBenchLosses:
         for row in rows[1:]:
             assert row.endswith(",ok")
 
-    def test_each_distinct_run_trains_once(self, tmp_path, monkeypatch):
-        # lmnn reads only the inner margin, which is 0.2 under soft as
-        # under hinge 0.2; the lifted losses read the outer clamp too, and
-        # the mined triplets' miner reads the whole margin
+    def test_each_distinct_cell_config_trains_once(self, tmp_path,
+                                                   monkeypatch):
+        # a grid's cells differ only in loss and margin, so a cell trains
+        # unless an earlier one has its loss and an equal margin: 0.20 is
+        # 0.2, while soft is its own cell even where the loss takes the
+        # same arguments under soft as under 0.2 (lmnn)
         data = make_data(tmp_path, ids=8)
         trained = []
         real_train = training.train
@@ -601,23 +603,18 @@ class TestBenchLosses:
         monkeypatch.setattr(training, "train", counted)
         out = tmp_path / "bench"
         rc = cli.main(["bench-losses", "--data", data,
-                       "--losses", "lmnn,lifted,triplet_ohm,batch_hard",
-                       "--margins", "0.2,soft,0.20,1.0", "--widths", "5,8,4",
+                       "--losses", ",".join(losses.LOSS_NAMES),
+                       "--margins", "0.2,soft,0.20", "--widths", "5,8,4",
                        "--P", "3", "--K", "2", "--B", "4",
                        "--t0", "4", "--t1", "8", "-o", str(out)])
         assert rc == cli.EXIT_OK
         hard, soft = losses.MarginMode.hard, losses.MarginMode.soft
-        assert trained == [
-            ("lmnn", hard(0.2)), ("lmnn", hard(1.0)),
-            ("lifted", hard(0.2)), ("lifted", soft()), ("lifted", hard(1.0)),
-            ("triplet_ohm", hard(0.2)), ("triplet_ohm", soft()),
-            ("triplet_ohm", hard(1.0)),
-            ("batch_hard", hard(0.2)), ("batch_hard", soft()),
-            ("batch_hard", hard(1.0))]
+        assert trained == [(loss, margin) for loss in losses.LOSS_NAMES
+                           for margin in (hard(0.2), soft())]
         rows = (out / "bench_losses.csv").read_text().splitlines()
-        assert len(rows) == 17
+        assert len(rows) == 1 + 3 * len(losses.LOSS_NAMES)
         by_cell = {tuple(r.split(",")[:2]): r.split(",")[2:] for r in rows[1:]}
-        for loss in ("lmnn", "lifted", "triplet_ohm", "batch_hard"):
+        for loss in losses.LOSS_NAMES:
             assert by_cell[loss, "0.20"] == by_cell[loss, "0.2"]
         assert by_cell["lmnn", "soft"] == by_cell["lmnn", "0.2"]
         assert all(status == "ok" for *_, status in by_cell.values())

@@ -191,6 +191,14 @@ def test_params_reject_broken_chain():
                    (np.zeros((5, 2)), np.zeros(2))])
 
 
+@pytest.mark.parametrize("shape", [(3, 0), (0, 3)])
+def test_params_reject_an_empty_weight(shape):
+    """Widths below 1 give no model: `init_params` and `RunConfig` refuse
+    them, and so does a layout taken from a checkpoint."""
+    with pytest.raises(ConfigError, match="empty"):
+        MlpParams([(np.zeros(shape), np.zeros(shape[1]))])
+
+
 class TestFlatLayout:
     def test_layers_are_views_of_flat(self):
         p = init_params([4, 5, 3], seed=1)

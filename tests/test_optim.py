@@ -245,7 +245,7 @@ def reference_train(cfg, dataset):
             rows = sampling.sample_pk_batch(dataset, cfg.P, cfg.K, rng).rows
             labels = losses.BatchLabels(dataset.pids[rows], cfg.P, cfg.K)
         emb, acts, pres = reference_forward(layers, dataset.features[rows])
-        report = spec.call(emb, labels, *spec.reads(cfg))
+        report = spec.call(emb, labels, cfg.metric, cfg.margin)
         grads = reference_backward(layers, acts, pres, report.grad_embeddings)
         layers, m, v = reference_adam_layers(layers, grads, m, v, t, lr, b1)
         rows_out.append(reference_row(emb, report, t, lr))
@@ -324,8 +324,9 @@ def test_from_dict_rejects_moments_of_different_layouts():
     [{"weight": [0.0, 0.0], "bias": [0.0, 0.0]}],
     [{"weight": [[0.0, 0.0]], "bias": [0.0]}],
     [{"weight": [[0.0, 0.0]], "bias": [0.0, 0.0]},
-     {"weight": [[0.0]], "bias": [0.0]}]],
-    ids=["1-D-weight", "bias-width", "unchained"])
+     {"weight": [[0.0]], "bias": [0.0]}],
+    [{"weight": [[], [], []], "bias": []}]],
+    ids=["1-D-weight", "bias-width", "unchained", "zero-width"])
 def test_from_dict_rejects_moments_no_model_has(moment):
     doc = _state_doc()
     doc["first_moment"] = doc["second_moment"] = moment

@@ -27,6 +27,7 @@ FIELDS = {
     training.TrainResult: ["params", "state"],
     losses.LossReport: ["loss", "grad_embeddings", "num_active", "per_term",
                         "distances"],
+    losses.LossSpec: ["name", "batch", "call"],
 }
 
 SIGNATURES = {

@@ -187,6 +187,23 @@ def test_stress_alarm_fires_at_one_step_logged_or_not(tmp_path, seed,
     train(ohm_stress_config("batch_hard", seed), data)
 
 
+@pytest.mark.parametrize("loss", losses.LOSS_NAMES)
+def test_diverging_run_raises_nonfinite_loss_error(tmp_path, loss):
+    """At eps0=1e300 the first update overflows every weight, so the loss
+    of step 2 is not finite: `train` raises NonFiniteLossError there,
+    before the update, and the log holds the one step before it."""
+    cfg = dataclasses.replace(short_benchmark_config(loss, "soft"),
+                              schedule=Schedule(1e300, 5, 10))
+    path = tmp_path / "train_log.csv"
+    with diagnostics.TrainLogWriter(path) as writer, \
+            pytest.raises(training.NonFiniteLossError,
+                          match="non-finite loss at iteration 2") as diverged:
+        train(cfg, default_benchmark_sets()[0], writer)
+    assert diverged.value.iteration == 2
+    with open(path, newline="") as f:
+        assert [row["iter"] for row in csv.DictReader(f)] == ["1"]
+
+
 def test_only_logged_runs_compute_the_panels(monkeypatch, tmp_path):
     calls = []
     batch_stats = diagnostics.batch_stats

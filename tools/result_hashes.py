@@ -10,6 +10,10 @@ Prints one `<sha256>  <name>` line for each of:
   150/300, seed 7) on a 60-identity x 8-item, 64-dim datagen set;
 - the `bench-losses` CSV with default flags on a `datagen --ids 40
   --per-id 6 --dim 8` set;
+- the `bench-losses` CSV of the paper's loss table, every loss x {soft,
+  hinge 0.2}, on a `datagen --ids 40 --per-id 6 --dim 8
+  --identity-spread 1 --intra-spread 1 --outlier-rate 0.05` set, whose
+  mAPs (0.19 to 0.35) are not saturated;
 - `eval_report.json`, written by `tripletkit evaluate` with the
   `batch_hard/soft` benchmark checkpoint, plain, with `--multi-query`,
   with `--no-camera-filter` and with `--distractors`: 2000 queries
@@ -73,16 +77,20 @@ def train_files(name: str, cfg: training.RunConfig, train_set,
             f"{digest(ckpt_path)}  {name}/checkpoint.json"]
 
 
-def bench_losses_csv(out: str) -> str:
-    """The line of a default `bench-losses` grid on a small datagen set."""
+def bench_losses_csv(name: str, out: str, gen_flags=(),
+                     grid_flags=()) -> str:
+    """The line of a `bench-losses` grid on a 40-identity x 6-item, 8-dim
+    datagen set, both run in `out/name` with the given extra flags."""
+    out = os.path.join(out, name)
     with contextlib.redirect_stdout(io.StringIO()):
         for argv in (["datagen", "--ids", "40", "--per-id", "6", "--dim", "8",
-                      "--out", out],
+                      *gen_flags, "--out", out],
                      ["bench-losses", "--data", os.path.join(out, "train.csv"),
-                      "--out", out]):
+                      *grid_flags, "--out", out]):
             if cli.main(argv) != cli.EXIT_OK:
                 raise SystemExit(f"tripletkit {argv[0]} failed")
-    return f"{digest(os.path.join(out, 'bench_losses.csv'))}  bench_losses.csv"
+    return f"{digest(os.path.join(out, 'bench_losses.csv'))}  " \
+        f"{name}bench_losses.csv"
 
 
 def eval_sets(out: str) -> dict[str, str]:
@@ -138,7 +146,13 @@ def main() -> None:
                     cfg = config(loss, losses.parse_margin(margin))
                     print(*train_files(f"{prefix}{loss}/{margin}", cfg,
                                        train_set, out), sep="\n", flush=True)
-        print(bench_losses_csv(out))
+        print(bench_losses_csv("", out))
+        print(bench_losses_csv(
+            "loss_table/", out,
+            ["--identity-spread", "1", "--intra-spread", "1",
+             "--outlier-rate", "0.05"],
+            ["--losses", ",".join(losses.LOSS_NAMES),
+             "--margins", ",".join(MARGINS)]))
         print(*eval_reports(os.path.join(out, "batch_hard/soft",
                                          "checkpoint.json"), out), sep="\n")
 
