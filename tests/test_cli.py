@@ -590,8 +590,8 @@ class TestBenchLosses:
                                                    monkeypatch):
         # a grid's cells differ only in loss and margin, so a cell trains
         # unless an earlier one has its loss and an equal margin: 0.20 is
-        # 0.2, while soft is its own cell even where the loss takes the
-        # same arguments under soft as under 0.2 (lmnn)
+        # 0.2, 1.0 is not, and soft is its own cell even where the loss
+        # takes the same arguments under soft as under 0.2 (lmnn)
         data = make_data(tmp_path, ids=8)
         trained = []
         real_train = training.train
@@ -604,15 +604,15 @@ class TestBenchLosses:
         out = tmp_path / "bench"
         rc = cli.main(["bench-losses", "--data", data,
                        "--losses", ",".join(losses.LOSS_NAMES),
-                       "--margins", "0.2,soft,0.20", "--widths", "5,8,4",
+                       "--margins", "0.2,soft,0.20,1.0", "--widths", "5,8,4",
                        "--P", "3", "--K", "2", "--B", "4",
                        "--t0", "4", "--t1", "8", "-o", str(out)])
         assert rc == cli.EXIT_OK
         hard, soft = losses.MarginMode.hard, losses.MarginMode.soft
         assert trained == [(loss, margin) for loss in losses.LOSS_NAMES
-                           for margin in (hard(0.2), soft())]
+                           for margin in (hard(0.2), soft(), hard(1.0))]
         rows = (out / "bench_losses.csv").read_text().splitlines()
-        assert len(rows) == 1 + 3 * len(losses.LOSS_NAMES)
+        assert len(rows) == 1 + 4 * len(losses.LOSS_NAMES)
         by_cell = {tuple(r.split(",")[:2]): r.split(",")[2:] for r in rows[1:]}
         for loss in losses.LOSS_NAMES:
             assert by_cell[loss, "0.20"] == by_cell[loss, "0.2"]
