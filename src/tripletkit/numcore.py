@@ -72,6 +72,10 @@ class MlpParams:
                        for i, (w, _) in enumerate(self.layers)]
         self.shapes = tuple((w.shape, b.shape) for w, b in self.layers)
 
+    def __reduce__(self):
+        # copy and pickle through the constructor: `layers` stay views of `flat`
+        return MlpParams, (self.layers, self.seed)
+
     @property
     def input_dim(self) -> int:
         return self.layers[0][0].shape[0]

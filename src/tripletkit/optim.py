@@ -65,6 +65,11 @@ class AdamState:
         # scratch for adam_step, so that an update allocates nothing
         self._tmp, self._step = np.empty_like(self.m), np.empty_like(self.m)
 
+    def __reduce__(self):
+        # copy and pickle through the constructor: `m` and `v` stay views
+        return AdamState, (self.first_moment, self.second_moment,
+                           self.step_count, self.beta1)
+
     @classmethod
     def for_params(cls, params: MlpParams) -> "AdamState":
         zeros = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params.layers]

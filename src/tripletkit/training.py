@@ -86,75 +86,89 @@ class RunConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-@dataclass
-class TrainResult:
-    params: numcore.MlpParams
-    state: optim.AdamState
+class Run:
+    """One training run: the params, Adam state, grads buffer and rng, the
+    loss's registry entry and PK labels, the mined triplets and the
+    collapse alarm's state. Adam's step count is the only counter: `step()`
+    runs iteration t = `state.step_count + 1`, and the learning rate, the
+    beta1 drop, the OHM refresh, the log and the alarm all read that t."""
 
+    def __init__(self, cfg: RunConfig, dataset: sampling.LabeledDataset,
+                 log_writer: diagnostics.TrainLogWriter | None = None):
+        self.cfg, self.dataset, self.log_writer = cfg, dataset, log_writer
+        widths = [dataset.feature_dim, *cfg.layer_widths[1:]]
+        self.params = numcore.init_params(widths, cfg.seed)
+        self.state = optim.AdamState.for_params(self.params)
+        self.grads = numcore.MlpParams(self.params.layers)  # backward's output
+        self.rng = np.random.default_rng(cfg.seed)
+        self.spec = spec = losses.LOSSES[cfg.loss]
+        # every PK batch holds P distinct identities, K rows each, in identity
+        # blocks, so one labels object serves every step; the triplet losses
+        # read no labels
+        self.labels = None if spec.batch != "pk" else losses.BatchLabels(
+            np.repeat(np.arange(cfg.P), cfg.K), cfg.P, cfg.K)
+        self.mined: np.ndarray | None = None    # mined at the last refresh
+        # the alarm's state: the first median, set at t = 1, and the run of
+        # collapsed steps that ends at the last one
+        self.initial_median: float | None = None
+        self.streak: diagnostics.AlarmTrigger | None = None
 
-def train(cfg: RunConfig, dataset: sampling.LabeledDataset,
-          log_writer: diagnostics.TrainLogWriter | None = None) -> TrainResult:
-    """Run the full schedule; raises CollapseError if the alarm fires, or
-    its subclass NonFiniteLossError, before the update, on a NaN/inf loss.
-
-    The exception carries the iteration and, from the alarm, the values it
-    fired on; the log, when `log_writer` is given, has every row up to it.
-    Only a logged run computes the log's percentile panels; every step
-    computes the alarm's median pair distance.
-    """
-    widths = [dataset.feature_dim, *cfg.layer_widths[1:]]
-    params = numcore.init_params(widths, cfg.seed)
-    state = optim.AdamState.for_params(params)
-    rng = np.random.default_rng(cfg.seed)
-    # the alarm's state: the first median, set at t = 1, and the run of
-    # collapsed steps that ends at the last one
-    streak: diagnostics.AlarmTrigger | None = None
-    mined: np.ndarray | None = None
-    grads = numcore.MlpParams(params.layers)    # mlp_backward's output buffer
-    spec = losses.LOSSES[cfg.loss]
-    # every PK batch holds P distinct identities, K rows each, in identity
-    # blocks, so one labels object serves every step; the triplet losses
-    # read no labels
-    labels = losses.BatchLabels(np.repeat(np.arange(cfg.P), cfg.K),
-                                cfg.P, cfg.K) if spec.batch == "pk" else None
-
-    for t in range(1, cfg.schedule.t1 + 1):
+    def step(self) -> None:
+        """Run iteration t; raises CollapseError if the alarm fires, or its
+        subclass NonFiniteLossError, before the update, on a NaN/inf loss,
+        and ScheduleError past the schedule's t1."""
+        cfg, spec, params, state = self.cfg, self.spec, self.params, self.state
+        dataset, rng, t = self.dataset, self.rng, state.step_count + 1
         lr = optim.lr_at(cfg.schedule, t)
         optim.beta1_drop(state, t, cfg.schedule)
 
         # overflow and NaN from a diverging step are reported by the guard below
         with np.errstate(over="ignore", invalid="ignore"):
             if spec.batch == "mined" and (t - 1) % cfg.ohm_refresh_every == 0:
-                mined = sampling.mine_hard_offline(
+                self.mined = sampling.mine_hard_offline(
                     params, dataset, cfg.ohm_sample_fraction, cfg.B,
                     cfg.margin, rng, cfg.metric)
             if spec.batch == "pk":
                 rows = sampling.sample_pk_batch(dataset, cfg.P, cfg.K, rng).rows
             else:
-                triplets = mined if spec.batch == "mined" else \
+                triplets = self.mined if spec.batch == "mined" else \
                     sampling.sample_random_triplets(dataset, cfg.B, rng)
                 rows = triplets.ravel()
             emb, acts = numcore.mlp_forward(params, dataset.features[rows])
-            report = spec.call(emb, labels, cfg.metric, cfg.margin)
+            report = spec.call(emb, self.labels, cfg.metric, cfg.margin)
         if not math.isfinite(report.loss):
             raise NonFiniteLossError(t, "non-finite loss")
-        numcore.mlp_backward(params, acts, report.grad_embeddings, grads)
-        optim.adam_step(params, grads, state, lr)
+        numcore.mlp_backward(params, acts, report.grad_embeddings, self.grads)
+        optim.adam_step(params, self.grads, state, lr)
 
-        if log_writer is None:
+        if self.log_writer is None:
             median = diagnostics.median_pair_distance(report.distances.squared)
         else:
             record = diagnostics.batch_stats(emb, report, t, lr)
-            log_writer.append(record)
+            self.log_writer.append(record)
             median = record.pair_dist_percentiles[2]
         if t == 1:
-            initial_median = median
-        streak = diagnostics.collapse_alarm(initial_median, streak, median,
-                                            report.active_fraction)
+            self.initial_median = median
+        self.streak = streak = diagnostics.collapse_alarm(
+            self.initial_median, self.streak, median, report.active_fraction)
         if streak is not None and streak.window == diagnostics.COLLAPSE_WINDOW:
             raise CollapseError(t, trigger=streak)
 
-    return TrainResult(params, state)
+
+def train(cfg: RunConfig, dataset: sampling.LabeledDataset,
+          log_writer: diagnostics.TrainLogWriter | None = None) -> Run:
+    """Run the full schedule and return the finished `Run`, whose `params`
+    and `state` hold the model and its Adam state; raises what `step` does.
+
+    The exception carries the iteration and, from the alarm, the values it
+    fired on; the log, when `log_writer` is given, has every row up to it.
+    Only a logged run computes the log's percentile panels; every step
+    computes the alarm's median pair distance.
+    """
+    run = Run(cfg, dataset, log_writer)
+    while run.state.step_count < cfg.schedule.t1:
+        run.step()
+    return run
 
 
 BENCHMARK_SEED = 7
@@ -271,7 +285,7 @@ def _validation_mask(pids: np.ndarray, n_val: int, seed: int) -> np.ndarray:
 def validation_map(params: numcore.MlpParams,
                    val: sampling.LabeledDataset) -> evalkit.EvalResult:
     """Self-retrieval evaluation on an embedded validation split, with
-    rank-1 and rank-5 CMC."""
+    rank-1 CMC, the one rank its callers read."""
     embedded = embed_dataset(params, val)
     return evalkit.evaluate(embedded, embedded,
-                            evalkit.EvalProtocol(cmc_ranks=(1, 5)))
+                            evalkit.EvalProtocol(cmc_ranks=(1,)))

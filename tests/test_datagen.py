@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -25,12 +27,13 @@ class TestGenerate:
             rows = ds.features[ds.pids == pid]
             assert np.all(rows == rows[0])
 
-    def test_outlier_binomial(self):
-        spec = GenSpec(num_identities=10, items_per_identity=1000,
+    @pytest.mark.parametrize("ids", [10, 2])
+    def test_outlier_binomial(self, ids):
+        # two identities are the fewest that have another label to swap to
+        spec = GenSpec(num_identities=ids, items_per_identity=10_000 // ids,
                        feature_dim=2, outlier_rate=0.1, seed=3)
         ds = generate(spec)
-        clean = generate(GenSpec(num_identities=10, items_per_identity=1000,
-                                 feature_dim=2, outlier_rate=0.0, seed=3))
+        clean = generate(dataclasses.replace(spec, outlier_rate=0.0))
         flipped = int(np.sum(ds.pids != clean.pids))
         n, p = 10_000, 0.1
         sigma = np.sqrt(n * p * (1 - p))
@@ -65,8 +68,9 @@ class TestGenerate:
             GenSpec(identity_spread=0.0)
         with pytest.raises(ValueError):
             GenSpec(outlier_rate=1.0)
-        with pytest.raises(ValueError):
-            GenSpec(intra_spread=-1.0)
+        for spread in (-1.0, math.inf):
+            with pytest.raises(ValueError, match="intra_spread must be"):
+                GenSpec(intra_spread=spread)
         for cameras in (0, 2 ** 63):    # camera ids are int64
             with pytest.raises(ValueError, match="num_cameras"):
                 GenSpec(num_cameras=cameras)
@@ -89,6 +93,10 @@ class TestGenerate:
         (GenSpec(num_identities=5, items_per_identity=3, feature_dim=1,
                  num_cameras=1, outlier_rate=0.3, seed=2),
          "b8742ae57c3c0d9b2a56f9e86f111023f80694c99b1fb02175da0bb632f8dc02"),
+        # one identity: an outlier rate has no other label to swap to
+        (GenSpec(num_identities=1, items_per_identity=6, feature_dim=2,
+                 outlier_rate=0.5, seed=2),
+         "699a365d347d35d0c3d13003bd6da64557610a1b68167d12df9f4f4b0b50a4a4"),
     ])
     def test_output_is_pinned(self, spec, digest):
         # benchmark inputs come from the generator: its bytes must not move

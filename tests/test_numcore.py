@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -220,6 +222,23 @@ class TestFlatLayout:
             assert np.array_equal(w, w2) and np.array_equal(b, b2)
         q.flat += 1.0
         assert not np.array_equal(p.flat, q.flat)
+
+    @pytest.mark.parametrize("clone", [
+        copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+        ids=["deepcopy", "pickle"])
+    def test_copies_keep_layers_views_of_flat(self, clone):
+        """A copy is rebuilt through the constructor, so an update of its
+        `flat`, as `adam_step` makes, is what `mlp_forward` reads."""
+        p = init_params([4, 5, 3], seed=1)
+        q = clone(p)
+        assert q.seed == p.seed and q.shapes == p.shapes
+        assert not np.shares_memory(p.flat, q.flat)
+        q.flat += 1.0
+        for (w, b), (w2, b2) in zip(p.layers, q.layers):
+            assert np.array_equal(w + 1.0, w2) and np.array_equal(b + 1.0, b2)
+        x = np.ones((2, 4))
+        assert np.array_equal(mlp_forward(q, x)[0],
+                              mlp_forward(MlpParams(q.layers), x)[0])
 
     def test_construction_copies_its_inputs(self):
         w, b = np.eye(3), np.zeros(3)

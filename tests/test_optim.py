@@ -1,4 +1,6 @@
+import copy
 import csv
+import pickle
 
 import numpy as np
 import pytest
@@ -159,6 +161,28 @@ def test_state_serialization_round_trip():
     for (a, b), (c, d) in zip(restored.first_moment.layers,
                               s.first_moment.layers):
         assert np.array_equal(a, c) and np.array_equal(b, d)
+
+
+@pytest.mark.parametrize("clone", [
+    copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))],
+    ids=["deepcopy", "pickle"])
+def test_copied_state_writes_its_own_moments(clone):
+    """A copy's `m` and `v` stay the flat vectors of its moments, so an
+    update of the copy is what its `to_dict` writes."""
+    p = _tiny_params(4)
+    s = AdamState.for_params(p)
+    g = numcore.MlpParams([(np.ones_like(w), np.ones_like(b))
+                           for w, b in p.layers])
+    adam_step(p, g, s, lr=1e-3)
+    c = clone(s)
+    assert (c.step_count, c.beta1) == (s.step_count, s.beta1)
+    adam_step(clone(p), g, c, lr=1e-3)
+    assert c.m is c.first_moment.flat and c.v is c.second_moment.flat
+    assert not np.shares_memory(c.m, s.m)
+    assert not np.array_equal(c.m, s.m)
+    restored = AdamState.from_dict(c.to_dict())
+    assert restored.m.tobytes() == c.m.tobytes()
+    assert restored.v.tobytes() == c.v.tobytes()
 
 
 # Reference copy of the training loop as it was before the state went flat:

@@ -24,7 +24,6 @@ FIELDS = {
                            "cmc_ranks"],
     numcore.MlpParams: ["layers", "seed"],
     optim.AdamState: ["first_moment", "second_moment", "step_count", "beta1"],
-    training.TrainResult: ["params", "state"],
     losses.LossReport: ["loss", "grad_embeddings", "num_active", "per_term",
                         "distances"],
     losses.LossSpec: ["name", "batch", "call"],
@@ -32,6 +31,7 @@ FIELDS = {
 
 SIGNATURES = {
     training.train: ["cfg", "dataset", "log_writer"],
+    training.Run: ["cfg", "dataset", "log_writer"],
     evalkit.evaluate: ["queries", "gallery", "protocol"],
     evalkit.rank_gallery: ["query_embedding", "gallery_embeddings"],
     training.validation_map: ["params", "val"],

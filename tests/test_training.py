@@ -1,16 +1,21 @@
+import copy
 import csv
 import dataclasses
+import functools
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tripletkit import diagnostics, losses, numcore, sampling, training
-from tripletkit.optim import Schedule
+from tripletkit.optim import Schedule, ScheduleError
 from tripletkit.training import (BENCHMARK_SEED, MAX_STEP_ELEMENTS,
                                  OHM_STRESS_SEEDS, CollapseError, ConfigError,
-                                 RunConfig, benchmark_config, benchmark_map,
+                                 Run, RunConfig, benchmark_config,
+                                 benchmark_map,
                                  default_benchmark_sets,
                                  ohm_stress_config, ohm_stress_dataset, train)
 
@@ -169,6 +174,59 @@ def test_train_log_leaves_results_alone(tmp_path, loss, margin):
     cfg = short_benchmark_config(loss, margin)
     assert trained_bytes(cfg, train_set) == \
         trained_bytes(cfg, train_set, tmp_path / "train_log.csv")
+
+
+class ListLogWriter:
+    """A log writer that keeps each record's CSV row in a list."""
+
+    def __init__(self):
+        self.rows = []
+
+    def append(self, record):
+        self.rows.append(record.to_row())
+
+
+def split_config(loss: str, margin: str) -> RunConfig:
+    """`short_benchmark_config` with an OHM refresh every 10 steps, so a
+    40-step run refreshes at t = 1, 11, 21 and 31."""
+    return dataclasses.replace(short_benchmark_config(loss, margin),
+                               ohm_refresh_every=10)
+
+
+def run_state(run: Run) -> tuple:
+    state = run.state
+    return (run.params.flat.tobytes(), state.m.tobytes(), state.v.tobytes(),
+            state.step_count, state.beta1, run.rng.bit_generator.state,
+            run.log_writer.rows)
+
+
+@functools.cache
+def uninterrupted(loss: str, margin: str) -> tuple:
+    return run_state(train(split_config(loss, margin),
+                           default_benchmark_sets()[0], ListLogWriter()))
+
+
+@pytest.mark.parametrize("margin", ["soft", "0.2"])
+@pytest.mark.parametrize("loss", losses.LOSS_NAMES)
+@settings(max_examples=2, deadline=None, derandomize=True)
+@given(k=st.integers(1, 39))
+@example(k=19)      # the copy takes the beta1 drop at t0 = 20
+@example(k=20)      # and the OHM refresh at t = 21
+def test_a_copied_run_finishes_as_the_uninterrupted_one(loss, margin, k):
+    """All of a run's state lives on `Run`: a deep copy taken after k steps
+    and the original, each stepped to t1, end bit for bit as `train` does,
+    log rows included, and a step past t1 raises ScheduleError."""
+    cfg = split_config(loss, margin)
+    run = Run(cfg, default_benchmark_sets()[0], ListLogWriter())
+    for _ in range(k):
+        run.step()
+    copied = copy.deepcopy(run)
+    for finishing in (run, copied):
+        while finishing.state.step_count < cfg.schedule.t1:
+            finishing.step()
+        assert run_state(finishing) == uninterrupted(loss, margin)
+    with pytest.raises(ScheduleError):
+        copied.step()
 
 
 @pytest.mark.parametrize("seed, iteration", zip(OHM_STRESS_SEEDS,

@@ -20,9 +20,13 @@ Prints one `<sha256>  <name>` line for each of:
   against 2000 gallery rows of 250 datagen identities, and 2000
   distractor rows of 250 other identities, so that the queries span
   many of `evaluate`'s blocks, and `--multi-query` pools two rows into
-  each of its 1000 queries.
+  each of its 1000 queries;
+- `train_log.csv` and the `CollapseError` message of the three runs of
+  `training.ohm_stress_config("triplet_ohm", seed)` on
+  `training.ohm_stress_dataset()`, seeds `training.OHM_STRESS_SEEDS`,
+  which the collapse alarm aborts (at steps 700, 336 and 324).
 
-A run that the collapse alarm aborts stops the script with its
+Any other run that the collapse alarm aborts stops the script with its
 `CollapseError`. From the root of each tree, on one core, then compare
 the two outputs with `diff`:
 
@@ -135,6 +139,25 @@ def eval_reports(checkpoint: str, out: str) -> list[str]:
     return lines
 
 
+def stress_files(seed: int, out: str) -> list[str]:
+    """The lines of one OHM-stress run, written into `out/ohm_stress/seed`:
+    its train log and the message it stops with."""
+    name = f"ohm_stress/{seed}"
+    out = os.path.join(out, name)
+    os.makedirs(out)
+    log_path = os.path.join(out, "train_log.csv")
+    message = "finished without a CollapseError"
+    try:
+        with diagnostics.TrainLogWriter(log_path) as writer:
+            training.train(training.ohm_stress_config("triplet_ohm", seed),
+                           training.ohm_stress_dataset(), writer)
+    except training.CollapseError as err:
+        message = str(err)
+    return [f"{digest(log_path)}  {name}/train_log.csv",
+            f"{hashlib.sha256(message.encode()).hexdigest()}  "
+            f"{name}/collapse_error"]
+
+
 def main() -> None:
     runs = (("", training.benchmark_config,
              training.default_benchmark_sets()[0]),
@@ -155,6 +178,8 @@ def main() -> None:
              "--margins", ",".join(MARGINS)]))
         print(*eval_reports(os.path.join(out, "batch_hard/soft",
                                          "checkpoint.json"), out), sep="\n")
+        for seed in training.OHM_STRESS_SEEDS:
+            print(*stress_files(seed, out), sep="\n", flush=True)
 
 
 if __name__ == "__main__":
